@@ -27,10 +27,45 @@ def _resolved_host(ctx: Context, svc, url_value: str, origin_file: str):
     return host, trace
 
 
-def _joined_lines(file, start_line: int, count: int = 4) -> str:
-    """A statement that may wrap across lines, re-joined for regexes."""
-    lines = file.masked_lines[start_line - 1 : start_line - 1 + count]
-    return " ".join(l.strip() for l in lines)
+def _joined_lines(file, start_line: int, stop: int | None = None, count: int = 4) -> str:
+    """A statement that may wrap across lines, re-joined for regexes.
+
+    The window holds count lines of the masked text from start_line and is
+    cut at the text offset stop when one is given.
+    """
+    starts = file.line_starts
+    last = start_line - 1 + count
+    end = starts[last] - 1 if last < len(starts) else len(file.masked_text)
+    if stop is not None:
+        end = min(end, stop)
+    window = file.masked_text[starts[start_line - 1] : end]
+    return " ".join(l.strip() for l in window.split("\n"))
+
+
+_ARGS_OPEN = re.compile(r"\s*\(")
+_PAREN_OR_LITERAL = re.compile(r"\"(?:[^\"\\\n]|\\.)*\"|'(?:[^'\\\n]|\\.)*'|[()]")
+
+
+def _annotation_end(file, m) -> int | None:
+    """Text offset just past the annotation matched by m.
+
+    That is the balanced ) closing its arguments, or the end of its name
+    when it has none.  None when the arguments are never closed.
+    """
+    text = file.masked_text
+    pos = file.line_starts[m.line - 1] + m.span[1]
+    args = _ARGS_OPEN.match(text, pos)
+    if args is None:
+        return pos
+    depth = 0
+    for tok in _PAREN_OR_LITERAL.finditer(text, args.end() - 1):
+        if tok.group() == "(":
+            depth += 1
+        elif tok.group() == ")":
+            depth -= 1
+            if depth == 0:
+                return tok.end()
+    return None
 
 
 # ============================================================================
@@ -57,7 +92,7 @@ class FeignFlows(Extractor):
             if owner is None:
                 continue
             file = ctx.index.by_path[m.file]
-            stmt = _joined_lines(file, m.line)
+            stmt = _joined_lines(file, m.line, _annotation_end(file, m))
             target = self._target_from(ctx, owner, m, stmt)
             if not target or target == owner.canonical:
                 continue

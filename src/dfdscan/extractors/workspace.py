@@ -199,13 +199,14 @@ class Workspace(Extractor):
             f = ctx.index.by_path.get(path)
             if f is None:
                 continue
-            for li, line in enumerate(f.lines):
+            lines = f.text.split("\n")
+            for li, line in enumerate(lines):
                 col = line.find(name)
                 if col != -1:
                     return TraceEntry(
                         f.path, li + 1, (col, col + len(name)), name
                     )
-            first = f.lines[0] if f.lines else ""
+            first = lines[0]
             end = max(len(first.rstrip()), 1)
             return TraceEntry(f.path, 1, (0, end), first[:end])
         return None

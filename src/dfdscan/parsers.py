@@ -159,11 +159,12 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
         docs = list(yaml.compose_all(file.text))
     except yaml.YAMLError as exc:
         raise ParserError(file.path, "yaml: %s" % exc) from exc
+    lines = file.text.split("\n")
     for doc in docs:
         if doc is None:
             continue
         doc_entries: list[PropertyEntry] = []
-        _flatten_yaml(doc, "", file.lines, doc_entries)
+        _flatten_yaml(doc, "", lines, doc_entries)
         profile = None
         for e in doc_entries:
             if e.key in _PROFILE_KEYS:
@@ -184,7 +185,7 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
 def parse_properties_file(file: IndexedFile) -> list[PropertyEntry]:
     """Parse key=value (or key:value) lines, honoring \\ continuations."""
     entries: list[PropertyEntry] = []
-    lines = file.lines
+    lines = file.text.split("\n")
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -291,15 +292,16 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
             ],
         )
     services: list[ComposeService] = []
+    lines = file.text.split("\n")
     for k, v in services_node.value:
         name = str(getattr(k, "value", "")).strip()
         if not name or not isinstance(v, yaml.MappingNode):
             continue
-        line, span, snippet = _scalar_location(k, file.lines)
+        line, span, snippet = _scalar_location(k, lines)
         svc = ComposeService(name=name, trace=TraceEntry(file.path, line, span, snippet))
         img = _mapping_get(v, "image")
         if isinstance(img, yaml.ScalarNode):
-            il, isp, isn = _scalar_location(img, file.lines)
+            il, isp, isn = _scalar_location(img, lines)
             svc.image = str(img.value).strip()
             svc.image_trace = TraceEntry(file.path, il, isp, isn)
         build = _mapping_get(v, "build")
@@ -315,14 +317,14 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 if isinstance(p, yaml.ScalarNode):
                     port = _container_port(str(p.value))
                     if port is not None:
-                        pl, psp, psn = _scalar_location(p, file.lines)
+                        pl, psp, psn = _scalar_location(p, lines)
                         svc.ports.append((port, TraceEntry(file.path, pl, psp, psn)))
                 elif isinstance(p, yaml.MappingNode):
                     tgt = _mapping_get(p, "target")
                     if isinstance(tgt, yaml.ScalarNode):
                         port = _container_port(str(tgt.value))
                         if port is not None:
-                            pl, psp, psn = _scalar_location(tgt, file.lines)
+                            pl, psp, psn = _scalar_location(tgt, lines)
                             svc.ports.append((port, TraceEntry(file.path, pl, psp, psn)))
         env = _mapping_get(v, "environment")
         if isinstance(env, yaml.SequenceNode):
@@ -330,7 +332,7 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 text = _scalar(item)
                 if text and "=" in text:
                     ekey, _, eval_ = text.partition("=")
-                    el, esp, esn = _scalar_location(item, file.lines)
+                    el, esp, esn = _scalar_location(item, lines)
                     svc.environment.append(
                         (ekey.strip(), eval_.strip(), TraceEntry(file.path, el, esp, esn))
                     )
@@ -339,7 +341,7 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 ekey = str(getattr(ek, "value", "")).strip()
                 evalue = _scalar(ev)
                 if ekey and evalue is not None:
-                    el, esp, esn = _scalar_location(ev, file.lines)
+                    el, esp, esn = _scalar_location(ev, lines)
                     svc.environment.append(
                         (ekey, evalue.strip(), TraceEntry(file.path, el, esp, esn))
                     )
@@ -374,7 +376,7 @@ class DockerfileInfo:
 
 def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
     info = DockerfileInfo(path=file.path)
-    for i, raw in enumerate(file.lines):
+    for i, raw in enumerate(file.text.split("\n")):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

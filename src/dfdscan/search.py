@@ -1,16 +1,21 @@
 """File indexing and keyword search over a codebase snapshot.
 
 The index reads every text file once, classifies it by filename, and keeps
-both the original lines and (for Java) a comment-masked copy so searches do
-not hit commented-out code.  Searches run through the scan kernel selected
-in _kernel and return matches ordered by (path, line, span).
+one text per file plus, for Java, a comment-masked copy so searches do not
+hit commented-out code.  Lines are offsets into that text.  Searches run
+through the scan kernel selected in _kernel and return matches ordered by
+(path, line, span).
 """
 from __future__ import annotations
 
 import os
 import posixpath
 import re
+import stat
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from . import _kernel
@@ -58,90 +63,90 @@ def classify_path(rel_path: str) -> str:
     return "other"
 
 
-def mask_java_comments(lines: list[str]) -> list[str]:
+# One step of the masker: code up to the next // or /*.  It jumps whole
+# text blocks (JLS 3.10.6), string literals and char literals, so comment
+# markers inside them survive.  Strings and char literals end at a newline;
+# a text block, whose escapes may span lines, runs to the end of the text
+# when it is not closed.  Each alternative either always completes or, for
+# the text block, loops until its own closer or the end, so a match never
+# backtracks.  The repeat is bounded because the regex engine keeps state
+# for every repetition of a group: unbounded, a long file without comments
+# would hold tens of bytes per character while it is masked.
+_JAVA_CODE = re.compile(
+    r"(?:[^\"'/]+"
+    r'|"""(?:[^"\\]+|\\[\s\S]?|"(?!""))*(?:"""|\Z)'
+    r'|"(?:[^"\\\n]+|\\.)*"?'
+    r"|'(?:[^'\\\n]+|\\.)*'?"
+    r"|/(?![/*])){0,256}"
+)
+
+
+def mask_java_comments(text: str) -> str:
     """Blank out // and /* */ comments, preserving line/column layout.
 
-    String and char literals are honored so protocol strings like
-    "http://host" survive.  Comment characters become spaces, which keeps
-    every span in the masked text valid in the original text too.
+    String, char and text-block literals are honored so protocol strings
+    like "http://host" survive.  Comment characters become spaces and
+    newlines stay, which keeps every span in the masked text valid in the
+    original text too.  An unterminated comment runs to the end of the text.
     """
-    masked = []
-    in_block = False
-    for line in lines:
-        out = list(line)
-        i, n = 0, len(line)
-        while i < n:
-            if in_block:
-                if line.startswith("*/", i):
-                    out[i] = out[i + 1] = " "
-                    i += 2
-                    in_block = False
-                else:
-                    out[i] = " "
-                    i += 1
-                continue
-            c = line[i]
-            if c == '"' or c == "'":
-                quote = c
-                i += 1
-                while i < n:
-                    if line[i] == "\\":
-                        i += 2
-                    elif line[i] == quote:
-                        i += 1
-                        break
-                    else:
-                        i += 1
-            elif c == "/" and line.startswith("//", i):
-                for j in range(i, n):
-                    out[j] = " "
-                i = n
-            elif c == "/" and line.startswith("/*", i):
-                out[i] = out[i + 1] = " "
-                i += 2
-                in_block = True
-            else:
-                i += 1
-        masked.append("".join(out))
-    return masked
+    parts = []
+    copied = pos = 0
+    n = len(text)
+    while pos < n:
+        pos = _JAVA_CODE.match(text, pos).end()
+        if text.startswith("//", pos):
+            end = text.find("\n", pos)
+            if end == -1:
+                end = n
+            blank = " " * (end - pos)
+        elif text.startswith("/*", pos):
+            end = text.find("*/", pos + 2)
+            end = n if end == -1 else end + 2
+            blank = "\n".join(" " * len(part) for part in text[pos:end].split("\n"))
+        else:
+            continue  # the end of the text, or the repeat bound
+        parts += (text[copied:pos], blank)
+        copied = pos = end
+    if not parts:
+        return text
+    parts.append(text[copied:])
+    return "".join(parts)
 
 
 @dataclass
 class IndexedFile:
+    """One file of the snapshot.
+
+    masked_text is the comment-masked copy of text for Java and text itself
+    otherwise.  line_starts holds the offset of every line start; files are
+    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.
+    """
+
     path: str
     language: str
-    lines: list[str]
-    masked_lines: list[str]
-    text: str = field(repr=False, default="")
-    masked_text: str = field(repr=False, default="")
-    line_starts: list[int] = field(repr=False, default_factory=list)
+    text: str = field(repr=False)
+    masked_text: str = field(repr=False)
+    line_starts: array = field(repr=False)
 
     def search_text(self, raw: bool = False) -> str:
         return self.text if raw else self.masked_text
 
+    def line(self, index: int, masked: bool = False) -> str:
+        """The 0-based line index of the text, without its newline."""
+        text = self.masked_text if masked else self.text
+        starts = self.line_starts
+        end = starts[index + 1] - 1 if index + 1 < len(starts) else len(text)
+        return text[starts[index] : end]
+
 
 def _index_file(rel_path: str, content: str) -> IndexedFile:
-    content = content.replace("\r\n", "\n")
-    lines = content.split("\n")
+    text = content.replace("\r\n", "\n")
     language = classify_path(rel_path)
-    if language == "java":
-        masked = mask_java_comments(lines)
-    else:
-        masked = lines
-    text = "\n".join(lines)
-    masked_text = text if masked is lines else "\n".join(masked)
-    starts = [0]
-    for line in lines[:-1]:
-        starts.append(starts[-1] + len(line) + 1)
-    return IndexedFile(
-        path=rel_path,
-        language=language,
-        lines=lines,
-        masked_lines=masked,
-        text=text,
-        masked_text=masked_text,
-        line_starts=starts,
-    )
+    masked = mask_java_comments(text) if language == "java" else text
+    lengths = list(map(len, text.split("\n")))
+    # line i starts after the i previous lines and their newlines
+    starts = array("I", map(add, accumulate(lengths, initial=0), range(len(lengths))))
+    return IndexedFile(rel_path, language, text, masked, starts)
 
 
 @dataclass
@@ -166,10 +171,12 @@ def build_index(
 ) -> FileIndex:
     """Walk a directory tree and index every readable text file.
 
-    Ignored directories are pruned, oversized and binary files are skipped,
-    and anything unreadable produces a warning instead of an error.
+    Ignored directories are pruned; oversized and binary files, and
+    symlinks whose target lies outside the root, are skipped; anything
+    unreadable produces a warning instead of an error.
     """
     root = Path(root).resolve()
+    inside = os.path.join(root, "")
     files: list[IndexedFile] = []
     warnings: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root):
@@ -178,7 +185,13 @@ def build_index(
             p = Path(dirpath) / fn
             rel = p.relative_to(root).as_posix()
             try:
-                size = p.stat().st_size
+                st = p.lstat()
+                if stat.S_ISLNK(st.st_mode):
+                    if not os.path.realpath(p).startswith(inside):
+                        warnings.append("skipped %s: symlink outside root" % rel)
+                        continue
+                    st = p.stat()
+                size = st.st_size
             except OSError as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
                 continue
@@ -257,15 +270,14 @@ def find_keyword(
         for f in files:
             text = f.search_text(raw)
             for li, s, e in _kernel.scan(text, pattern, f.line_starts):
-                out.append(Match(f.path, li + 1, (s, e), pattern, f.lines[li]))
+                out.append(Match(f.path, li + 1, (s, e), pattern, f.line(li)))
         return out
     for f in files:
-        lines = f.lines if raw else f.masked_lines
-        for li, line in enumerate(lines):
+        for li, line in enumerate(f.search_text(raw).split("\n")):
             for m in rx.finditer(line):
                 if m.start() == m.end():
                     continue
-                out.append(Match(f.path, li + 1, m.span(), m.group(0), f.lines[li]))
+                out.append(Match(f.path, li + 1, m.span(), m.group(0), f.line(li)))
     return out
 
 
@@ -351,11 +363,10 @@ def resolve_cross_file(
     member = remainder.partition(".")[0]
     first: Match | None = None
     for li, s, e in _kernel.scan(target.masked_text, member, target.line_starts):
-        line = target.lines[li]
-        hit = Match(target.path, li + 1, (s, e), member, line)
+        hit = Match(target.path, li + 1, (s, e), member, target.line(li))
         if first is None:
             first = hit
-        tail = target.masked_lines[li][e:]
+        tail = target.line(li, masked=True)[e:]
         m = _QUOTED_DEF.search(tail)
         if m:
             return CrossFileHit(target.path, remainder, hit, m.group(1))
@@ -388,7 +399,7 @@ def _resolve_env(
         f = index.by_path.get(env_path)
         if f is None:
             continue
-        for li, line in enumerate(f.lines):
+        for li, line in enumerate(f.text.split("\n")):
             stripped = line.strip()
             if not stripped or stripped.startswith("#") or "=" not in stripped:
                 continue
@@ -466,7 +477,7 @@ def _resolve_ident(
         needle = "%s.%s" % (ident, member)
         text = f.search_text(raw)
         for li, s, e in _kernel.scan(text, needle, f.line_starts):
-            hit = Match(f.path, li + 1, (s, e), needle, f.lines[li])
+            hit = Match(f.path, li + 1, (s, e), needle, f.line(li))
             if hit.line == seed_match.line and hit.span == seed_match.span:
                 continue
             out.append(EvidenceChain([seed_match, hit], ident, True))

@@ -218,6 +218,51 @@ def test_feign_client_name_via_constant_in_other_file(tmp_path):
     assert ("caller", "callee") in dfd.flows
 
 
+def test_feign_window_ends_at_the_annotations_closing_paren(tmp_path):
+    # the value = of the first request mapping must not be read as the
+    # target of a client named by a constant
+    dfd, _ = analyze(
+        tmp_path,
+        {
+            "caller/pom.xml": "<project><artifactId>caller</artifactId></project>",
+            "caller/src/main/resources/application.yml": APP_YML % "caller",
+            "caller/src/main/java/Client.java": (
+                "@FeignClient(name = ServiceNames.CALLEE)\n"
+                "public interface Client {\n"
+                '    @RequestMapping(value = "/callee/{id}")\n'
+                "    String fetch(String id);\n"
+                "}\n"
+            ),
+            "caller/src/main/java/ServiceNames.java": (
+                'class ServiceNames { static final String CALLEE = "callee"; }\n'
+            ),
+            "callee/pom.xml": "<project><artifactId>callee</artifactId></project>",
+            "callee/src/main/resources/application.yml": APP_YML % "callee",
+        },
+    )
+    assert set(dfd.nodes) == {"caller", "callee"}
+    assert set(dfd.flows) == {("caller", "callee")}
+
+
+def test_feign_client_after_a_text_block_with_a_comment_opener(tmp_path):
+    dfd, _ = analyze(
+        tmp_path,
+        {
+            "caller/pom.xml": "<project><artifactId>caller</artifactId></project>",
+            "caller/src/main/resources/application.yml": APP_YML % "caller",
+            "caller/src/main/java/Client.java": (
+                'final class Docs {\n    static final String HEADER = """\n'
+                '        /**\n        """;\n}\n\n'
+                '@FeignClient(name = "callee")\n'
+                "public interface Client {}\n"
+            ),
+            "callee/pom.xml": "<project><artifactId>callee</artifactId></project>",
+            "callee/src/main/resources/application.yml": APP_YML % "callee",
+        },
+    )
+    assert ("caller", "callee") in dfd.flows
+
+
 def test_rest_template_external_website(tmp_path):
     dfd, _ = analyze(
         tmp_path,

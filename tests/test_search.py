@@ -1,7 +1,9 @@
 """File indexing, comment masking, keyword search, and the iterative
 identifier-chasing search."""
 
+import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -67,9 +69,60 @@ def test_classify_path(path, language):
 # ----------------------------------------------------------------------
 
 
+def oracle_mask(text):
+    """The former per-character masker, run line by line.
+
+    It is the reference for every input without a text block: strings and
+    char literals end at a newline, a block comment runs on across lines.
+    """
+    masked = []
+    in_block = False
+    for line in text.split("\n"):
+        out = list(line)
+        i, n = 0, len(line)
+        while i < n:
+            if in_block:
+                if line.startswith("*/", i):
+                    out[i] = out[i + 1] = " "
+                    i += 2
+                    in_block = False
+                else:
+                    out[i] = " "
+                    i += 1
+                continue
+            c = line[i]
+            if c == '"' or c == "'":
+                quote = c
+                i += 1
+                while i < n:
+                    if line[i] == "\\":
+                        i += 2
+                    elif line[i] == quote:
+                        i += 1
+                        break
+                    else:
+                        i += 1
+            elif c == "/" and line.startswith("//", i):
+                for j in range(i, n):
+                    out[j] = " "
+                i = n
+            elif c == "/" and line.startswith("/*", i):
+                out[i] = out[i + 1] = " "
+                i += 2
+                in_block = True
+            else:
+                i += 1
+        masked.append("".join(out))
+    return "\n".join(masked)
+
+
+def mask_lines(lines):
+    return mask_java_comments("\n".join(lines)).split("\n")
+
+
 def test_mask_line_comment_preserves_columns():
     lines = ["int x = 1; // trailing comment"]
-    masked = mask_java_comments(lines)
+    masked = mask_lines(lines)
     assert masked[0].startswith("int x = 1; ")
     assert len(masked[0]) == len(lines[0])
     assert "comment" not in masked[0]
@@ -77,7 +130,7 @@ def test_mask_line_comment_preserves_columns():
 
 def test_mask_block_comment_across_lines():
     lines = ["a /* start", "middle", "end */ b"]
-    masked = mask_java_comments(lines)
+    masked = mask_lines(lines)
     assert masked[0].startswith("a ")
     assert "start" not in masked[0]
     assert masked[1].strip() == ""
@@ -87,16 +140,83 @@ def test_mask_block_comment_across_lines():
 
 def test_mask_ignores_comment_markers_inside_strings():
     lines = ['String url = "http://x"; // real comment']
-    masked = mask_java_comments(lines)
+    masked = mask_lines(lines)
     assert '"http://x"' in masked[0]
     assert "real comment" not in masked[0]
 
 
 def test_mask_handles_escaped_quote():
     lines = ['String s = "a\\"b//c"; int y = 2; // gone']
-    masked = mask_java_comments(lines)
+    masked = mask_lines(lines)
     assert "int y = 2;" in masked[0]
     assert "gone" not in masked[0]
+
+
+def test_mask_matches_the_per_character_oracle():
+    rng = random.Random(378)
+    pieces = ["/", "*", '"', "'", "\\", "\n", "a", " ", "//", "/*", "*/"]
+    checked = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(32)))
+        if '"""' in text:
+            continue
+        assert mask_java_comments(text) == oracle_mask(text), repr(text)
+        checked += 1
+    assert checked > 15000
+
+
+TEXT_BLOCK_JAVA = """\
+String query = \"\"\"
+    see "http://x" and // not a comment
+    \"\"\"; // real comment
+int after = 1;
+"""
+
+
+def test_mask_keeps_text_block_content():
+    masked = mask_java_comments(TEXT_BLOCK_JAVA)
+    assert '"http://x" and // not a comment' in masked
+    assert "real comment" not in masked
+    assert "int after = 1;" in masked
+    assert len(masked) == len(TEXT_BLOCK_JAVA)
+
+
+@pytest.mark.parametrize("opener", ["/*", "/**"])
+def test_mask_comment_opener_inside_text_block_swallows_nothing(opener):
+    text = 'String h = """\n    %s generated\n    """;\n@FeignClient(name = "x")\n' % opener
+    masked = mask_java_comments(text)
+    assert opener + " generated" in masked
+    assert '@FeignClient(name = "x")' in masked
+
+
+def test_mask_escaped_quotes_do_not_close_a_text_block():
+    text = 'String s = """\n  a \\""" // kept\n  """; // gone\n'
+    masked = mask_java_comments(text)
+    assert "// kept" in masked
+    assert "gone" not in masked
+
+
+def test_mask_unterminated_text_block_runs_to_the_end():
+    text = 'String q = """\n  a // b\n  /* c\n'
+    assert mask_java_comments(text) == text
+
+
+def test_mask_memory_stays_bounded_without_comments():
+    unit = 'int a = 1; String s = "xy"; char c = \'/\'; b = a / 2;\n'
+    text = unit * 4000
+    tracemalloc.start()
+    try:
+        masked = mask_java_comments(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masked is text
+    assert peak < len(text)
+
+
+def test_mask_unterminated_comment_runs_to_the_end():
+    text = "int a; /* open\nstill // comment\n end"
+    assert mask_java_comments(text) == "int a; " + " " * 7 + "\n" + " " * 16 + "\n" + " " * 4
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +267,49 @@ def test_index_is_sorted_and_crlf_normalized(tmp_path):
     make_tree(tmp_path, {"b.java": "line1\r\nline2\n", "a.java": "x\n"})
     idx = build_index(tmp_path)
     assert [f.path for f in idx.files] == ["a.java", "b.java"]
-    assert idx.by_path["b.java"].lines[:2] == ["line1", "line2"]
+    assert idx.by_path["b.java"].text.split("\n")[:2] == ["line1", "line2"]
+
+
+def test_index_keeps_one_text_per_file(tmp_path):
+    make_tree(tmp_path, {"App.java": "int a; // note\nint b;\n", "c.yml": "a: 1\nb: 2\n"})
+    idx = build_index(tmp_path)
+    java, yml = idx.by_path["App.java"], idx.by_path["c.yml"]
+    assert yml.masked_text is yml.text
+    assert java.masked_text == "int a;        \nint b;\n"
+    assert list(java.line_starts) == [0, 15, 22]
+    assert [java.line(i) for i in range(3)] == ["int a; // note", "int b;", ""]
+    assert java.line(0, masked=True) == "int a;        "
+
+
+def test_build_index_skips_symlinks_that_leave_the_root(tmp_path):
+    # a sibling whose name extends the root's must not count as inside it
+    outside = make_tree(tmp_path / "repo-secrets", {"application.yml": "password: hunter2\n"})
+    root = make_tree(tmp_path / "repo", {"svc/App.java": "class App {}\n", "svc/shared.yml": "a: 1\n"})
+    (root / "svc" / "application.yml").symlink_to(outside / "application.yml")
+    (root / "svc" / "bootstrap.yml").symlink_to("../../repo-secrets/application.yml")
+    (root / "svc" / "alias.yml").symlink_to("shared.yml")
+    idx = build_index(root)
+    assert [f.path for f in idx.files] == ["svc/App.java", "svc/alias.yml", "svc/shared.yml"]
+    assert idx.warnings == [
+        "skipped svc/application.yml: symlink outside root",
+        "skipped svc/bootstrap.yml: symlink outside root",
+    ]
+    assert all("hunter2" not in f.text for f in idx.files)
+
+
+def test_build_index_skip_warnings_name_the_reason(tmp_path):
+    root = tmp_path.resolve()
+    make_tree(root, {"big.java": "x" * 100, "blob.bin": b"\x00\x01", "ok.java": "y"})
+    # running as root, chmod 000 would not stop the read: a dangling
+    # symlink is the file that cannot be read
+    (root / "gone.yml").symlink_to("missing.yml")
+    idx = build_index(root, max_bytes=50)
+    assert [f.path for f in idx.files] == ["ok.java"]
+    assert idx.warnings == [
+        "skipped big.java: 100 bytes over limit",
+        "skipped blob.bin: binary",
+        "skipped gone.yml: [Errno 2] No such file or directory: '%s'" % (root / "gone.yml"),
+    ]
 
 
 def test_snapshot_line_round_trip(tmp_path):
