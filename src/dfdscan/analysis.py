@@ -49,12 +49,23 @@ def analyze_directory(
 def fetch_repository(url: str, ref: str | None = None, dest: str | None = None) -> tuple[Path, str]:
     """Clone a git repository (shallow when possible) at an optional ref.
 
-    Returns (checkout_path, resolved_commit).  Raises AnalysisError when
-    git fails, e.g. without network access.
+    Returns (checkout_path, resolved_commit).  Without dest the checkout
+    goes to a new temporary directory that the caller must remove; when
+    the fetch fails that directory is removed here.  Raises AnalysisError
+    when git fails, e.g. without network access.
     """
     if shutil.which("git") is None:
         raise AnalysisError("git is not available")
     target = Path(dest) if dest else Path(tempfile.mkdtemp(prefix="dfdscan_"))
+    try:
+        return _fetch(url, ref, target)
+    except BaseException:
+        if dest is None:
+            shutil.rmtree(target, ignore_errors=True)
+        raise
+
+
+def _fetch(url: str, ref: str | None, target: Path) -> tuple[Path, str]:
     target.mkdir(parents=True, exist_ok=True)
 
     def run(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:

@@ -71,19 +71,20 @@ def _parse_formats(spec: str) -> set[str]:
 
 def run_analyze(args) -> int:
     formats = _parse_formats(args.format)
-    commit = None
+    commit = checkout = None
     if args.repo_url:
         print("cloning %s ..." % args.repo_url)
-        path, commit = fetch_repository(args.repo_url, args.ref)
-    else:
-        path = Path(args.path)
-
-    result = analyze_directory(
-        path,
-        keyword_rules_path=args.rules,
-        image_catalog_path=args.images,
-        raw=args.paper_parity,
-    )
+        checkout, commit = fetch_repository(args.repo_url, args.ref)
+    try:
+        result = analyze_directory(
+            checkout or Path(args.path),
+            keyword_rules_path=args.rules,
+            image_catalog_path=args.images,
+            raw=args.paper_parity,
+        )
+    finally:
+        if checkout is not None:
+            shutil.rmtree(checkout, ignore_errors=True)
     dfd, report = result.dfd, result.report
 
     out_dir = Path(args.out)
@@ -129,6 +130,8 @@ def run_analyze(args) -> int:
             print("  extractor %s failed: %s" % (name, err))
         for sf in report.suppressed_self_flows:
             print("  suppressed self-flow: %s" % sf)
+        for name, seconds in report.timings.items():
+            print("  time %s: %.4fs" % (name, seconds))
     elif report.failures:
         print("  %d extractor failure(s); use --verbose for details" % len(report.failures))
 

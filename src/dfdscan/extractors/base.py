@@ -20,6 +20,14 @@ from ..search import FileIndex, Match, resolve_env_var
 PHASES = ("parse", "node", "flow", "annotation", "finalize")
 
 
+def enclosing(path: str):
+    """Yield a relative path, each directory above it, then "" (the root)."""
+    while path:
+        yield path
+        path = path.rpartition("/")[0]
+    yield ""
+
+
 def trace_from(m: Match) -> TraceEntry:
     """TraceEntry for a search match, snippet taken from the matched span."""
     s, e = m.span
@@ -64,23 +72,22 @@ class Context:
         self.services: dict[str, ServiceRoot] = {}
         self.compose_services: list[ComposeService] = []
         self.dockerfiles: dict[str, DockerfileInfo] = {}
+        self._by_root: dict[str, ServiceRoot] = {}  # filled by map_roots()
         # cross-phase hints
         self.datastores: list[tuple[str, str, str, TraceEntry]] = []  # owner, db, kind, trace
         self.lb_flow_hints: list[tuple[str, str]] = []
 
+    def map_roots(self) -> None:
+        """Index services by root; run once the parse phase has found them."""
+        self._by_root = {svc.root: svc for svc in self.services.values()}
+
     def owner_of(self, path: str) -> ServiceRoot | None:
         """The service whose directory contains the path (deepest wins)."""
-        best: ServiceRoot | None = None
-        best_len = -1
-        for svc in self.services.values():
-            root = svc.root
-            if root == "":
-                if best_len < 0:
-                    best, best_len = svc, 0
-            elif path == root or path.startswith(root + "/"):
-                if len(root) > best_len:
-                    best, best_len = svc, len(root)
-        return best
+        for d in enclosing(path):
+            svc = self._by_root.get(d)
+            if svc is not None:
+                return svc
+        return None
 
     def service_named(self, raw_name: str) -> ServiceRoot | None:
         try:
@@ -143,6 +150,8 @@ def run_pipeline(
             except Exception as exc:  # noqa: BLE001
                 ctx.report.failures.append((ex.name, repr(exc)))
             ctx.report.timings[ex.name] = time.perf_counter() - started
+        if phase == "parse":
+            ctx.map_roots()
     ctx.report.suppressed_self_flows = list(ctx.dfd.suppressed_self_flows)
     ctx.report.integrity = ctx.dfd.validate()
     return ctx.dfd, ctx.report

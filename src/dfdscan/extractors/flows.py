@@ -415,21 +415,18 @@ class MailFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
+        first_hit = {}  # service name -> its first JavaMailSender match
+        for m in find_keyword(ctx.index, "JavaMailSender", languages=("java",), raw=ctx.raw):
+            owner = ctx.owner_of(m.file)
+            if owner is not None:
+                first_hit.setdefault(owner.canonical, m)
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.mail.host")
             trace = None
             if entry is not None:
                 _, trace = resolve_entry(ctx, svc, entry)
-            else:
-                hits = [
-                    m
-                    for m in find_keyword(
-                        ctx.index, "JavaMailSender", languages=("java",), raw=ctx.raw
-                    )
-                    if ctx.owner_of(m.file) is svc
-                ]
-                if hits:
-                    trace = trace_from(hits[0])
+            elif svc.canonical in first_hit:
+                trace = trace_from(first_hit[svc.canonical])
             if trace is None:
                 continue
             mail = Node("mail-server", "external_entity", ["mail_server"])

@@ -11,6 +11,7 @@ import posixpath
 
 from ..model import TraceEntry, normalize_name
 from ..parsers import (
+    ComposeService,
     ParserError,
     PropertyMap,
     parse_compose,
@@ -22,7 +23,7 @@ from ..parsers import (
     parse_yaml_properties,
     relaxed_key,
 )
-from .base import Context, Extractor, ServiceRoot, register
+from .base import Context, Extractor, ServiceRoot, enclosing, register
 
 
 def _norm_dir(context_dir: str) -> str:
@@ -30,10 +31,6 @@ def _norm_dir(context_dir: str) -> str:
     if d in (".", "/", ""):
         return ""
     return d
-
-
-def _under(path: str, root: str) -> bool:
-    return root == "" or path == root or path.startswith(root + "/")
 
 
 @register
@@ -44,12 +41,28 @@ class Workspace(Extractor):
     def run(self, ctx: Context) -> None:
         self._collect_compose(ctx)
         self._collect_dockerfiles(ctx)
-        roots = self._discover_roots(ctx)
+        compose_by_root: dict[str, ComposeService] = {}
+        for svc in ctx.compose_services:
+            if svc.build_context:
+                compose_by_root.setdefault(_norm_dir(svc.build_context), svc)
+        roots = self._discover_roots(ctx, compose_by_root)
         entries_by_file = self._collect_properties(ctx)
+
+        # each file belongs to every root above it, nested roots included
+        props_by_root = {root: PropertyMap() for root in roots}
+        for path in sorted(entries_by_file):
+            for d in enclosing(path):
+                if d in props_by_root:
+                    props_by_root[d].add(entries_by_file[path])
+        java_roots = {
+            d for f in ctx.index.of_language("java") for d in enclosing(f.path) if d in roots
+        }
 
         services: list[ServiceRoot] = []
         for root in sorted(roots):
-            svc = self._build_service(ctx, root, entries_by_file)
+            svc = self._build_service(
+                ctx, root, props_by_root[root], compose_by_root.get(root), root in java_roots
+            )
             if svc is not None:
                 services.append(svc)
         for svc in sorted(services, key=lambda s: s.canonical):
@@ -88,12 +101,11 @@ class Workspace(Extractor):
                 continue
             ctx.dockerfiles[posixpath.dirname(f.path)] = info
 
-    def _discover_roots(self, ctx: Context) -> set[str]:
+    def _discover_roots(
+        self, ctx: Context, compose_by_root: dict[str, ComposeService]
+    ) -> set[str]:
         build_dirs = {posixpath.dirname(f.path) for f in ctx.index.of_language("build")}
-        roots: set[str] = set()
-        for svc in ctx.compose_services:
-            if svc.build_context:
-                roots.add(_norm_dir(svc.build_context))
+        roots = set(compose_by_root)
         module_dirs: set[str] = set()
         for f in ctx.index.of_language("build"):
             base = posixpath.basename(f.path)
@@ -129,25 +141,16 @@ class Workspace(Extractor):
         return out
 
     def _build_service(
-        self, ctx: Context, root: str, entries_by_file: dict[str, list]
+        self,
+        ctx: Context,
+        root: str,
+        props: PropertyMap,
+        compose_match: ComposeService | None,
+        has_java: bool,
     ) -> ServiceRoot | None:
         index = ctx.index
-        props = PropertyMap()
-        for path in sorted(entries_by_file):
-            if _under(path, root):
-                props.add(entries_by_file[path])
-        compose_match = None
-        for svc in ctx.compose_services:
-            if svc.build_context and _norm_dir(svc.build_context) == root:
-                compose_match = svc
-                break
         if compose_match is not None:
-            for key, value, trace in compose_match.environment:
-                props.add(
-                    [
-                        _env_entry(key, value, trace)
-                    ]
-                )
+            props.add(_env_entry(k, v, t) for k, v, t in compose_match.environment)
 
         name = None
         trace = None
@@ -173,9 +176,6 @@ class Workspace(Extractor):
             canonical = normalize_name(name)
         except ValueError:
             return None
-        has_java = any(
-            f.language == "java" and _under(f.path, root) for f in index.files
-        )
         return ServiceRoot(
             name=name,
             canonical=canonical,

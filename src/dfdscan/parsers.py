@@ -2,7 +2,8 @@
 
 Everything here parses one indexed file into plain data plus TraceEntry
 locations so extracted facts stay traceable to a file, line, and span.
-YAML goes through the composer (not the loader) to keep line/column marks.
+YAML goes through the composer (not the loader) to keep line/column marks,
+libyaml's when PyYAML was built with it.
 """
 from __future__ import annotations
 
@@ -15,6 +16,9 @@ import yaml
 
 from .model import TraceEntry
 from .search import IndexedFile
+
+# libyaml's composer gives the same nodes and marks about eight times faster
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ParserError(Exception):
@@ -48,15 +52,20 @@ class PropertyMap:
     """Merged configuration entries with suffix-tolerant lookup."""
 
     def __init__(self, entries=()) -> None:
-        self.entries: list[PropertyEntry] = list(entries)
+        self.entries: list[PropertyEntry] = []
+        self._keys: list[str] = []  # relaxed key of each entry, same order
+        self.add(entries)
 
     def add(self, entries) -> None:
-        self.entries.extend(entries)
+        for e in entries:
+            self.entries.append(e)
+            self._keys.append(self._canon(e.key))
 
     @staticmethod
     def _canon(key: str) -> str:
         # relaxed binding: server.ssl.key-store == server.ssl.keyStore
-        return key.lower().replace("-", "")
+        canon = key.lower().replace("-", "")
+        return key if canon == key else canon  # keys are mostly canonical: share them
 
     def find(self, dotted: str) -> list[PropertyEntry]:
         """Entries matching a dotted key exactly or by dotted suffix.
@@ -67,14 +76,15 @@ class PropertyMap:
         variable bindings of typical deployments.
         """
         want = self._canon(dotted)
-        keyed = [(self._canon(e.key), e) for e in self.entries]
-        out = [e for k, e in keyed if k == want]
+        keys, entries = self._keys, self.entries
+        out = [e for k, e in zip(keys, entries) if k == want]
         if out:
             return out
-        out = [e for k, e in keyed if k.endswith("." + want)]
+        tail = "." + want
+        out = [e for k, e in zip(keys, entries) if k.endswith(tail)]
         if out:
             return out
-        return [e for k, e in keyed if want.endswith("." + k)]
+        return [e for k, e in zip(keys, entries) if want.endswith("." + k)]
 
     def get(self, dotted: str) -> PropertyEntry | None:
         found = self.find(dotted)
@@ -156,7 +166,7 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
     """
     entries: list[PropertyEntry] = []
     try:
-        docs = list(yaml.compose_all(file.text))
+        docs = list(yaml.compose_all(file.text, Loader=_Loader))
     except yaml.YAMLError as exc:
         raise ParserError(file.path, "yaml: %s" % exc) from exc
     lines = file.text.split("\n")
@@ -274,7 +284,7 @@ def _container_port(spec: str) -> int | None:
 def parse_compose(file: IndexedFile) -> list[ComposeService]:
     """Parse a docker-compose file into service declarations."""
     try:
-        root = yaml.compose(file.text)
+        root = yaml.compose(file.text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParserError(file.path, "yaml: %s" % exc) from exc
     if not isinstance(root, yaml.MappingNode):

@@ -171,9 +171,10 @@ def build_index(
 ) -> FileIndex:
     """Walk a directory tree and index every readable text file.
 
-    Ignored directories are pruned; oversized and binary files, and
-    symlinks whose target lies outside the root, are skipped; anything
-    unreadable produces a warning instead of an error.
+    Ignored directories are pruned; oversized and binary files, special
+    files (FIFOs, devices, sockets), and symlinks whose target lies
+    outside the root, are skipped; anything unreadable produces a warning
+    instead of an error.
     """
     root = Path(root).resolve()
     inside = os.path.join(root, "")
@@ -194,6 +195,10 @@ def build_index(
                 size = st.st_size
             except OSError as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
+                continue
+            if not stat.S_ISREG(st.st_mode):
+                # reading a FIFO or a device can block or never end
+                warnings.append("skipped %s: not a regular file" % rel)
                 continue
             if size > max_bytes:
                 warnings.append("skipped %s: %d bytes over limit" % (rel, size))

@@ -8,6 +8,7 @@ concurrent analyses stay isolated.
 from __future__ import annotations
 
 import json
+import shutil
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
@@ -48,17 +49,22 @@ class _Handler(BaseHTTPRequestHandler):
         if bool(path) == bool(repo_url):
             self._send(400, {"error": "provide exactly one of 'path' or 'repo_url'"})
             return
+        commit = checkout = None
         try:
-            commit = None
             if repo_url:
-                path, commit = fetch_repository(repo_url, payload.get("ref"))
-            result = analyze_directory(path, raw=bool(payload.get("paper_parity")))
+                checkout, commit = fetch_repository(repo_url, payload.get("ref"))
+            result = analyze_directory(
+                checkout or path, raw=bool(payload.get("paper_parity"))
+            )
         except AnalysisError as exc:
             self._send(400, {"error": str(exc)})
             return
         except Exception as exc:  # noqa: BLE001
             self._send(500, {"error": "analysis failed: %r" % exc})
             return
+        finally:
+            if checkout is not None:
+                shutil.rmtree(checkout, ignore_errors=True)
         self._send(
             200,
             {

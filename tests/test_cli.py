@@ -1,12 +1,14 @@
 """Tests for the command line interface."""
 import json
+import re
 import shutil
-import subprocess
 from importlib import resources
 
 import pytest
 
+from dfdscan.analysis import fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
+from dfdscan.extractors.base import PHASES, default_extractors
 
 
 def run_cli(argv, capsys):
@@ -232,7 +234,7 @@ def test_paper_parity_flag_accepted(miniapp_path, tmp_path, capsys):
     assert code == 0
 
 
-def test_bad_repo_url_is_an_error(tmp_path, capsys):
+def test_bad_repo_url_is_an_error(tmp_path, temp_root, capsys):
     code, _, stderr = run_cli(
         [
             "analyze",
@@ -245,37 +247,29 @@ def test_bad_repo_url_is_an_error(tmp_path, capsys):
     )
     assert code == 2
     assert "git" in stderr
+    assert list(temp_root.iterdir()) == []  # the failed checkout is removed
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
-def test_analyze_local_git_repository(tmp_path, capsys):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    (repo / "docker-compose.yml").write_text(
-        "services:\n  solo:\n    build: ./solo\n", encoding="utf-8"
-    )
-
-    def git(*args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=repo,
-            check=True,
-            capture_output=True,
-        )
-
-    git("init", "-q")
-    git("add", ".")
-    git("commit", "-q", "-m", "init")
-
+def test_analyze_local_git_repository(git_repo, tmp_path, temp_root, capsys):
     out = tmp_path / "out"
     code, stdout, _ = run_cli(
-        ["analyze", "--repo-url", "file://%s" % repo, "--out", str(out), "--format", "json"],
+        ["analyze", "--repo-url", "file://%s" % git_repo, "--out", str(out), "--format", "json"],
         capsys,
     )
     assert code == 0
     assert "(commit " in stdout
     dfd = json.loads((out / "repo.json").read_text(encoding="utf-8"))
     assert [n["name"] for n in dfd["nodes"]] == ["solo"]
+    assert list(temp_root.iterdir()) == []  # the checkout is removed
+
+
+def test_fetch_repository_keeps_a_given_dest(git_repo, tmp_path, temp_root):
+    dest = tmp_path / "checkout"
+    path, commit = fetch_repository("file://%s" % git_repo, dest=str(dest))
+    assert path == dest
+    assert len(commit) == 40
+    assert (dest / "docker-compose.yml").is_file()
+    assert list(temp_root.iterdir()) == []
 
 
 def test_verbose_reports_failures(miniapp_path, tmp_path, capsys, monkeypatch):
@@ -305,3 +299,14 @@ def test_verbose_reports_failures(miniapp_path, tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert "extractor broken failed" in stdout
+
+
+def test_verbose_prints_timings_in_pipeline_order(miniapp_path, tmp_path, capsys):
+    argv = ["analyze", "--path", str(miniapp_path), "--out", str(tmp_path / "out")]
+    code, quiet, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "  time " not in quiet
+    code, stdout, _ = run_cli(argv + ["--verbose"], capsys)
+    assert code == 0
+    timed = re.findall(r"^  time (\w+): \d+\.\d{4}s$", stdout, re.MULTILINE)
+    assert timed == [e.name for p in PHASES for e in default_extractors() if e.phase == p]

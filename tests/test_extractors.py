@@ -1,9 +1,18 @@
 """Extraction pipeline behavior: per-technology extractors on small
 synthetic codebases, order independence, and fault isolation."""
 
+import json
 import random
 
-from dfdscan.extractors.base import Context, Extractor, default_extractors, run_pipeline
+from dfdscan.extractors.base import (
+    Context,
+    Extractor,
+    ServiceRoot,
+    default_extractors,
+    run_pipeline,
+)
+from dfdscan.extractors.workspace import Workspace
+from dfdscan.model import TraceEntry
 from dfdscan.output import dfd_to_json, traceability_to_json
 from dfdscan.rules import load_rules
 from dfdscan.search import build_index
@@ -83,6 +92,128 @@ def test_maven_modules_without_compose(tmp_path):
         },
     )
     assert set(dfd.nodes) == {"m1", "m2"}
+
+
+def oracle_owner_of(services, path):
+    """Context.owner_of as a scan over every service (deepest root wins)."""
+    best = None
+    best_len = -1
+    for svc in services.values():
+        root = svc.root
+        if root == "":
+            if best_len < 0:
+                best, best_len = svc, 0
+        elif path == root or path.startswith(root + "/"):
+            if len(root) > best_len:
+                best, best_len = svc, len(root)
+    return best
+
+
+def context_with_roots(roots):
+    ctx = Context(None, None)
+    for i, root in enumerate(roots):
+        name = "svc%d" % i
+        trace = TraceEntry(root or "pom.xml", 1, (0, 1), "x")
+        ctx.services[name] = ServiceRoot(name=name, canonical=name, root=root, trace=trace)
+    ctx.map_roots()
+    return ctx
+
+
+def owner_root(ctx, path):
+    owner = ctx.owner_of(path)
+    return owner.root if owner else None
+
+
+def test_owner_of_edge_cases():
+    ctx = context_with_roots(["", "svc", "svc/mod"])
+    assert owner_root(ctx, "App.java") == ""
+    assert owner_root(ctx, "") == ""
+    assert owner_root(ctx, "svc") == "svc"  # a path equal to a root
+    assert owner_root(ctx, "svc/mod") == "svc/mod"
+    assert owner_root(ctx, "svc/mod/src/A.java") == "svc/mod"  # deepest wins
+    assert owner_root(ctx, "svc/src/B.java") == "svc"
+    assert owner_root(ctx, "svc/module/C.java") == "svc"
+    assert owner_root(ctx, "svc-2/x") == ""  # a sibling prefix is not inside svc
+    ctx = context_with_roots(["svc"])
+    assert owner_root(ctx, "svc-2/x") is None
+    assert owner_root(ctx, "svc2") is None
+    assert owner_root(ctx, "") is None
+
+
+def test_owner_of_matches_the_brute_force_oracle():
+    rng = random.Random(11)
+    names = ["svc", "svc-2", "svc2", "a", "a.b", "mod", "src"]
+
+    def rel(depth):
+        return "/".join(rng.choice(names) for _ in range(depth))
+
+    for _ in range(200):
+        roots = {rel(rng.randint(1, 3)) for _ in range(rng.randint(0, 6))}
+        if rng.random() < 0.3:
+            roots.add("")
+        ctx = context_with_roots(sorted(roots))
+        for _ in range(30):
+            path = rel(rng.randint(0, 5))
+            if rng.random() < 0.7:
+                path += "/F.java" if path else "F.java"
+            assert ctx.owner_of(path) is oracle_owner_of(ctx.services, path), (roots, path)
+
+
+def test_parent_root_holds_nested_module_entries_in_path_order(tmp_path):
+    make_tree(
+        tmp_path,
+        {
+            "platform/pom.xml": (
+                "<project><artifactId>platform</artifactId>"
+                "<modules><module>core</module></modules></project>"
+            ),
+            "platform/application.yml": APP_YML % "platform",
+            "platform/a.properties": "a.key=1\n",
+            "platform/core/pom.xml": "<project><artifactId>core</artifactId></project>",
+            "platform/core/src/main/resources/application.yml": APP_YML % "core",
+            "platform/core/src/main/java/Core.java": "class Core {}\n",
+            "tools/pom.xml": "<project><artifactId>tools</artifactId></project>",
+            "tools/application.properties": "tools.key=2\n",
+        },
+    )
+    ctx = Context(build_index(tmp_path), load_rules())
+    Workspace().run(ctx)
+    assert sorted(ctx.services) == ["core", "platform", "tools"]
+    parent, child, tools = (ctx.services[n] for n in ("platform", "core", "tools"))
+    # sorted by path, not grouped by format: the .properties file comes first
+    assert [e.file for e in parent.properties.entries] == [
+        "platform/a.properties",
+        "platform/application.yml",
+        "platform/core/src/main/resources/application.yml",
+    ]
+    assert [e.file for e in child.properties.entries] == [
+        "platform/core/src/main/resources/application.yml"
+    ]
+    assert parent.properties.value("spring.application.name") == "platform"
+    assert (parent.has_java, child.has_java, tools.has_java) == (True, True, False)
+
+
+def test_mail_flow_uses_each_services_first_mail_sender(tmp_path):
+    sender = "class %s { JavaMailSender mail; }\n"
+    dfd, report = analyze(
+        tmp_path,
+        {
+            "a/pom.xml": "<project><artifactId>a</artifactId></project>",
+            "a/src/A2.java": sender % "A2",
+            "a/src/A1.java": sender % "A1",
+            "b/pom.xml": "<project><artifactId>b</artifactId></project>",
+            "b/application.properties": "spring.mail.host=smtp.example.org\n",
+            "b/src/B.java": sender % "B",
+            "c/pom.xml": "<project><artifactId>c</artifactId></project>",
+            "c/src/C.java": "class C {}\n",
+        },
+    )
+    assert report.failures == []
+    assert dfd.has_flow("a", "mail-server") and dfd.has_flow("b", "mail-server")
+    assert not dfd.has_flow("c", "mail-server")
+    traces = json.loads(traceability_to_json(dfd))
+    assert traces["a -> mail_server"]["file"] == "a/src/A1.java"
+    assert traces["b -> mail_server"]["file"] == "b/application.properties"
 
 
 def test_deployed_image_classified(tmp_path):

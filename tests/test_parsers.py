@@ -1,10 +1,16 @@
 """Configuration parsers: YAML flattening, .properties files, compose
 files, Dockerfiles, build files, and container image classification."""
 
-import pytest
+import os
+import random
 
+import pytest
+import yaml
+
+from dfdscan import parsers
 from dfdscan.parsers import (
     ParserError,
+    PropertyEntry,
     PropertyMap,
     classify_image,
     load_image_catalog,
@@ -18,7 +24,7 @@ from dfdscan.parsers import (
     relaxed_key,
 )
 from dfdscan.rules import load_rules
-from dfdscan.search import _index_file
+from dfdscan.search import _index_file, build_index
 
 
 def yaml_file(content, path="app/src/main/resources/application.yml"):
@@ -97,6 +103,163 @@ def test_yaml_malformed_raises_parser_error():
 
 
 # ----------------------------------------------------------------------
+# libyaml composer vs pure-Python composer
+# ----------------------------------------------------------------------
+
+# Known divergences, none seen in real configuration files: libyaml
+# accepts a tab after "k:" (asserted below) or inside a plain scalar, and a
+# comment glued to a block scalar header ("|#c"); it rejects a BOM after
+# the first character and an explicit key in a flow collection ("[? ]");
+# for an empty value after an explicit "?" key at the very end of a file
+# without a final newline it marks the next line.
+YAML_EDGE_CORPUS = {
+    "block.yml": (
+        "logging:\n"
+        "  pattern: |\n"
+        "    %d{HH:mm} %msg\n"
+        "    second line\n"
+        "  folded: >-\n"
+        "    one\n"
+        "    two\n"
+        "after: x\n"
+    ),
+    "profiles.yml": (
+        "server:\n  port: 8080\n"
+        "---\n"
+        "spring:\n  profiles: docker\nserver:\n  port: 80\n"
+        "---\n"
+        "spring:\n  config:\n    activate:\n      on-profile: prod\n"
+        "db:\n  url: jdbc:postgresql://db/x\n"
+        "...\n"
+    ),
+    "anchors.yml": (
+        "defaults: &defaults\n"
+        "  adapter: postgres\n"
+        "  host: localhost\n"
+        "development:\n"
+        "  <<: *defaults\n"
+        "  database: dev\n"
+        "list: &l [a, b]\n"
+        "other: *l\n"
+        "merged:\n"
+        "  <<: [*defaults, {extra: 1}]\n"
+    ),
+    "flow.yml": (
+        'ports: [8080, "9090:9090", {target: 1}]\n'
+        'env: {A: 1, B: "two", C: [x, y]}\n'
+        "empty: {}\n"
+        "none: []\n"
+    ),
+    "multiline.yml": (
+        "plain: this is\n"
+        "  a multi-line\n"
+        "  plain scalar\n"
+        'dq: "double\n'
+        '  quoted \\u00e9"\n'
+        "sq: 'single\n"
+        "  ''quoted'''\n"
+        "next: 1\n"
+    ),
+    "unicode.yml": (
+        "name: café-ß\n"
+        'emoji: "😀 rocket 🚀"\n'
+        "ключ: значение 𝔘𝔫𝔦\n"
+        '"𝔘𝔫𝔦": x\n'
+        "after: 😀😀 y\n"
+    ),
+    "bom.yml": "\ufeffspring:\n  application:\n    name: bom-svc\n",
+    "docker-compose.yml": (
+        "\ufeffx-common: &common\n"
+        "  environment:\n"
+        "    - SPRING_PROFILES_ACTIVE=docker\n"
+        "services:\n"
+        "  api:\n"
+        "    <<: *common\n"
+        "    build: {context: ./api}\n"
+        '    ports: ["8080:8080", {target: 9090, published: 9091}]\n'
+        "    environment:\n"
+        "      PASSWORD: >-\n"
+        "        s3cret\n"
+        "        more\n"
+        '      NAME: "héllo 😀"\n'
+        "    depends_on: {db: {condition: service_started}}\n"
+        "  db:\n"
+        "    image: 'postgres:15'\n"
+        '    links: ["api:alias"]\n'
+    ),
+}
+
+YAML_MALFORMED = ("key: [unclosed\n", "a: b: c\n", "k: 'open\n", "x: *nope\n", "a: \x07\n")
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+def under_loader(monkeypatch, loader, parse, f):
+    monkeypatch.setattr(parsers, "_Loader", loader)
+    return parse(f)
+
+
+def outcome(monkeypatch, loader, parse, f):
+    """The parse result, or the error without the loader-specific message tail."""
+    try:
+        return under_loader(monkeypatch, loader, parse, f)
+    except ParserError as exc:
+        return str(exc).partition(": yaml: ")[0]
+
+
+@needs_libyaml
+def test_yaml_loaders_agree_on_fixtures_and_edge_corpus(tmp_path, monkeypatch):
+    fixtures = build_index(os.path.join(os.path.dirname(__file__), "fixtures"))
+    (tmp_path / "resources").mkdir()
+    for name, text in YAML_EDGE_CORPUS.items():
+        (tmp_path / "resources" / name).write_text(text, encoding="utf-8")
+    corpus = build_index(tmp_path)
+    files = fixtures.of_language("yaml", "compose") + corpus.of_language("yaml", "compose")
+    assert len(files) == 6 + len(YAML_EDGE_CORPUS)
+    for f in files:
+        for parse in (parse_yaml_properties, parse_compose):
+            pure = outcome(monkeypatch, yaml.SafeLoader, parse, f)
+            fast = outcome(monkeypatch, yaml.CSafeLoader, parse, f)
+            assert fast == pure, (f.path, parse.__name__)
+    # the corpus reaches what it is meant to cover
+    entries = {e.key: e for f in corpus.files for e in parse_yaml_properties(f)}
+    assert entries["logging.pattern"].value == "%d{HH:mm} %msg\nsecond line\n"
+    assert entries["logging.folded"].value == "one two"
+    assert entries["spring.application.name"].value == "bom-svc"
+    assert entries["development.adapter"].value == "postgres"
+    assert entries["db.url"].profile == "prod"
+    assert entries["dq"].value == "double quoted é"
+    assert entries["sq"].value == "single 'quoted'"
+    assert entries["emoji"].snippet == '"😀 rocket 🚀"'
+    assert entries["after"].span == (7, 11)
+    api, db = parse_compose(corpus.by_path["resources/docker-compose.yml"])
+    assert [p for p, _ in api.ports] == [8080, 9090]
+    assert api.environment[0][:2] == ("PASSWORD", "s3cret more")
+    assert (api.build_context, db.image, db.links) == ("./api", "postgres:15", ["api"])
+
+
+@needs_libyaml
+@pytest.mark.parametrize("text", YAML_MALFORMED)
+@pytest.mark.parametrize("parse", [parse_yaml_properties, parse_compose])
+def test_yaml_loaders_both_reject_malformed_input(monkeypatch, text, parse):
+    f = yaml_file(text, path="svc/application.yml")
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        with pytest.raises(ParserError, match=r"^svc/application\.yml: yaml: "):
+            under_loader(monkeypatch, loader, parse, f)
+
+
+@needs_libyaml
+def test_yaml_loaders_diverge_on_a_tab_after_the_colon(monkeypatch):
+    f = yaml_file("k:\tv\n")
+    (entry,) = under_loader(monkeypatch, yaml.CSafeLoader, parse_yaml_properties, f)
+    assert (entry.key, entry.value) == ("k", "v")
+    with pytest.raises(ParserError, match="cannot start any token"):
+        under_loader(monkeypatch, yaml.SafeLoader, parse_yaml_properties, f)
+
+
+# ----------------------------------------------------------------------
 # .properties
 # ----------------------------------------------------------------------
 
@@ -160,6 +323,42 @@ def test_property_map_prefers_unprofiled_entry():
     assert pm.get("spring.rabbitmq.host").value == "localhost"
     values = {e.value for e in pm.find("spring.rabbitmq.host")}
     assert values == {"localhost", "rabbitmq"}
+
+
+def oracle_find(entries, dotted):
+    """PropertyMap.find recomputing every relaxed key per call."""
+
+    def canon(key):
+        return key.lower().replace("-", "")
+
+    want = canon(dotted)
+    keyed = [(canon(e.key), e) for e in entries]
+    out = [e for k, e in keyed if k == want]
+    if out:
+        return out
+    out = [e for k, e in keyed if k.endswith("." + want)]
+    if out:
+        return out
+    return [e for k, e in keyed if want.endswith("." + k)]
+
+
+def test_property_map_find_matches_the_uncached_oracle():
+    rng = random.Random(3)
+    parts = ["spring", "rabbitmq", "host", "key-store", "keyStore", "server", "SSL", "a-b", "ab"]
+
+    def dotted():
+        return ".".join(rng.choice(parts) for _ in range(rng.randint(1, 4)))
+
+    pm = PropertyMap()
+    for batch in range(30):
+        pm.add(
+            PropertyEntry(dotted(), "%d.%d" % (batch, i), "f", 1, (0, 1), "v", rng.choice([None, "docker"]))
+            for i in range(rng.randint(0, 10))
+        )
+        for _ in range(20):
+            query = dotted()
+            assert pm.find(query) == oracle_find(pm.entries, query)
+    assert len(pm) > 100
 
 
 def test_property_map_find_prefix():

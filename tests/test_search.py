@@ -1,8 +1,10 @@
 """File indexing, comment masking, keyword search, and the iterative
 identifier-chasing search."""
 
+import os
 import random
 import re
+import threading
 import tracemalloc
 
 import pytest
@@ -309,6 +311,29 @@ def test_build_index_skip_warnings_name_the_reason(tmp_path):
         "skipped big.java: 100 bytes over limit",
         "skipped blob.bin: binary",
         "skipped gone.yml: [Errno 2] No such file or directory: '%s'" % (root / "gone.yml"),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_build_index_skips_special_files(tmp_path):
+    # opening a FIFO for reading blocks until a writer appears, so the
+    # index runs in a daemon thread: a regression fails instead of hanging
+    root = make_tree(tmp_path.resolve(), {"svc/App.java": "class App {}\n"})
+    os.mkfifo(root / "svc" / "pipe.yml")
+    (root / "svc" / "alias.yml").symlink_to("pipe.yml")
+    result = []
+    worker = threading.Thread(target=lambda: result.append(build_index(root)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        # give the blocked reader a writer so the thread can finish
+        os.close(os.open(root / "svc" / "pipe.yml", os.O_WRONLY | os.O_NONBLOCK))
+    assert not worker.is_alive() and result, "build_index blocked on a FIFO"
+    idx = result[0]
+    assert [f.path for f in idx.files] == ["svc/App.java"]
+    assert idx.warnings == [
+        "skipped svc/alias.yml: not a regular file",
+        "skipped svc/pipe.yml: not a regular file",
     ]
 
 

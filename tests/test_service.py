@@ -136,3 +136,14 @@ def test_concurrent_requests_stay_isolated(server_url, miniapp_path, tmp_path):
     status, body = results["tiny"]
     assert status == 200
     assert [n["name"] for n in body["dfd"]["nodes"]] == ["solo"]
+
+
+def test_analyze_repo_url_removes_its_checkout(server_url, git_repo, tmp_path, temp_root):
+    status, body = post(server_url + "/analyze", {"repo_url": "file://%s" % git_repo})
+    assert status == 200
+    assert len(body["commit"]) == 40
+    assert [n["name"] for n in body["dfd"]["nodes"]] == ["solo"]
+    status, body = post(server_url + "/analyze", {"repo_url": "file://%s/gone.git" % tmp_path})
+    assert status == 400
+    assert "git clone failed" in body["error"]
+    assert list(temp_root.iterdir()) == []
