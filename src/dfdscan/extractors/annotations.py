@@ -121,9 +121,12 @@ class CredentialAnnotations(Extractor):
     phase = "annotation"
 
     def run(self, ctx: Context) -> None:
+        owned: dict[str, list[tuple[str, str]]] = {}
+        for owner, db, kind, _ in ctx.datastores:
+            owned.setdefault(owner, []).append((db, kind))
         for svc in ctx.services.values():
             self._mail(ctx, svc)
-            self._datastores(ctx, svc)
+            self._datastores(ctx, svc, owned.get(svc.canonical, ()))
             self._local_user(ctx, svc)
 
     # ------------------------------------------------------------------
@@ -163,10 +166,10 @@ class CredentialAnnotations(Extractor):
             return
         self._apply(ctx, mail_id, self._collect(ctx, svc, "spring.mail"))
 
-    def _datastores(self, ctx: Context, svc) -> None:
-        for owner, db, kind, _ in ctx.datastores:
-            if owner != svc.canonical:
-                continue
+    def _datastores(self, ctx: Context, svc, owned) -> None:
+        """owned: the (db, kind) pairs of the service's datastores, in order."""
+        owner = svc.canonical
+        for db, kind in owned:
             prefix = "spring.datasource" if kind == "jdbc" else "spring.data.mongodb"
             if kind == "redis":
                 prefix = "spring.redis"

@@ -31,10 +31,6 @@ class SelfFlowError(ModelError):
     """Raised when a flow would connect a node to itself."""
 
 
-class NodeTypeConflict(ModelError):
-    """Raised when merging nodes with irreconcilable types."""
-
-
 _SQUEEZE = re.compile(r"_+")
 
 

@@ -2,9 +2,9 @@
 
 The index reads every text file once, classifies it by filename, and keeps
 one text per file plus, for Java, a comment-masked copy so searches do not
-hit commented-out code.  Lines are offsets into that text.  Searches run
-through the scan kernel selected in _kernel and return matches ordered by
-(path, line, span).
+hit commented-out code.  Lines are offsets into that text.  Literal
+searches run through _kernel.scan, and every search returns matches
+ordered by (path, line, span).
 """
 from __future__ import annotations
 
@@ -19,17 +19,6 @@ from operator import add
 from pathlib import Path
 
 from . import _kernel
-
-LANGUAGES = (
-    "java",
-    "yaml",
-    "properties",
-    "dockerfile",
-    "compose",
-    "build",
-    "env",
-    "other",
-)
 
 # Directories that never contain analyzable sources (VCS metadata and
 # build output) and the size cap for individual files.
@@ -250,6 +239,16 @@ class Match:
     line_text: str
 
 
+def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> list[Match]:
+    """Every literal occurrence of keyword in the files, as matches."""
+    out: list[Match] = []
+    for f in files:
+        # called through the module so a tracer that wraps _kernel.scan sees it
+        for li, s, e in _kernel.scan(f.search_text(raw), keyword, f.line_starts):
+            out.append(Match(f.path, li + 1, (s, e), keyword, f.line(li)))
+    return out
+
+
 def find_keyword(
     index: FileIndex,
     pattern: str | re.Pattern,
@@ -270,13 +269,9 @@ def find_keyword(
     else:
         rx = None
     files = index.files if languages is None else index.of_language(*languages)
-    out: list[Match] = []
     if rx is None:
-        for f in files:
-            text = f.search_text(raw)
-            for li, s, e in _kernel.scan(text, pattern, f.line_starts):
-                out.append(Match(f.path, li + 1, (s, e), pattern, f.line(li)))
-        return out
+        return _scan_files(files, pattern, raw)
+    out: list[Match] = []
     for f in files:
         for li, line in enumerate(f.search_text(raw).split("\n")):
             for m in rx.finditer(line):
@@ -315,14 +310,6 @@ class EvidenceChain:
     @property
     def last(self) -> Match:
         return self.matches[-1]
-
-    def extended(self, match: Match, value: str | None = None) -> "EvidenceChain":
-        return EvidenceChain(
-            [*self.matches, match],
-            self.extracted_identifier,
-            self.resolved,
-            value if value is not None else self.resolved_value,
-        )
 
 
 @dataclass(frozen=True)
@@ -367,11 +354,10 @@ def resolve_cross_file(
     target = candidates[0]
     member = remainder.partition(".")[0]
     first: Match | None = None
-    for li, s, e in _kernel.scan(target.masked_text, member, target.line_starts):
-        hit = Match(target.path, li + 1, (s, e), member, target.line(li))
+    for hit in _scan_files([target], member):
         if first is None:
             first = hit
-        tail = target.line(li, masked=True)[e:]
+        tail = target.line(hit.line - 1, masked=True)[hit.span[1] :]
         m = _QUOTED_DEF.search(tail)
         if m:
             return CrossFileHit(target.path, remainder, hit, m.group(1))
@@ -479,10 +465,7 @@ def _resolve_ident(
     f = index.by_path[seed_match.file]
     out: list[EvidenceChain] = []
     for member in follow:
-        needle = "%s.%s" % (ident, member)
-        text = f.search_text(raw)
-        for li, s, e in _kernel.scan(text, needle, f.line_starts):
-            hit = Match(f.path, li + 1, (s, e), needle, f.line(li))
+        for hit in _scan_files([f], "%s.%s" % (ident, member), raw):
             if hit.line == seed_match.line and hit.span == seed_match.span:
                 continue
             out.append(EvidenceChain([seed_match, hit], ident, True))

@@ -14,6 +14,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .analysis import AnalysisError, analyze_directory, fetch_repository
 from .output import dfd_to_obj, traceability_to_obj
 
+# A request carries only a path, or a repository URL and ref.
+MAX_BODY_BYTES = 1024 * 1024
+
 
 class _Handler(BaseHTTPRequestHandler):
     verbose = False
@@ -38,6 +41,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            # checked before reading: rfile.read(-1) waits for the client to
+            # close the socket, and a huge length is allocated up front
+            if length < 0:
+                raise ValueError("negative Content-Length")
+            if length > MAX_BODY_BYTES:
+                self._send(413, {"error": "request body over %d bytes" % MAX_BODY_BYTES})
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")

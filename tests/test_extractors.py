@@ -737,6 +737,28 @@ def test_datastore_credentials_and_link(tmp_path):
     assert "plaintext_credentials_link" in flow.stereotypes
 
 
+def test_datastore_credentials_stay_with_their_owner(tmp_path):
+    files = {}
+    for name, user in (("svc-a", "alice"), ("svc-b", "bob")):
+        files["%s/pom.xml" % name] = "<project><artifactId>%s</artifactId></project>" % name
+        files["%s/src/main/resources/application.properties" % name] = (
+            "spring.application.name=%s\n"
+            "spring.datasource.url=jdbc:mysql://%s-db:3306/main\n"
+            "spring.datasource.username=%s\n"
+            "spring.datasource.password=%s-secret\n" % (name, name, user, user)
+        )
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    for name, user in (("svc_a", "alice"), ("svc_b", "bob")):
+        db = dfd.node("%s_db" % name)
+        assert "plaintext_credentials" in db.stereotypes
+        assert db.tagged_values["username"] == [user]
+        assert db.tagged_values["password"] == ["%s-secret" % user]
+        assert "plaintext_credentials_link" in dfd.flows[(name, "%s_db" % name)].stereotypes
+    assert ("svc_a", "svc_b_db") not in dfd.flows
+    assert ("svc_b", "svc_a_db") not in dfd.flows
+
+
 def test_local_user_credentials_annotate_owner(tmp_path):
     dfd, _ = analyze(
         tmp_path,

@@ -1,11 +1,12 @@
-"""Keyword-scanning kernel: pure backend, compiled backend, and an
-independent brute-force oracle that both must agree with."""
+"""Keyword-scanning kernel and an independent brute-force oracle it must
+agree with."""
 
 import random
+from array import array
 
 import pytest
 
-from dfdscan import _scan_py
+from dfdscan import _kernel, search
 
 
 def oracle_scan(text, keyword):
@@ -30,77 +31,61 @@ def line_starts_of(text):
     return starts
 
 
-def backends():
-    out = [("pure", _scan_py.scan)]
-    try:
-        from dfdscan import _scan
-    except ImportError:
-        return out
-    out.append(("compiled", _scan.scan))
-    return out
+# one scanner, labelled by the name the benchmark records for it
+@pytest.fixture(params=[_kernel.scan], ids=[_kernel.BACKEND])
+def scan(request):
+    return request.param
 
 
-BACKENDS = backends()
-
-
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_simple_hits(name, scan):
+def test_simple_hits(scan):
     text = "abc def abc\nxabc"
     got = scan(text, "abc", line_starts_of(text))
     assert got == [(0, 0, 3), (0, 8, 11), (1, 1, 4)]
     assert got == oracle_scan(text, "abc")
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_overlapping_hits_are_all_reported(name, scan):
+def test_overlapping_hits_are_all_reported(scan):
     text = "aaaa"
     got = scan(text, "aa", line_starts_of(text))
     assert got == [(0, 0, 2), (0, 1, 3), (0, 2, 4)]
     assert got == oracle_scan(text, "aa")
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_no_hits(name, scan):
+def test_no_hits(scan):
     text = "nothing to see here"
     assert scan(text, "xyz", line_starts_of(text)) == []
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_hit_at_text_boundaries(name, scan):
+def test_hit_at_text_boundaries(scan):
     text = "end\nmiddle\nend"
     got = scan(text, "end", line_starts_of(text))
     assert got == [(0, 0, 3), (2, 0, 3)]
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_empty_keyword_rejected(name, scan):
+def test_empty_keyword_rejected(scan):
     with pytest.raises(ValueError):
         scan("text", "", [0])
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_newline_in_keyword_rejected(name, scan):
+def test_newline_in_keyword_rejected(scan):
     with pytest.raises(ValueError):
         scan("text", "a\nb", [0])
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_non_ascii_text(name, scan):
+def test_non_ascii_text(scan):
     text = "café getLogger\nüber getLogger"
     got = scan(text, "getLogger", line_starts_of(text))
     assert got == oracle_scan(text, "getLogger")
     assert [h[0] for h in got] == [0, 1]
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_non_ascii_keyword(name, scan):
+def test_non_ascii_keyword(scan):
     text = "x café y\ncafé"
     got = scan(text, "café", line_starts_of(text))
     assert got == oracle_scan(text, "café")
 
 
-@pytest.mark.parametrize("name,scan", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_randomized_against_oracle(name, scan):
+def test_randomized_against_oracle(scan):
     rng = random.Random(20240817)
     alphabet = "ab\nc"
     for _ in range(200):
@@ -110,22 +95,18 @@ def test_randomized_against_oracle(name, scan):
         assert got == oracle_scan(text, keyword), (text, keyword)
 
 
-def test_backends_agree_on_random_input():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    pure = BACKENDS[0][1]
-    compiled = BACKENDS[1][1]
-    rng = random.Random(7)
-    for _ in range(300):
-        text = "".join(rng.choice("xyz \n.") for _ in range(rng.randrange(0, 200)))
-        keyword = "".join(rng.choice("xyz.") for _ in range(rng.randrange(1, 6)))
-        ls = line_starts_of(text)
-        assert pure(text, keyword, ls) == compiled(text, keyword, ls)
+def test_index_line_starts_array(scan):
+    # the index hands the scanner an array('I'), not a list
+    text = "a.b x\n\nx a.b\na.b"
+    starts = search._index_file("A.java", text).line_starts
+    assert isinstance(starts, array) and starts.typecode == "I"
+    assert list(starts) == line_starts_of(text)
+    got = scan(text, "a.b", starts)
+    assert got == [(0, 0, 3), (2, 2, 5), (3, 0, 3)]
+    assert got == oracle_scan(text, "a.b")
 
 
 def test_selected_backend_exports_scan():
-    from dfdscan import _kernel
-
-    assert _kernel.BACKEND in ("pure", "compiled")
+    assert _kernel.BACKEND == "pure"
     text = "k in line"
     assert _kernel.scan(text, "k", [0]) == [(0, 0, 1)]

@@ -1,12 +1,13 @@
 """Tests for the embedded HTTP analysis service."""
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from dfdscan.service import make_server
+from dfdscan.service import MAX_BODY_BYTES, make_server
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,49 @@ def test_analyze_rejects_non_object_body(server_url):
     status, body = post(server_url + "/analyze", [1, 2, 3])
     assert status == 400
     assert "bad request" in body["error"]
+
+
+def post_headers_only(url, length):
+    """POST /analyze announcing a body of the given length but sending none.
+
+    Returns the status and JSON body, or fails when no response arrives
+    within the socket timeout."""
+    host, port = url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % length
+        )
+        data = b""
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+        except socket.timeout:
+            pytest.fail("no response within 5 s: %r" % data)
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def test_analyze_rejects_negative_content_length(server_url):
+    status, body = post_headers_only(server_url, -1)
+    assert status == 400
+    assert "negative Content-Length" in body["error"]
+
+
+def test_analyze_rejects_oversized_body_unread(server_url):
+    status, body = post_headers_only(server_url, 1 << 40)
+    assert status == 413
+    assert body["error"] == "request body over %d bytes" % MAX_BODY_BYTES
+    status, body = post_headers_only(server_url, MAX_BODY_BYTES + 1)
+    assert status == 413
+
+
+def test_analyze_accepts_a_body_at_the_bound(server_url, miniapp_path):
+    payload = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+    payload += b" " * (MAX_BODY_BYTES - len(payload))
+    status, body = post(server_url + "/analyze", payload, raw=True)
+    assert status == 200
+    assert len(body["dfd"]["nodes"]) == 6
 
 
 def test_analyze_requires_exactly_one_source(server_url, miniapp_path):
