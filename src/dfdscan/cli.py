@@ -132,6 +132,11 @@ def run_analyze(args) -> int:
             print("  suppressed self-flow: %s" % sf)
         for name, seconds in report.timings.items():
             print("  time %s: %.4fs" % (name, seconds))
+        index = result.index
+        print(
+            "  search: %d literal, %d skipped by vocabulary, %d cached"
+            % (index.literal_searches, index.vocabulary_skips, index.cache_hits)
+        )
     elif report.failures:
         print("  %d extractor failure(s); use --verbose for details" % len(report.failures))
 

@@ -48,18 +48,34 @@ class PropertyEntry:
         return TraceEntry(self.file, self.line, self.span, self.snippet)
 
 
+def _dotted_suffixes(key: str):
+    """The parts of key after each of its dots: a.b.c gives b.c, then c."""
+    dot = key.find(".")
+    while dot != -1:
+        yield key[dot + 1 :]
+        dot = key.find(".", dot + 1)
+
+
 class PropertyMap:
     """Merged configuration entries with suffix-tolerant lookup."""
 
     def __init__(self, entries=()) -> None:
         self.entries: list[PropertyEntry] = []
-        self._keys: list[str] = []  # relaxed key of each entry, same order
+        # entry positions, in entry order, by relaxed key and by each
+        # dotted suffix of a relaxed key
+        self._exact: dict[str, list[int]] = {}
+        self._suffix: dict[str, list[int]] = {}
         self.add(entries)
 
     def add(self, entries) -> None:
+        exact, suffix = self._exact, self._suffix
         for e in entries:
+            i = len(self.entries)
             self.entries.append(e)
-            self._keys.append(self._canon(e.key))
+            key = self._canon(e.key)
+            exact.setdefault(key, []).append(i)
+            for tail in _dotted_suffixes(key):
+                suffix.setdefault(tail, []).append(i)
 
     @staticmethod
     def _canon(key: str) -> str:
@@ -76,15 +92,17 @@ class PropertyMap:
         variable bindings of typical deployments.
         """
         want = self._canon(dotted)
-        keys, entries = self._keys, self.entries
-        out = [e for k, e in zip(keys, entries) if k == want]
-        if out:
-            return out
-        tail = "." + want
-        out = [e for k, e in zip(keys, entries) if k.endswith(tail)]
-        if out:
-            return out
-        return [e for k, e in zip(keys, entries) if want.endswith("." + k)]
+        exact = self._exact
+        found = exact.get(want) or self._suffix.get(want)
+        if not found:
+            # entries whose key is a dotted suffix of the query
+            found = []
+            for tail in _dotted_suffixes(want):
+                if tail in exact:
+                    found += exact[tail]
+            found.sort()
+        entries = self.entries
+        return [entries[i] for i in found]
 
     def get(self, dotted: str) -> PropertyEntry | None:
         found = self.find(dotted)

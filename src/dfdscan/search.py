@@ -3,8 +3,9 @@
 The index reads every text file once, classifies it by filename, and keeps
 one text per file plus, for Java, a comment-masked copy so searches do not
 hit commented-out code.  Lines are offsets into that text.  Literal
-searches run through _kernel.scan, and every search returns matches
-ordered by (path, line, span).
+searches run through _kernel.scan unless the index's token vocabulary
+shows the keyword cannot occur, their results are cached on the index,
+and every search returns matches ordered by (path, line, span).
 """
 from __future__ import annotations
 
@@ -138,19 +139,62 @@ def _index_file(rel_path: str, content: str) -> IndexedFile:
     return IndexedFile(rel_path, language, text, masked, starts)
 
 
+# Texts are tokenised in slices of about this many characters, each cut at
+# a whitespace character, so the token list of one slice stays small.
+_VOCAB_SLICE = 64 * 1024
+_SPACE = re.compile(r"\s")  # the characters str.split() splits at
+
+
 @dataclass
 class FileIndex:
+    """The indexed files plus what literal searches learn about them.
+
+    Each (languages, raw) pair searched gets its file list and, built on
+    first use, its vocabulary: the distinct whitespace-separated tokens of
+    the searched texts, joined by newlines.  Literal results are cached per
+    (keyword, languages, raw); the counters say how searches were served.
+    """
+
     root: Path
     files: list[IndexedFile]
     warnings: list[str] = field(default_factory=list)
     by_path: dict[str, IndexedFile] = field(default_factory=dict)
+    literal_searches: int = field(default=0, init=False)
+    vocabulary_skips: int = field(default=0, init=False)
+    cache_hits: int = field(default=0, init=False)
+    _lists: dict = field(default_factory=dict, init=False, repr=False)
+    _vocabularies: dict = field(default_factory=dict, init=False, repr=False)
+    _results: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.by_path = {f.path: f for f in self.files}
 
     def of_language(self, *languages: str) -> list[IndexedFile]:
-        wanted = set(languages)
-        return [f for f in self.files if f.language in wanted]
+        return list(self._files(frozenset(languages)))
+
+    def _files(self, wanted: frozenset | None) -> list[IndexedFile]:
+        files = self._lists.get(wanted)
+        if files is None:
+            files = self.files if wanted is None else [f for f in self.files if f.language in wanted]
+            self._lists[wanted] = files
+        return files
+
+    def _vocabulary(self, wanted: frozenset | None, raw: bool) -> str:
+        vocab = self._vocabularies.get((wanted, raw))
+        if vocab is None:
+            tokens: set[str] = set()
+            for f in self._files(wanted):
+                text = f.search_text(raw)
+                start, n = 0, len(text)
+                while start < n:
+                    end = start + _VOCAB_SLICE
+                    if end < n:
+                        cut = _SPACE.search(text, end)
+                        end = cut.start() if cut else n
+                    tokens.update(text[start:end].split())
+                    start = end
+            vocab = self._vocabularies[(wanted, raw)] = "\n".join(tokens)
+        return vocab
 
 
 def build_index(
@@ -169,18 +213,20 @@ def build_index(
     inside = os.path.join(root, "")
     files: list[IndexedFile] = []
     warnings: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(root):
+    for dirpath, dirnames, filenames in os.walk(inside):
         dirnames[:] = sorted(d for d in dirnames if d not in ignored_dirs)
+        # dirpath is inside joined with the relative directory
+        rel_dir = os.path.join(dirpath, "")[len(inside) :].replace(os.sep, "/")
         for fn in sorted(filenames):
-            p = Path(dirpath) / fn
-            rel = p.relative_to(root).as_posix()
+            p = os.path.join(dirpath, fn)
+            rel = rel_dir + fn
             try:
-                st = p.lstat()
+                st = os.lstat(p)
                 if stat.S_ISLNK(st.st_mode):
                     if not os.path.realpath(p).startswith(inside):
                         warnings.append("skipped %s: symlink outside root" % rel)
                         continue
-                    st = p.stat()
+                    st = os.stat(p)
                 size = st.st_size
             except OSError as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
@@ -193,7 +239,8 @@ def build_index(
                 warnings.append("skipped %s: %d bytes over limit" % (rel, size))
                 continue
             try:
-                data = p.read_bytes()
+                with open(p, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
                 continue
@@ -249,6 +296,25 @@ def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> li
     return out
 
 
+def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[Match]:
+    """The matches of keyword in the wanted languages' files, cached on the
+    index; the caller copies the list it returns."""
+    index.literal_searches += 1
+    key = (keyword, wanted, raw)
+    found = index._results.get(key)
+    if found is not None:
+        index.cache_hits += 1
+        return found
+    # a keyword without whitespace can only occur inside one token
+    if keyword.split() == [keyword] and keyword not in index._vocabulary(wanted, raw):
+        index.vocabulary_skips += 1
+        found = []
+    else:
+        found = _scan_files(index._files(wanted), keyword, raw)
+    index._results[key] = found
+    return found
+
+
 def find_keyword(
     index: FileIndex,
     pattern: str | re.Pattern,
@@ -258,7 +324,9 @@ def find_keyword(
 ) -> list[Match]:
     """Search the index for a literal keyword or a regular expression.
 
-    Literal search is case-sensitive and may return overlapping matches.
+    Literal search is case-sensitive and may return overlapping matches;
+    a keyword absent from the index's vocabulary is not scanned at all, and
+    a repeated literal search is served from the index's cache.
     raw=True searches original text even where comments are masked.
     A malformed pattern with regex=True raises re.error.
     """
@@ -268,11 +336,11 @@ def find_keyword(
         rx = re.compile(pattern)
     else:
         rx = None
-    files = index.files if languages is None else index.of_language(*languages)
+    wanted = None if languages is None else frozenset(languages)
     if rx is None:
-        return _scan_files(files, pattern, raw)
+        return list(_find_literal(index, pattern, wanted, raw))
     out: list[Match] = []
-    for f in files:
+    for f in index._files(wanted):
         for li, line in enumerate(f.search_text(raw).split("\n")):
             for m in rx.finditer(line):
                 if m.start() == m.end():

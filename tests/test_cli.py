@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from dfdscan.analysis import fetch_repository
+from dfdscan.analysis import analyze_directory, fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
 from dfdscan.extractors.base import PHASES, default_extractors
 
@@ -310,3 +310,21 @@ def test_verbose_prints_timings_in_pipeline_order(miniapp_path, tmp_path, capsys
     assert code == 0
     timed = re.findall(r"^  time (\w+): \d+\.\d{4}s$", stdout, re.MULTILINE)
     assert timed == [e.name for p in PHASES for e in default_extractors() if e.phase == p]
+
+
+def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path, capsys):
+    argv = ["analyze", "--path", str(miniapp_path), "--out", str(tmp_path / "out")]
+    code, quiet, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "search:" not in quiet
+    code, stdout, _ = run_cli(argv + ["--verbose"], capsys)
+    assert code == 0
+    lines = re.findall(
+        r"^  search: (\d+) literal, (\d+) skipped by vocabulary, (\d+) cached$", stdout, re.MULTILINE
+    )
+    index = analyze_directory(miniapp_path).index
+    expected = (index.literal_searches, index.vocabulary_skips, index.cache_hits)
+    assert [tuple(map(int, line)) for line in lines] == [expected]
+    # the rule set repeats keywords and most of them are absent from the app
+    literal, skipped, cached = expected
+    assert literal > skipped + cached and skipped > 0 and cached > 0

@@ -9,7 +9,10 @@ import tracemalloc
 
 import pytest
 
+from dfdscan import _kernel
 from dfdscan.search import (
+    _SPACE,
+    Match,
     build_index,
     classify_path,
     find_keyword,
@@ -337,6 +340,46 @@ def test_build_index_skips_special_files(tmp_path):
     ]
 
 
+def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
+    root = make_tree(
+        tmp_path.resolve(),
+        {
+            "zeta/Z.java": "class Z {} // z\r\n",
+            "données/Ünïcode.java": "class Ü {}\n",
+            "données/application.yml": "clé: valeur\n",
+            "a/target/Built.java": "class Built {}\n",
+            "a/b/node_modules/dep.yml": "x: 1\n",
+            "a/b/c/.git/config": "noise\n",
+            "a/b/c/App.java": "class App {}\n",
+            "a/blob.bin": b"\x00\x01",
+            "outside/secret.yml": "password: hunter2\n",
+        },
+    )
+    (root / "a" / "b" / "alias.yml").symlink_to("../../données/application.yml")
+    (root / "a" / "b" / "escape.yml").symlink_to(tmp_path.parent / "nowhere.yml")
+    # a directory symlink is listed by the walk but not followed
+    (root / "linked").symlink_to("zeta", target_is_directory=True)
+    idx = build_index(root)
+    assert [(f.path, f.language) for f in idx.files] == [
+        ("a/b/alias.yml", "other"),
+        ("a/b/c/App.java", "java"),
+        ("données/application.yml", "yaml"),
+        ("données/Ünïcode.java", "java"),
+        ("outside/secret.yml", "other"),
+        ("zeta/Z.java", "java"),
+    ]
+    texts = {f.path: f.text for f in idx.files}
+    assert texts["a/b/alias.yml"] == texts["données/application.yml"] == "clé: valeur\n"
+    assert texts["données/Ünïcode.java"] == "class Ü {}\n"
+    assert texts["zeta/Z.java"] == "class Z {} // z\n"
+    assert idx.by_path["zeta/Z.java"].masked_text == "class Z {}     \n"
+    # a directory's own files come before its subdirectories'
+    assert idx.warnings == [
+        "skipped a/blob.bin: binary",
+        "skipped a/b/escape.yml: symlink outside root",
+    ]
+
+
 def test_snapshot_line_round_trip(tmp_path):
     make_tree(tmp_path, {"f.yml": "one\r\ntwo\nthree\n"})
     assert snapshot_line(tmp_path, "f.yml", 1) == "one"
@@ -402,6 +445,143 @@ def test_find_keyword_language_filter(tmp_path):
     idx = build_index(tmp_path)
     assert len(find_keyword(idx, "needle")) == 2
     assert len(find_keyword(idx, "needle", languages=("java",))) == 1
+
+
+# ----------------------------------------------------------------------
+# vocabulary gate and result cache
+# ----------------------------------------------------------------------
+
+
+def oracle_find_keyword(index, keyword, languages=None, raw=False):
+    """Literal find_keyword without the vocabulary gate or the cache."""
+    wanted = None if languages is None else set(languages)
+    out = []
+    for f in index.files:
+        if wanted is not None and f.language not in wanted:
+            continue
+        for li, s, e in _kernel.scan(f.search_text(raw), keyword, f.line_starts):
+            out.append(Match(f.path, li + 1, (s, e), keyword, f.line(li)))
+    return out
+
+
+LANGUAGE_SETS = [None, ("java",), ("yaml", "properties"), ("java", "other", "env"), ("compose",)]
+
+
+def assert_like_oracle(idx, keywords):
+    for keyword in keywords:
+        for languages in LANGUAGE_SETS:
+            for raw in (False, True):
+                expected = oracle_find_keyword(idx, keyword, languages, raw)
+                first = find_keyword(idx, keyword, languages=languages, raw=raw)
+                assert first == expected, (keyword, languages, raw)
+                first.append(None)  # a caller's edit must not reach the cache
+                again = find_keyword(idx, keyword, languages=list(languages or ()) or None, raw=raw)
+                assert again == expected, (keyword, languages, raw)
+
+
+def test_space_pattern_is_what_str_split_splits_at():
+    every = "".join(map(chr, range(0x110000)))
+    assert "".join(_SPACE.findall(every)) == "".join(c for c in every if c.isspace())
+
+
+def test_gated_search_matches_the_oracle_on_miniapp(miniapp_path):
+    idx = build_index(miniapp_path)
+    rng = random.Random(5)
+    keywords = {"@EnableZuulProxy", "@FeignClient", "http", "spring.", "notHere", "@", ":", "a b"}
+    for f in idx.files:
+        tokens = f.text.split()
+        keywords.update(rng.sample(tokens, min(3, len(tokens))))
+        start = rng.randrange(max(1, len(f.text) - 12))
+        keywords.add(f.text[start : start + rng.randint(1, 12)].partition("\n")[0] or "x")
+    assert_like_oracle(idx, sorted(keywords))
+    assert idx.vocabulary_skips > 0 and idx.cache_hits > 0
+
+
+def test_gate_keeps_comment_only_and_edge_keywords(tmp_path):
+    make_tree(
+        tmp_path,
+        {
+            "A.java": b"first // onlyInComment\r\nint x/*y*/z; a\xc2\xa0b\r\nlast",
+            "B.java": b"/* blockOnly */ kw\xe2\x80\xa8kw\x1ckw",
+            "c.properties": b"onlyInComment=1\n",
+        },
+    )
+    idx = build_index(tmp_path)
+    java = ("java",)
+    assert find_keyword(idx, "onlyInComment", java) == []
+    assert [m.file for m in find_keyword(idx, "onlyInComment", java, raw=True)] == ["A.java"]
+    assert [m.file for m in find_keyword(idx, "onlyInComment")] == ["c.properties"]
+    assert find_keyword(idx, "x/*y", java) == [] and find_keyword(idx, "x/*y", java, raw=True)
+    assert [(m.line, m.span) for m in find_keyword(idx, "a\xa0b")] == [(2, (13, 16))]
+    assert [m.span for m in find_keyword(idx, "first")] == [(0, 5)]
+    assert [(m.line, m.span) for m in find_keyword(idx, "last")] == [(3, (0, 4))]
+    assert [m.span for m in find_keyword(idx, "kw\u2028kw")] == [(16, 21)]
+    assert [m.span for m in find_keyword(idx, "kw\x1ckw")] == [(19, 24)]
+    assert_like_oracle(idx, ["onlyInComment", "blockOnly", "x/*y", "y*/z", "a\xa0b", "first", "last", "kw"])
+
+
+PIECES = [
+    "kw", "Zuul", "@Enable", "x", "//", "/*", "*/", '"', " ", "\t", "\n", "\r\n", "\r",
+    "\xa0", "\u2028", "\x1c", "é", "=",
+]
+NAMES = ["A.java", "b/B.java", "application.yml", "c/app.properties", ".env", "notes.txt"]
+
+
+def test_gated_search_matches_the_oracle_on_random_trees(tmp_path):
+    rng = random.Random(2024)
+    for seed in range(12):
+        files = {}
+        for name in rng.sample(NAMES, rng.randint(1, len(NAMES))):
+            files["t%d/%s" % (seed, name)] = "".join(
+                rng.choice(PIECES) for _ in range(rng.randrange(60))
+            ).encode("utf-8")
+        idx = build_index(make_tree(tmp_path, files) / ("t%d" % seed))
+        keywords = {"kw", "Zuul", "@EnableZuul", "x//", "*/x", "kw\xa0x", "\u2028", "\x1c", "é="}
+        for text in (f.text for f in idx.files if f.text):
+            # the first and last token, and random substrings, which may span
+            # a comment boundary or hold whitespace other than newlines
+            tokens = text.split() or ["x"]
+            keywords.update((tokens[0], tokens[-1]))
+            for _ in range(4):
+                start = rng.randrange(len(text))
+                piece = text[start : start + rng.randint(1, 8)].partition("\n")[0]
+                if piece:
+                    keywords.add(piece)
+        assert_like_oracle(idx, sorted(keywords))
+
+
+def test_gate_sees_tokens_across_vocabulary_slices(tmp_path):
+    # "marker" straddles the first 64 KiB cut; a token longer than a slice
+    # and a file without whitespace stay whole as well
+    text = "a\n" * 32765 + "xxmarker\n" + "y" * 70000 + " end\n"
+    make_tree(tmp_path, {"Big.java": text, "Solid.java": "q" * 70001})
+    idx = build_index(tmp_path)
+    for keyword in ("marker", "xxmarker", "y" * 70000, "q" * 70001, "end", "zz"):
+        assert find_keyword(idx, keyword) == oracle_find_keyword(idx, keyword), keyword[:10]
+    assert idx.vocabulary_skips == 1
+
+
+def test_literal_search_validation_still_raises(tmp_path):
+    make_tree(tmp_path, {"A.java": "a b\n"})
+    idx = build_index(tmp_path)
+    assert find_keyword(idx, "absent") == []
+    for bad in ("", "a\nb"):
+        with pytest.raises(ValueError):
+            find_keyword(idx, bad)
+
+
+def test_vocabulary_memory_is_bounded(tmp_path):
+    make_tree(tmp_path, {"Big.java": "ab " * (2 * 1024 * 1024 // 3)})
+    idx = build_index(tmp_path)
+    tracemalloc.start()
+    try:
+        found = find_keyword(idx, "zz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [] and idx.vocabulary_skips == 1
+    # one token list for the whole 2 MiB text peaks at about 40 MB
+    assert peak < 8 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------
