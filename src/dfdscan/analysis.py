@@ -52,8 +52,13 @@ def fetch_repository(url: str, ref: str | None = None, dest: str | None = None) 
     Returns (checkout_path, resolved_commit).  Without dest the checkout
     goes to a new temporary directory that the caller must remove; when
     the fetch fails that directory is removed here.  Raises AnalysisError
-    when git fails, e.g. without network access.
+    when git fails, e.g. without network access, and before running git
+    when the URL or the ref starts with "-", which git would read as an
+    option.
     """
+    for what, value in (("repository URL", url), ("ref", ref)):
+        if value and value.startswith("-"):
+            raise AnalysisError("%s must not start with '-': %r" % (what, value))
     if shutil.which("git") is None:
         raise AnalysisError("git is not available")
     target = Path(dest) if dest else Path(tempfile.mkdtemp(prefix="dfdscan_"))
@@ -79,21 +84,23 @@ def _fetch(url: str, ref: str | None, target: Path) -> tuple[Path, str]:
 
     if ref:
         run("init", "-q", str(target))
-        run("remote", "add", "origin", url, cwd=target)
-        fetched = run("fetch", "-q", "--depth", "1", "origin", ref, cwd=target)
+        run("remote", "add", "--end-of-options", "origin", url, cwd=target)
+        fetched = run("fetch", "-q", "--depth", "1", "--end-of-options", "origin", ref, cwd=target)
         if fetched.returncode == 0:
             run("checkout", "-q", "FETCH_HEAD", cwd=target)
         else:
             # some servers refuse fetching a bare commit; fall back to a full clone
             shutil.rmtree(target, ignore_errors=True)
-            cloned = run("clone", "-q", url, str(target))
+            cloned = run("clone", "-q", "--end-of-options", url, str(target))
             if cloned.returncode != 0:
                 raise AnalysisError("git clone failed: %s" % cloned.stderr.strip())
+            # checkout reads --end-of-options as a pathspec; the ref was
+            # refused above if it starts with "-"
             checked = run("checkout", "-q", ref, cwd=target)
             if checked.returncode != 0:
                 raise AnalysisError("git checkout %s failed: %s" % (ref, checked.stderr.strip()))
     else:
-        cloned = run("clone", "-q", "--depth", "1", url, str(target))
+        cloned = run("clone", "-q", "--depth", "1", "--end-of-options", url, str(target))
         if cloned.returncode != 0:
             raise AnalysisError("git clone failed: %s" % cloned.stderr.strip())
     head = run("rev-parse", "HEAD", cwd=target)

@@ -9,8 +9,16 @@ from __future__ import annotations
 import re
 
 from ..model import ModelError, flow_id, normalize_name
-from ..search import find_keyword, iterative_search
+from ..search import iterative_search
 from .base import Context, Extractor, register, trace_from
+
+
+def _annotate(ctx: Context, item_id: str, stereotype: str, trace) -> None:
+    """Add a stereotype to an item, or record as a warning why the model refused it."""
+    try:
+        ctx.dfd.annotate(item_id, stereotype=stereotype, trace=trace)
+    except ModelError as exc:
+        ctx.report.warnings.append(str(exc))
 
 
 @register
@@ -22,24 +30,9 @@ class KeywordAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for rule in ctx.rules.keyword_rules:
-            for kw in rule.keywords:
-                matches = find_keyword(
-                    ctx.index,
-                    kw,
-                    languages=rule.languages,
-                    regex=rule.regex,
-                    raw=ctx.raw,
-                )
-                for m in matches:
-                    owner = ctx.owner_of(m.file)
-                    if owner is None or owner.canonical not in ctx.dfd.nodes:
-                        continue
-                    try:
-                        ctx.dfd.annotate(
-                            owner.canonical, stereotype=rule.stereotype, trace=trace_from(m)
-                        )
-                    except ModelError as exc:
-                        ctx.report.warnings.append(str(exc))
+            for owner, m in ctx.hits(rule.keywords, rule.languages, rule.regex):
+                if owner.canonical in ctx.dfd.nodes:
+                    _annotate(ctx, owner.canonical, rule.stereotype, trace_from(m))
 
 
 _ENCODER_CLASSES = (
@@ -76,16 +69,8 @@ class EncryptionAnnotations(Extractor):
                 if not chain.resolved:
                     continue
                 owner = ctx.owner_of(chain.seed.file)
-                if owner is None or owner.canonical not in ctx.dfd.nodes:
-                    continue
-                try:
-                    ctx.dfd.annotate(
-                        owner.canonical,
-                        stereotype="encryption",
-                        trace=trace_from(chain.last),
-                    )
-                except ModelError as exc:
-                    ctx.report.warnings.append(str(exc))
+                if owner is not None and owner.canonical in ctx.dfd.nodes:
+                    _annotate(ctx, owner.canonical, "encryption", trace_from(chain.last))
 
 
 @register
@@ -152,11 +137,7 @@ class CredentialAnnotations(Extractor):
                 ctx.dfd.annotate(item_id, tags={tag: value}, trace=trace)
             except ModelError:
                 return
-        first_trace = found[sorted(found)[0]][1]
-        try:
-            ctx.dfd.annotate(item_id, stereotype="plaintext_credentials", trace=first_trace)
-        except ModelError as exc:
-            ctx.report.warnings.append(str(exc))
+        _annotate(ctx, item_id, "plaintext_credentials", found[sorted(found)[0]][1])
 
     def _mail(self, ctx: Context, svc) -> None:
         if svc.properties.get("spring.mail.host") is None:
@@ -177,15 +158,9 @@ class CredentialAnnotations(Extractor):
             if not found:
                 continue
             self._apply(ctx, db, found)
-            fid = flow_id(owner, db)
             if (normalize_name(owner), normalize_name(db)) in ctx.dfd.flows:
                 first_trace = found[sorted(found)[0]][1]
-                try:
-                    ctx.dfd.annotate(
-                        fid, stereotype="plaintext_credentials_link", trace=first_trace
-                    )
-                except ModelError as exc:
-                    ctx.report.warnings.append(str(exc))
+                _annotate(ctx, flow_id(owner, db), "plaintext_credentials_link", first_trace)
 
     def _local_user(self, ctx: Context, svc) -> None:
         if svc.canonical not in ctx.dfd.nodes:
@@ -206,11 +181,8 @@ _HTTP_LINK = ("restful_http", "feign_connection")
 
 def _owners_with_evidence(ctx: Context, keywords) -> dict[str, object]:
     owners: dict[str, object] = {}
-    for kw in keywords:
-        for m in find_keyword(ctx.index, kw, languages=("java",), raw=ctx.raw):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
-                owners.setdefault(owner.canonical, trace_from(m))
+    for owner, m in ctx.hits(keywords):
+        owners.setdefault(owner.canonical, trace_from(m))
     return owners
 
 
@@ -218,12 +190,8 @@ def _annotate_outgoing(ctx: Context, owners: dict, stereotype: str) -> None:
     for flow in ctx.dfd.sorted_flows():
         if flow.sender not in owners:
             continue
-        if not any(s in flow.stereotypes for s in _HTTP_LINK):
-            continue
-        try:
-            ctx.dfd.annotate(flow.item_id, stereotype=stereotype, trace=owners[flow.sender])
-        except ModelError as exc:
-            ctx.report.warnings.append(str(exc))
+        if any(s in flow.stereotypes for s in _HTTP_LINK):
+            _annotate(ctx, flow.item_id, stereotype, owners[flow.sender])
 
 
 @register
@@ -268,12 +236,7 @@ class LoadBalancedLinks(Extractor):
                 flow = ctx.dfd.flows[key]
                 rec = ctx.dfd.traces.get(flow.item_id)
                 if rec is not None:
-                    try:
-                        ctx.dfd.annotate(
-                            flow.item_id, stereotype="load_balanced_link", trace=rec.primary
-                        )
-                    except ModelError as exc:
-                        ctx.report.warnings.append(str(exc))
+                    _annotate(ctx, flow.item_id, "load_balanced_link", rec.primary)
 
 
 @register

@@ -12,12 +12,20 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from ..model import Dfd, TraceEntry, normalize_name
+from .. import search
+from ..model import Dfd, Flow, ModelError, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
 from ..search import FileIndex, Match, resolve_env_var
 
 PHASES = ("parse", "node", "flow", "annotation", "finalize")
+
+_LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "0.0.0.0", "host.docker.internal"})
+
+
+def is_remote(host: str | None) -> bool:
+    """True for a configured host that does not name the local machine."""
+    return bool(host) and host.lower() not in _LOCAL_HOSTS
 
 
 def enclosing(path: str):
@@ -88,6 +96,32 @@ class Context:
             if svc is not None:
                 return svc
         return None
+
+    def hits(self, keywords, languages=("java",), regex=False):
+        """Yield (owner, match) for every hit of the keywords inside a service.
+
+        Searches masked text unless the context is raw; hits outside every
+        service directory are dropped.
+        """
+        for kw in keywords:
+            # looked up on the module, so a wrapper installed there sees each call
+            for m in search.find_keyword(self.index, kw, languages=languages, regex=regex, raw=self.raw):
+                owner = self.owner_of(m.file)
+                if owner is not None:
+                    yield owner, m
+
+    def sole_owner(self, keyword: str) -> str | None:
+        """The name of the one service holding the keyword, else None."""
+        owners = {owner.name for owner, _ in self.hits((keyword,))}
+        return owners.pop() if len(owners) == 1 else None
+
+    def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
+        """Upsert a flow; None when its names are malformed or the same."""
+        try:
+            flow = Flow(sender, receiver, stereotypes)
+        except ModelError:
+            return None
+        return self.dfd.upsert_flow(flow, trace)
 
     def service_named(self, raw_name: str) -> ServiceRoot | None:
         try:

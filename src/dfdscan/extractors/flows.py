@@ -9,11 +9,9 @@ from __future__ import annotations
 import re
 from urllib.parse import urlparse
 
-from ..model import Flow, ModelError, Node
+from ..model import Flow, Node
 from ..search import find_keyword, resolve_cross_file
-from .base import Context, Extractor, register, resolve_entry, resolve_text, trace_from
-
-_LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "0.0.0.0", "host.docker.internal"})
+from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_text, trace_from
 
 
 def _resolved_host(ctx: Context, svc, url_value: str, origin_file: str):
@@ -25,6 +23,20 @@ def _resolved_host(ctx: Context, svc, url_value: str, origin_file: str):
         resolved = "http://" + resolved
     host = urlparse(resolved).hostname
     return host, trace
+
+
+def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
+    """(target, trace) for a property entry holding a URL.
+
+    The target is the URL's host when that is remote, else the sole
+    service holding the fallback keyword, else None.  The trace follows
+    placeholder resolution.
+    """
+    host, override = _resolved_host(ctx, svc, entry.value, entry.file)
+    trace = override or entry.trace()
+    if is_remote(host):
+        return host, trace
+    return (ctx.sole_owner(fallback) if fallback else None), trace
 
 
 def _joined_lines(file, start_line: int, stop: int | None = None, count: int = 4) -> str:
@@ -87,22 +99,13 @@ class FeignFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        for m in find_keyword(ctx.index, "@FeignClient", languages=("java",), raw=ctx.raw):
-            owner = ctx.owner_of(m.file)
-            if owner is None:
-                continue
+        for owner, m in ctx.hits(["@FeignClient"]):
             file = ctx.index.by_path[m.file]
             stmt = _joined_lines(file, m.line, _annotation_end(file, m))
             target = self._target_from(ctx, owner, m, stmt)
             if not target or target == owner.canonical:
                 continue
-            try:
-                flow = Flow(
-                    owner.name, target, ["restful_http", "feign_connection"]
-                )
-            except ModelError:
-                continue
-            ctx.dfd.upsert_flow(flow, trace_from(m))
+            ctx.connect(owner.name, target, ["restful_http", "feign_connection"], trace_from(m))
 
     def _target_from(self, ctx: Context, owner, m, stmt: str) -> str | None:
         for rx in (_FEIGN_NAME, _FEIGN_BARE):
@@ -116,9 +119,7 @@ class FeignFlows(Extractor):
         hit = _FEIGN_URL.search(stmt)
         if hit:
             host, _ = _resolved_host(ctx, owner, hit.group(1), m.file)
-            if host and host.lower() not in _LOCAL_HOSTS:
-                return host
-            return None
+            return host if is_remote(host) else None
         hit = _FEIGN_IDENT.search(stmt)
         if hit:
             ident = hit.group(1)
@@ -188,7 +189,7 @@ class RestClientFlows(Extractor):
                 end += 1
             url = line[s:end]
             host, _ = _resolved_host(ctx, owner, url, m.file)
-            if not host or host.lower() in _LOCAL_HOSTS:
+            if not is_remote(host):
                 continue
             trace = trace_from(m)
             target_svc = ctx.service_named(host)
@@ -221,39 +222,15 @@ class ConfigClientFlows(Extractor):
     def run(self, ctx: Context) -> None:
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.cloud.config.uri")
-            target = None
-            trace = None
             if entry is not None:
-                host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-                trace = override or entry.trace()
-                if host and host.lower() not in _LOCAL_HOSTS:
-                    target = host
-                else:
-                    target = self._config_server_name(ctx)
+                target, trace = _remote_target(ctx, svc, entry, "@EnableConfigServer")
             else:
                 disc = svc.properties.get("spring.cloud.config.discovery.service-id")
-                if disc is not None:
-                    value, trace = resolve_entry(ctx, svc, disc)
-                    target = value
-            if not target:
-                continue
-            try:
-                flow = Flow(target, svc.name, ["restful_http"])
-            except ModelError:
-                continue
-            ctx.dfd.upsert_flow(flow, trace)
-
-    def _config_server_name(self, ctx: Context) -> str | None:
-        owners = set()
-        for m in find_keyword(
-            ctx.index, "@EnableConfigServer", languages=("java",), raw=ctx.raw
-        ):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
-                owners.add(owner.name)
-        if len(owners) == 1:
-            return owners.pop()
-        return None
+                if disc is None:
+                    continue
+                target, trace = resolve_entry(ctx, svc, disc)
+            if target:
+                ctx.connect(target, svc.name, ["restful_http"], trace)
 
 
 @register
@@ -264,20 +241,11 @@ class DiscoveryFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        eureka_owner = self._eureka_server_name(ctx)
         for svc in ctx.services.values():
             entry = svc.properties.get("eureka.client.serviceurl.defaultzone")
             if entry is None:
-                entry = svc.properties.get("eureka.client.service-url.defaultzone")
-            if entry is None:
                 continue
-            host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-            trace = override or entry.trace()
-            target = None
-            if host and host.lower() not in _LOCAL_HOSTS:
-                target = host
-            elif eureka_owner is not None:
-                target = eureka_owner
+            target, trace = _remote_target(ctx, svc, entry, "@EnableEurekaServer")
             if not target:
                 continue
             registry = Node(target, "service", ["service_discovery"])
@@ -285,18 +253,6 @@ class DiscoveryFlows(Extractor):
             if registry.name == svc.canonical:
                 continue
             ctx.dfd.upsert_flow(Flow(svc.name, target, ["restful_http"]), trace)
-
-    def _eureka_server_name(self, ctx: Context) -> str | None:
-        owners = set()
-        for m in find_keyword(
-            ctx.index, "@EnableEurekaServer", languages=("java",), raw=ctx.raw
-        ):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
-                owners.add(owner.name)
-        if len(owners) == 1:
-            return owners.pop()
-        return None
 
 
 # ============================================================================
@@ -319,18 +275,12 @@ class BrokerFlows(Extractor):
     def run(self, ctx: Context) -> None:
         produced: dict[str, list] = {}
         consumed: dict[str, list] = {}
-
-        def note(slot, m):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
+        for slot, keywords in (
+            (produced, _RABBIT_PRODUCER + _KAFKA_PRODUCER),
+            (consumed, _RABBIT_CONSUMER + _KAFKA_CONSUMER),
+        ):
+            for owner, m in ctx.hits(keywords):
                 slot.setdefault(owner.canonical, []).append(trace_from(m))
-
-        for kw in _RABBIT_PRODUCER + _KAFKA_PRODUCER:
-            for m in find_keyword(ctx.index, kw, languages=("java",), raw=ctx.raw):
-                note(produced, m)
-        for kw in _RABBIT_CONSUMER + _KAFKA_CONSUMER:
-            for m in find_keyword(ctx.index, kw, languages=("java",), raw=ctx.raw):
-                note(consumed, m)
 
         for svc in ctx.services.values():
             kind, broker_name, host_trace = self._broker_of(ctx, svc)
@@ -366,7 +316,7 @@ class BrokerFlows(Extractor):
         entry = svc.properties.get("spring.rabbitmq.host")
         if entry is not None:
             host, trace = resolve_entry(ctx, svc, entry)
-            name = host if host and host.lower() not in _LOCAL_HOSTS else self._default_broker(ctx, "rabbitmq")
+            name = host if is_remote(host) else self._default_broker(ctx, "rabbitmq")
             return "rabbitmq", name, trace
         entry = svc.properties.get("spring.kafka.bootstrap-servers")
         if entry is None:
@@ -374,7 +324,7 @@ class BrokerFlows(Extractor):
         if entry is not None:
             value, trace = resolve_entry(ctx, svc, entry)
             host = (value or "").split(",")[0].split(":")[0].strip()
-            name = host if host and host.lower() not in _LOCAL_HOSTS else self._default_broker(ctx, "kafka")
+            name = host if is_remote(host) else self._default_broker(ctx, "kafka")
             return "kafka", name, trace
         return None, None, None
 
@@ -416,10 +366,8 @@ class MailFlows(Extractor):
 
     def run(self, ctx: Context) -> None:
         first_hit = {}  # service name -> its first JavaMailSender match
-        for m in find_keyword(ctx.index, "JavaMailSender", languages=("java",), raw=ctx.raw):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
-                first_hit.setdefault(owner.canonical, m)
+        for owner, m in ctx.hits(["JavaMailSender"]):
+            first_hit.setdefault(owner.canonical, m)
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.mail.host")
             trace = None
@@ -494,13 +442,8 @@ class GatewayRouteFlows(Extractor):
                 trace = entry.trace()
                 if ctx.service_named(route_id) is not None:
                     target = route_id
-            if not target:
-                continue
-            try:
-                flow = Flow(svc.name, target, ["restful_http"])
-            except ModelError:
-                continue
-            ctx.dfd.upsert_flow(flow, trace)
+            if target:
+                ctx.connect(svc.name, target, ["restful_http"], trace)
 
     def _cloud_gateway(self, ctx: Context, svc) -> None:
         for e in svc.properties.find_prefix("spring.cloud.gateway.routes"):
@@ -511,13 +454,9 @@ class GatewayRouteFlows(Extractor):
                 continue
             lb = value.startswith("lb://")
             host = value[5:].split("/")[0] if lb else urlparse(value).hostname
-            if not host or host.lower() in _LOCAL_HOSTS:
+            if not is_remote(host):
                 continue
-            try:
-                flow = Flow(svc.name, host, ["restful_http"])
-            except ModelError:
-                continue
-            merged = ctx.dfd.upsert_flow(flow, trace)
+            merged = ctx.connect(svc.name, host, ["restful_http"], trace)
             if lb and merged is not None:
                 ctx.lb_flow_hints.append(merged.key)
 
@@ -530,7 +469,6 @@ class OAuthFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        auth_owner = self._auth_server_name(ctx)
         for svc in ctx.services.values():
             entry = None
             for key in (
@@ -543,32 +481,9 @@ class OAuthFlows(Extractor):
                     break
             if entry is None:
                 continue
-            host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-            trace = override or entry.trace()
-            target = None
-            if host and host.lower() not in _LOCAL_HOSTS:
-                target = host
-            elif auth_owner is not None:
-                target = auth_owner
-            if not target:
-                continue
-            try:
-                flow = Flow(svc.name, target, ["restful_http", "auth_provider"])
-            except ModelError:
-                continue
-            ctx.dfd.upsert_flow(flow, trace)
-
-    def _auth_server_name(self, ctx: Context) -> str | None:
-        owners = set()
-        for m in find_keyword(
-            ctx.index, "@EnableAuthorizationServer", languages=("java",), raw=ctx.raw
-        ):
-            owner = ctx.owner_of(m.file)
-            if owner is not None:
-                owners.add(owner.name)
-        if len(owners) == 1:
-            return owners.pop()
-        return None
+            target, trace = _remote_target(ctx, svc, entry, "@EnableAuthorizationServer")
+            if target:
+                ctx.connect(svc.name, target, ["restful_http", "auth_provider"], trace)
 
 
 @register
@@ -582,12 +497,9 @@ class TracingFlows(Extractor):
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.zipkin.base-url")
             if entry is None:
-                entry = svc.properties.get("spring.zipkin.baseurl")
-            if entry is None:
                 continue
-            host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-            trace = override or entry.trace()
-            if not host or host.lower() in _LOCAL_HOSTS:
+            host, trace = _remote_target(ctx, svc, entry)
+            if not host:
                 continue
             tracer = Node(host, "service", ["tracing_server"])
             tracer = ctx.dfd.upsert_node(tracer, trace)
@@ -610,31 +522,23 @@ class MonitoringFlows(Extractor):
 
     def run(self, ctx: Context) -> None:
         for svc in ctx.services.values():
-            for key in ("turbine.app-config", "turbine.appconfig"):
-                entry = svc.properties.get(key)
-                if entry is not None:
-                    value, trace = resolve_entry(ctx, svc, entry)
-                    for app in (value or "").split(","):
-                        app = app.strip()
-                        if not app:
-                            continue
-                        flow = Flow(app, svc.name, ["restful_http"], allow_self=True)
-                        ctx.dfd.upsert_flow(flow, trace)
-                    break
+            entry = svc.properties.get("turbine.app-config")
+            if entry is not None:
+                value, trace = resolve_entry(ctx, svc, entry)
+                for app in (value or "").split(","):
+                    app = app.strip()
+                    if not app:
+                        continue
+                    flow = Flow(app, svc.name, ["restful_http"], allow_self=True)
+                    ctx.dfd.upsert_flow(flow, trace)
             entry = svc.properties.get("spring.boot.admin.url")
             if entry is None:
                 entry = svc.properties.get("spring.boot.admin.client.url")
             if entry is None:
                 continue
-            host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-            trace = override or entry.trace()
-            if not host or host.lower() in _LOCAL_HOSTS:
-                continue
-            try:
-                flow = Flow(svc.name, host, ["restful_http"])
-            except ModelError:
-                continue
-            ctx.dfd.upsert_flow(flow, trace)
+            host, trace = _remote_target(ctx, svc, entry)
+            if host:
+                ctx.connect(svc.name, host, ["restful_http"], trace)
 
 
 @register

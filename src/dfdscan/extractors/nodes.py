@@ -10,8 +10,7 @@ from urllib.parse import urlparse
 
 from ..model import Node
 from ..parsers import classify_image
-from ..search import find_keyword
-from .base import Context, Extractor, register, resolve_entry, trace_from
+from .base import Context, Extractor, is_remote, register, resolve_entry, trace_from
 
 
 @register
@@ -97,8 +96,6 @@ class DockerfileImageNodes(Extractor):
 _JDBC_URL = re.compile(r"jdbc:(\w+):(?://([^/:;\s]+)(?::(\d+))?)?")
 _MONGO_URI = re.compile(r"mongodb://(?:([^:@/]+):([^@/]*)@)?([^:@/,]+)")
 
-_LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "0.0.0.0", "host.docker.internal"})
-
 
 @register
 class DatastoreNodes(Extractor):
@@ -126,11 +123,8 @@ class DatastoreNodes(Extractor):
         ctx.datastores.append((svc.canonical, node.name, kind, trace))
 
     def _name_for(self, svc, host: str | None, fallback_suffix: str) -> str:
-        if host:
-            host = host.strip()
-            if host and host.lower() not in _LOCAL_HOSTS:
-                return host
-        return "%s-%s" % (svc.name, fallback_suffix)
+        host = (host or "").strip()
+        return host if is_remote(host) else "%s-%s" % (svc.name, fallback_suffix)
 
     def _mongo(self, ctx: Context, svc) -> None:
         entry = svc.properties.get("spring.data.mongodb.host")
@@ -204,13 +198,9 @@ class GatewayMarker(Extractor):
     phase = "node"
 
     def run(self, ctx: Context) -> None:
-        for kw in _GATEWAY_KEYWORDS:
-            for m in find_keyword(ctx.index, kw, languages=("java",), raw=ctx.raw):
-                owner = ctx.owner_of(m.file)
-                if owner is None:
-                    continue
-                node = Node(owner.name, "service", ["gateway"])
-                ctx.dfd.upsert_node(node, trace_from(m))
+        for owner, m in ctx.hits(_GATEWAY_KEYWORDS):
+            node = Node(owner.name, "service", ["gateway"])
+            ctx.dfd.upsert_node(node, trace_from(m))
         for svc in ctx.services.values():
             routed = svc.properties.find_prefix("zuul.routes")
             routed += svc.properties.find_prefix("spring.cloud.gateway.routes")

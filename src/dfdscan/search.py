@@ -129,8 +129,17 @@ class IndexedFile:
         return text[starts[index] : end]
 
 
+def normalize_newlines(text: str) -> str:
+    """Map CRLF and lone CR line ends to LF.
+
+    Java source, properties and YAML all end a line at a lone CR, so line
+    numbers and line-bound parsing agree with theirs.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _index_file(rel_path: str, content: str) -> IndexedFile:
-    text = content.replace("\r\n", "\n")
+    text = normalize_newlines(content)
     language = classify_path(rel_path)
     masked = mask_java_comments(text) if language == "java" else text
     lengths = list(map(len, text.split("\n")))
@@ -263,8 +272,7 @@ def snapshot_line(root: str | Path, rel_path: str, line: int) -> str | None:
         data = p.read_bytes()
     except OSError:
         return None
-    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n")
-    lines = text.split("\n")
+    lines = normalize_newlines(data.decode("utf-8", errors="replace")).split("\n")
     if not 1 <= line <= len(lines):
         return None
     return lines[line - 1]

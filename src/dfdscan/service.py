@@ -22,7 +22,7 @@ class _Handler(BaseHTTPRequestHandler):
     verbose = False
 
     def _send(self, status: int, obj: dict) -> None:
-        body = json.dumps(obj, indent=4).encode("utf-8")
+        body = json.dumps(obj).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -2,11 +2,12 @@
 import json
 import re
 import shutil
+import subprocess
 from importlib import resources
 
 import pytest
 
-from dfdscan.analysis import analyze_directory, fetch_repository
+from dfdscan.analysis import AnalysisError, _fetch, analyze_directory, fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
 from dfdscan.extractors.base import PHASES, default_extractors
 
@@ -270,6 +271,43 @@ def test_fetch_repository_keeps_a_given_dest(git_repo, tmp_path, temp_root):
     assert len(commit) == 40
     assert (dest / "docker-compose.yml").is_file()
     assert list(temp_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--ref", "--repo-url"])
+def test_option_like_git_values_are_refused(option, git_repo, tmp_path, temp_root, capsys):
+    marker = tmp_path / "ran"
+    values = {"--repo-url": "file://%s" % git_repo, "--ref": "main"}
+    values[option] = "--upload-pack=touch %s;git-upload-pack" % marker
+    argv = ["analyze", "--out", str(tmp_path / "out")]
+    argv += ["%s=%s" % item for item in values.items()]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert "must not start with '-'" in stderr
+    assert not marker.exists()  # git never ran the injected command
+    assert list(temp_root.iterdir()) == []
+
+
+def test_git_reads_user_values_as_operands(git_repo, tmp_path):
+    # past the refusal, --end-of-options still keeps git from parsing options
+    marker = tmp_path / "ran"
+    inject = "--upload-pack=touch %s;git-upload-pack" % marker
+    for url, ref in (("file://%s" % git_repo, inject), (inject, None), (inject, "main")):
+        with pytest.raises(AnalysisError):
+            _fetch(url, ref, tmp_path / "checkout")
+        shutil.rmtree(tmp_path / "checkout", ignore_errors=True)
+    assert not marker.exists()
+
+
+def test_fetch_repository_at_a_ref(git_repo, tmp_path, temp_root):
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=git_repo, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    for ref in (head, git("symbolic-ref", "--short", "HEAD")):
+        path, commit = fetch_repository("file://%s" % git_repo, ref=ref, dest=str(tmp_path / ref))
+        assert commit == head
+        assert (path / "docker-compose.yml").is_file()
 
 
 def test_verbose_reports_failures(miniapp_path, tmp_path, capsys, monkeypatch):

@@ -3,7 +3,11 @@ synthetic codebases, order independence, and fault isolation."""
 
 import json
 import random
+import shutil
 
+import pytest
+
+from dfdscan.analysis import analyze_directory
 from dfdscan.extractors.base import (
     Context,
     Extractor,
@@ -13,7 +17,7 @@ from dfdscan.extractors.base import (
 )
 from dfdscan.extractors.workspace import Workspace
 from dfdscan.model import TraceEntry
-from dfdscan.output import dfd_to_json, traceability_to_json
+from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
 from dfdscan.rules import load_rules
 from dfdscan.search import build_index
 
@@ -652,6 +656,106 @@ def test_turbine_self_entry_suppressed(tmp_path):
     assert report.suppressed_self_flows == ["turbine -> turbine"]
 
 
+def service_files(name, yml="", java=None):
+    files = {
+        "%s/pom.xml" % name: "<project><artifactId>%s</artifactId></project>" % name,
+        "%s/src/main/resources/application.yml" % name: APP_YML % name + yml,
+    }
+    if java is not None:
+        files["%s/src/main/java/Main.java" % name] = java
+    return files
+
+
+@pytest.mark.parametrize("spelling", ["service-url", "serviceUrl"])
+def test_discovery_key_spellings(tmp_path, spelling):
+    yml = "eureka:\n  client:\n    %s:\n      defaultZone: http://registry:8761/eureka/\n"
+    dfd, report = analyze(tmp_path, service_files("svc", yml % spelling))
+    assert report.failures == []
+    assert dfd.has_flow("svc", "registry")
+
+
+@pytest.mark.parametrize("spelling", ["base-url", "baseUrl"])
+def test_tracing_key_spellings(tmp_path, spelling):
+    yml = "spring:\n  zipkin:\n    %s: http://zipkin:9411\n"
+    dfd, _ = analyze(tmp_path, service_files("svc", yml % spelling))
+    assert dfd.has_flow("svc", "zipkin")
+
+
+@pytest.mark.parametrize("spelling", ["app-config", "appConfig"])
+def test_turbine_key_spellings(tmp_path, spelling):
+    files = service_files("turbine", "turbine:\n  %s: svc-a\n" % spelling)
+    files.update(service_files("svc-a"))
+    dfd, _ = analyze(tmp_path, files)
+    assert dfd.has_flow("svc-a", "turbine")
+
+
+def test_broker_from_the_stream_binder_key(tmp_path):
+    yml = "spring:\n  cloud:\n    stream:\n      kafka:\n        binder:\n          brokers: kafka:9092\n"
+    dfd, _ = analyze(tmp_path, service_files("p", yml, "kafkaTemplate.send(topic, msg);\n"))
+    assert "message_producer_kafka" in dfd.flows[("p", "kafka")].stereotypes
+
+
+def test_elasticsearch_from_the_cluster_nodes_key(tmp_path):
+    yml = "spring:\n  data:\n    elasticsearch:\n      cluster-nodes: es-host:9300\n"
+    dfd, _ = analyze(tmp_path, service_files("svc", yml))
+    assert "search_engine" in dfd.node("es-host").stereotypes
+    assert dfd.has_flow("svc", "es-host")
+
+
+@pytest.mark.parametrize(
+    "yml",
+    [
+        "security:\n  oauth2:\n    resource:\n      user-info-uri: http://auth:5000/user\n",
+        "spring:\n  security:\n    oauth2:\n      client:\n        provider:\n"
+        "          token-uri: http://auth:5000/oauth/token\n",
+    ],
+    ids=["user-info-uri", "provider-token-uri"],
+)
+def test_oauth_flow_from_the_later_keys(tmp_path, yml):
+    dfd, _ = analyze(tmp_path, service_files("svc", yml))
+    assert "auth_provider" in dfd.flows[("svc", "auth")].stereotypes
+
+
+@pytest.mark.parametrize(
+    "yml",
+    [
+        "spring:\n  boot:\n    admin:\n      url: http://admin:8080\n",
+        "spring:\n  boot:\n    admin:\n      client:\n        url: http://admin:8080\n",
+    ],
+    ids=["url", "client-url"],
+)
+def test_boot_admin_flow(tmp_path, yml):
+    dfd, report = analyze(tmp_path, service_files("svc", yml))
+    assert report.failures == []
+    assert "restful_http" in dfd.flows[("svc", "admin")].stereotypes
+
+
+CONFIG_CLIENT_YML = "spring:\n  cloud:\n    config:\n      uri: http://localhost:8888\n"
+
+
+def test_local_config_uri_flows_from_the_one_config_server(tmp_path):
+    files = service_files("config", java="@EnableConfigServer\nclass C {}\n")
+    files.update(service_files("svc", CONFIG_CLIENT_YML))
+    dfd, _ = analyze(tmp_path, files)
+    assert dfd.has_flow("config", "svc")
+
+
+def test_local_config_uri_without_a_sole_config_server_has_no_flow(tmp_path):
+    files = service_files("config-a", java="@EnableConfigServer\nclass A {}\n")
+    files.update(service_files("config-b", java="@EnableConfigServer\nclass B {}\n"))
+    files.update(service_files("svc", CONFIG_CLIENT_YML))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert not any(receiver == "svc" for _, receiver in dfd.flows)
+
+
+def test_feign_name_that_normalizes_to_empty_is_skipped(tmp_path):
+    java = '@FeignClient(name = "\' \'")\ninterface C {}\n'
+    dfd, report = analyze(tmp_path, service_files("svc", java=java))
+    assert report.failures == []
+    assert dfd.flows == {}
+
+
 def test_environment_placeholder_resolved_from_compose(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -951,6 +1055,18 @@ def test_failing_extractor_is_isolated(miniapp_path):
         "notification_service",
     }
     assert report.integrity == []
+
+
+def test_cr_only_line_ends_keep_the_diagram(miniapp_path, miniapp_result, tmp_path):
+    app = tmp_path / "app"
+    shutil.copytree(miniapp_path, app)
+    props = app / "auth-service/src/main/resources/application.properties"
+    props.write_bytes(props.read_bytes().replace(b"\n", b"\r"))
+    result = analyze_directory(app)
+    assert "ssl_enabled" in result.dfd.node("auth-service").stereotypes
+    assert dfd_to_json(result.dfd) == dfd_to_json(miniapp_result.dfd)
+    assert traceability_to_json(result.dfd) == traceability_to_json(miniapp_result.dfd)
+    assert verify_traces(result.dfd, app)[1] == []
 
 
 def test_report_timings_cover_all_extractors(miniapp_result):

@@ -269,10 +269,10 @@ def test_build_index_size_limit(tmp_path):
 
 
 def test_index_is_sorted_and_crlf_normalized(tmp_path):
-    make_tree(tmp_path, {"b.java": "line1\r\nline2\n", "a.java": "x\n"})
+    make_tree(tmp_path, {"b.java": "line1\r\nline2\rline3\r\r\n", "a.java": "x\n"})
     idx = build_index(tmp_path)
     assert [f.path for f in idx.files] == ["a.java", "b.java"]
-    assert idx.by_path["b.java"].text.split("\n")[:2] == ["line1", "line2"]
+    assert idx.by_path["b.java"].text == "line1\nline2\nline3\n\n"
 
 
 def test_index_keeps_one_text_per_file(tmp_path):
@@ -381,9 +381,10 @@ def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
 
 
 def test_snapshot_line_round_trip(tmp_path):
-    make_tree(tmp_path, {"f.yml": "one\r\ntwo\nthree\n"})
+    make_tree(tmp_path, {"f.yml": "one\r\ntwo\nthree\rfour\n"})
     assert snapshot_line(tmp_path, "f.yml", 1) == "one"
     assert snapshot_line(tmp_path, "f.yml", 2) == "two"
+    assert snapshot_line(tmp_path, "f.yml", 4) == "four"
     assert snapshot_line(tmp_path, "f.yml", 99) is None
     assert snapshot_line(tmp_path, "missing.yml", 1) is None
 

@@ -80,6 +80,15 @@ def test_analyze_local_path(server_url, miniapp_path):
     assert "notification_service" in body["traceability"]
 
 
+def test_analyze_response_is_compact(server_url, miniapp_path):
+    data = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+    req = urllib.request.Request(server_url + "/analyze", data=data, method="POST")
+    with urllib.request.urlopen(req, timeout=60) as resp:
+        raw = resp.read()
+    assert b"\n" not in raw  # no indentation: the C encoder serves it
+    assert json.loads(raw)["extractor_failures"] == []
+
+
 def test_analyze_rejects_malformed_json(server_url):
     status, body = post(server_url + "/analyze", b"{not json", raw=True)
     assert status == 400
@@ -190,4 +199,16 @@ def test_analyze_repo_url_removes_its_checkout(server_url, git_repo, tmp_path, t
     status, body = post(server_url + "/analyze", {"repo_url": "file://%s/gone.git" % tmp_path})
     assert status == 400
     assert "git clone failed" in body["error"]
+    assert list(temp_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("field", ["ref", "repo_url"])
+def test_analyze_refuses_option_like_git_values(server_url, git_repo, tmp_path, temp_root, field):
+    marker = tmp_path / "ran"
+    body = {"repo_url": "file://%s" % git_repo, "ref": "main"}
+    body[field] = "--upload-pack=touch %s;git-upload-pack" % marker
+    status, resp = post(server_url + "/analyze", body)
+    assert status == 400
+    assert "must not start with '-'" in resp["error"]
+    assert not marker.exists()  # git never ran the injected command
     assert list(temp_root.iterdir()) == []
