@@ -1,5 +1,7 @@
 """Technology extractors, grouped into pipeline phases."""
-from __future__ import annotations
+# No `from __future__ import annotations` here: it would bind the name
+# `annotations` in this package and turn the import of that module below
+# into a no-op.
 
 from .base import (
     PHASES,
@@ -14,20 +16,9 @@ from .base import (
     trace_from,
 )
 
-_LOADED = False
-
-
-def _load_all() -> None:
-    """Import every extractor module so registration side effects run."""
-    global _LOADED
-    if _LOADED:
-        return
-    import importlib
-
-    for mod in ("workspace", "nodes", "flows", "annotations", "finalize"):
-        importlib.import_module("." + mod, __name__)
-    _LOADED = True
-
+# Importing each module registers its extractors; this order is the order
+# of Report.timings and of the --verbose time lines.
+from . import workspace, nodes, flows, annotations, finalize  # noqa: F401
 
 __all__ = [
     "PHASES",

@@ -6,8 +6,6 @@ from annotations a same-phase peer wrote, so they commute.
 """
 from __future__ import annotations
 
-import re
-
 from ..model import ModelError, flow_id, normalize_name
 from ..search import iterative_search
 from .base import Context, Extractor, register, trace_from
@@ -56,11 +54,10 @@ class EncryptionAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for cls in _ENCODER_CLASSES:
-            extract = re.compile(r"%s\s+(\w+)\s*=" % cls).pattern
             chains = iterative_search(
                 ctx.index,
                 cls,
-                extract,
+                r"%s\s+(\w+)\s*=" % cls,
                 follow=["encode", "matches", "upgradeEncoding"],
                 languages=("java",),
                 raw=ctx.raw,

@@ -152,9 +152,6 @@ def register(cls):
 
 
 def default_extractors() -> list[Extractor]:
-    from . import _load_all  # noqa: PLC0415
-
-    _load_all()
     return list(REGISTRY)
 
 

@@ -435,8 +435,7 @@ class GatewayRouteFlows(Extractor):
                 target, trace = resolve_entry(ctx, svc, entry)
             elif "url" in attrs:
                 entry = attrs["url"]
-                target, trace = _resolved_host(ctx, svc, entry.value, entry.file)
-                trace = trace or entry.trace()
+                target, trace = _remote_target(ctx, svc, entry)
             else:
                 entry = next(iter(attrs.values()))
                 trace = entry.trace()

@@ -108,38 +108,40 @@ class TraceStore:
 
     def __init__(self) -> None:
         self._records: dict[str, TraceRecord] = {}
-        self._primary_epoch: dict[str, int] = {}
-        self._sub_epoch: dict[tuple[str, str], int] = {}
+        # the epoch that filled each slot: an item id names its primary,
+        # an (item id, key) pair one of its sub-items
+        self._epochs: dict[str | tuple[str, str], int] = {}
         self.epoch = 0
 
-    def record(self, item_id: str, entry: TraceEntry) -> None:
+    def _wins(self, slot, entry: TraceEntry, current: TraceEntry | None) -> bool:
+        """Whether entry takes the slot: it is empty, or entry comes first by
+        file position within the epoch that filled it."""
+        if current is None or (
+            self._epochs[slot] == self.epoch and _entry_key(entry) < _entry_key(current)
+        ):
+            self._epochs[slot] = self.epoch
+            return True
+        return False
+
+    def _open(self, item_id: str, entry: TraceEntry) -> TraceRecord:
+        """The item's record, created with entry as its primary if missing."""
         rec = self._records.get(item_id)
         if rec is None:
-            self._records[item_id] = TraceRecord(primary=entry)
-            self._primary_epoch[item_id] = self.epoch
-            return
+            rec = self._records[item_id] = TraceRecord(primary=entry)
+            self._epochs[item_id] = self.epoch
+        return rec
+
+    def record(self, item_id: str, entry: TraceEntry) -> None:
+        rec = self._open(item_id, entry)
         if entry in rec.all_entries():
             return
-        same_epoch = self._primary_epoch.get(item_id) == self.epoch
-        if same_epoch and _entry_key(entry) < _entry_key(rec.primary):
-            rec.extras.append(rec.primary)
-            rec.primary = entry
-        else:
-            rec.extras.append(entry)
+        if self._wins(item_id, entry, rec.primary):
+            rec.primary, entry = entry, rec.primary
+        rec.extras.append(entry)
 
     def record_sub(self, item_id: str, key: str, entry: TraceEntry) -> None:
-        rec = self._records.get(item_id)
-        if rec is None:
-            rec = TraceRecord(primary=entry)
-            self._records[item_id] = rec
-            self._primary_epoch[item_id] = self.epoch
-        current = rec.sub_items.get(key)
-        if current is None:
-            rec.sub_items[key] = entry
-            self._sub_epoch[(item_id, key)] = self.epoch
-            return
-        same_epoch = self._sub_epoch.get((item_id, key)) == self.epoch
-        if same_epoch and _entry_key(entry) < _entry_key(current):
+        rec = self._open(item_id, entry)
+        if self._wins((item_id, key), entry, rec.sub_items.get(key)):
             rec.sub_items[key] = entry
 
     def get(self, item_id: str) -> TraceRecord | None:
@@ -161,22 +163,28 @@ class TraceStore:
 
 
 def _check_stereotypes(stereotypes, kind: str) -> set[str]:
+    """The stereotypes as a set, each known and applicable to the kind."""
     out = set()
     for s in stereotypes:
         if not catalog.is_known(s):
             raise StereotypeError("unknown stereotype %r" % s)
         if kind not in catalog.kinds_for(s):
-            raise StereotypeError(
-                "stereotype %r does not apply to %s elements" % (s, kind)
-            )
+            raise StereotypeError("stereotype %r does not apply to %s" % (s, kind))
         out.add(s)
     return out
 
 
-def _as_values(value) -> list[str]:
-    if isinstance(value, (list, tuple, set)):
-        return [str(v) for v in value]
-    return [str(value)]
+def _merge_tags(slots: dict[str, list[str]], tags: dict | None) -> None:
+    """Union tagged values into slots.
+
+    A tag's value is one value or a list, tuple or set of them; values are
+    kept as strings, once each, in the order they first arrived.
+    """
+    for key, value in (tags or {}).items():
+        slot = slots.setdefault(str(key), [])
+        for v in map(str, value if isinstance(value, (list, tuple, set)) else (value,)):
+            if v not in slot:
+                slot.append(v)
 
 
 class Node:
@@ -188,23 +196,16 @@ class Node:
         node_type: str = "service",
         stereotypes=(),
         tagged_values: dict | None = None,
-        auto_created: bool = False,
     ) -> None:
         if node_type not in NODE_TYPES:
             raise ModelError("bad node type %r" % node_type)
-        self.display_name = str(name).strip().strip("\"'")
         self.name = normalize_name(name)
         self.node_type = node_type
-        kind = "external_entity" if node_type == "external_entity" else "node"
-        self.stereotypes = _check_stereotypes(stereotypes, kind)
+        self.stereotypes = _check_stereotypes(stereotypes, self.kind)
         if node_type == "database":
             self.stereotypes.add("database")
         self.tagged_values: dict[str, list[str]] = {}
-        for key, value in (tagged_values or {}).items():
-            self.tagged_values[str(key)] = _as_values(value)
-        # auto_created marks placeholder nodes materialized from a flow
-        # endpoint; an explicit upsert later takes over the display name.
-        self.auto_created = auto_created
+        _merge_tags(self.tagged_values, tagged_values)
 
     @property
     def kind(self) -> str:
@@ -215,27 +216,23 @@ class Node:
 
 
 class Flow:
-    """A directed information flow between two nodes."""
+    """A directed information flow between two nodes.
 
-    def __init__(
-        self,
-        sender: str,
-        receiver: str,
-        stereotypes=(),
-        tagged_values: dict | None = None,
-        allow_self: bool = False,
-    ) -> None:
+    Only allow_self flows may connect a node to itself; the diagram drops
+    them.  Tagged values come from Dfd.annotate.
+    """
+
+    kind = "flow"
+
+    def __init__(self, sender: str, receiver: str, stereotypes=(), allow_self: bool = False) -> None:
         self.sender = normalize_name(sender)
         self.receiver = normalize_name(receiver)
         if self.sender == self.receiver and not allow_self:
             raise SelfFlowError(
                 "flow %s -> %s connects a node to itself" % (sender, receiver)
             )
-        self.allow_self = allow_self
-        self.stereotypes = _check_stereotypes(stereotypes, "flow")
+        self.stereotypes = _check_stereotypes(stereotypes, self.kind)
         self.tagged_values: dict[str, list[str]] = {}
-        for key, value in (tagged_values or {}).items():
-            self.tagged_values[str(key)] = _as_values(value)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -281,89 +278,51 @@ class Dfd:
     # mutation operations (commutative merges)
     # ------------------------------------------------------------------
 
-    def upsert_node(self, node: Node, trace: TraceEntry | None = None) -> Node:
-        existing = self.nodes.get(node.name)
-        if existing is None:
-            self.nodes[node.name] = node
-            merged = node
-        else:
-            merged = self._merge_node(existing, node)
-        if trace is not None:
-            self.traces.record(merged.name, trace)
-            anchor = self.traces.get(merged.name).primary
-            for s in node.stereotypes:
-                self.traces.record_sub(merged.name, s, trace)
-            for key in node.tagged_values:
-                self.traces.record_sub(merged.name, key, trace)
-        elif merged.name in self.traces:
-            anchor = self.traces.get(merged.name).primary
-            for s in node.stereotypes:
-                self.traces.record_sub(merged.name, s, anchor)
-            for key in node.tagged_values:
-                self.traces.record_sub(merged.name, key, anchor)
-        return merged
+    def _record(self, item_id: str, incoming: Node | Flow, trace: TraceEntry | None) -> None:
+        """Record trace for the item and for each stereotype and tag key the
+        incoming upsert brought."""
+        if trace is None:
+            return
+        self.traces.record(item_id, trace)
+        for key in (*incoming.stereotypes, *incoming.tagged_values):
+            self.traces.record_sub(item_id, key, trace)
 
-    def _merge_node(self, base: Node, incoming: Node) -> Node:
-        if base.node_type != incoming.node_type:
-            upgraded = _UPGRADES.get((base.node_type, incoming.node_type))
-            if upgraded is None:
-                self.conflicts.append(
-                    "node %s: type %s conflicts with %s (keeping %s)"
-                    % (base.name, incoming.node_type, base.node_type, base.node_type)
-                )
-            else:
-                base.node_type = upgraded
-                if upgraded == "database":
-                    base.stereotypes.add("database")
-        kind = base.kind
-        base.stereotypes |= _check_stereotypes(incoming.stereotypes, kind)
-        for key, values in incoming.tagged_values.items():
-            slot = base.tagged_values.setdefault(key, [])
-            for v in values:
-                if v not in slot:
-                    slot.append(v)
-        if base.auto_created and not incoming.auto_created:
-            base.display_name = incoming.display_name
-            base.auto_created = False
+    def upsert_node(self, node: Node, trace: TraceEntry | None = None) -> Node:
+        base = self.nodes.setdefault(node.name, node)
+        if base is not node:
+            if base.node_type != node.node_type:
+                upgraded = _UPGRADES.get((base.node_type, node.node_type))
+                if upgraded is None:
+                    self.conflicts.append(
+                        "node %s: type %s conflicts with %s (keeping %s)"
+                        % (base.name, node.node_type, base.node_type, base.node_type)
+                    )
+                else:
+                    base.node_type = upgraded
+                    if upgraded == "database":
+                        base.stereotypes.add("database")
+            base.stereotypes |= _check_stereotypes(node.stereotypes, base.kind)
+            _merge_tags(base.tagged_values, node.tagged_values)
+        self._record(base.name, node, trace)
         return base
 
     def ensure_node(self, name: str, trace: TraceEntry | None = None) -> Node:
         """Materialize a plain service node for a flow endpoint."""
-        canonical = normalize_name(name)
-        if canonical in self.nodes:
-            return self.nodes[canonical]
-        return self.upsert_node(Node(name, auto_created=True), trace)
+        return self.nodes.get(normalize_name(name)) or self.upsert_node(Node(name), trace)
 
     def upsert_flow(self, flow: Flow, trace: TraceEntry | None = None) -> Flow | None:
         if flow.sender == flow.receiver:
-            if flow.allow_self:
-                # Self-flows come out of scope-wide monitoring configs and
-                # are known noise; drop them but keep the tally visible.
-                self.suppressed_self_flows.append(flow.item_id)
-                return None
-            raise SelfFlowError("flow %s rejected" % flow.item_id)
+            # Only allow_self flows get here.  They come out of scope-wide
+            # monitoring configs and are known noise; drop them but keep
+            # the tally visible.
+            self.suppressed_self_flows.append(flow.item_id)
+            return None
         self.ensure_node(flow.sender, trace)
         self.ensure_node(flow.receiver, trace)
-        existing = self.flows.get(flow.key)
-        if existing is None:
-            self.flows[flow.key] = flow
-            merged = flow
-        else:
-            existing.stereotypes |= flow.stereotypes
-            for key, values in flow.tagged_values.items():
-                slot = existing.tagged_values.setdefault(key, [])
-                for v in values:
-                    if v not in slot:
-                        slot.append(v)
-            merged = existing
-        if trace is not None:
-            self.traces.record(merged.item_id, trace)
-            anchor = self.traces.get(merged.item_id).primary
-            for s in flow.stereotypes:
-                self.traces.record_sub(merged.item_id, s, trace)
-            for key in flow.tagged_values:
-                self.traces.record_sub(merged.item_id, key, anchor)
-        return merged
+        base = self.flows.setdefault(flow.key, flow)
+        base.stereotypes |= flow.stereotypes
+        self._record(base.item_id, flow, trace)
+        return base
 
     def annotate(
         self,
@@ -378,34 +337,16 @@ class Dfd:
         item is an error; extractors must create items before decorating
         them (creation happens in earlier pipeline phases).
         """
-        target_kind = None
-        if item_id in self.nodes:
-            target_kind = self.nodes[item_id].kind
-            target = self.nodes[item_id]
-        else:
-            pair = _parse_flow_id(item_id)
-            if pair is not None and pair in self.flows:
-                target_kind = "flow"
-                target = self.flows[pair]
-            else:
-                raise ModelError("cannot annotate unknown item %r" % item_id)
-        if stereotype is not None:
-            if not catalog.is_known(stereotype):
-                raise StereotypeError("unknown stereotype %r" % stereotype)
-            if target_kind not in catalog.kinds_for(stereotype):
-                raise StereotypeError(
-                    "stereotype %r does not apply to %s" % (stereotype, target_kind)
-                )
-            target.stereotypes.add(stereotype)
-            if trace is not None:
-                self.traces.record_sub(item_id, stereotype, trace)
-        for key, value in (tags or {}).items():
-            slot = target.tagged_values.setdefault(str(key), [])
-            for v in _as_values(value):
-                if v not in slot:
-                    slot.append(v)
-            if trace is not None:
-                self.traces.record_sub(item_id, str(key), trace)
+        sender, _, receiver = item_id.partition(" -> ")
+        target = self.nodes.get(item_id) or self.flows.get((sender, receiver))
+        if target is None:
+            raise ModelError("cannot annotate unknown item %r" % item_id)
+        stereotypes = () if stereotype is None else (stereotype,)
+        target.stereotypes |= _check_stereotypes(stereotypes, target.kind)
+        _merge_tags(target.tagged_values, tags)
+        if trace is not None:
+            for key in (*stereotypes, *map(str, tags or ())):
+                self.traces.record_sub(item_id, key, trace)
 
     # ------------------------------------------------------------------
     # queries
@@ -443,9 +384,10 @@ class Dfd:
                 problems.append("node key %s is not canonical" % name)
             if node.node_type == "database" and "database" not in node.stereotypes:
                 problems.append("database node %s lacks database stereotype" % name)
-            kind = node.kind
             for s in node.stereotypes:
-                if kind not in catalog.kinds_for(s):
+                try:
+                    _check_stereotypes((s,), node.kind)
+                except StereotypeError:
                     problems.append("node %s carries inapplicable %s" % (name, s))
         for name, node in self.nodes.items():
             if name not in self.traces:
@@ -454,12 +396,3 @@ class Dfd:
             if flow.item_id not in self.traces:
                 problems.append("flow %s has no trace entry" % flow.item_id)
         return problems
-
-
-def _parse_flow_id(item_id: str) -> tuple[str, str] | None:
-    if " -> " not in item_id:
-        return None
-    sender, _, receiver = item_id.partition(" -> ")
-    if not sender or not receiver:
-        return None
-    return (sender, receiver)

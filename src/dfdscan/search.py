@@ -325,7 +325,7 @@ def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[Mat
 
 def find_keyword(
     index: FileIndex,
-    pattern: str | re.Pattern,
+    pattern: str,
     languages=None,
     regex: bool = False,
     raw: bool = False,
@@ -338,15 +338,10 @@ def find_keyword(
     raw=True searches original text even where comments are masked.
     A malformed pattern with regex=True raises re.error.
     """
-    if isinstance(pattern, re.Pattern):
-        rx = pattern
-    elif regex:
-        rx = re.compile(pattern)
-    else:
-        rx = None
     wanted = None if languages is None else frozenset(languages)
-    if rx is None:
+    if not regex:
         return list(_find_literal(index, pattern, wanted, raw))
+    rx = re.compile(pattern)
     out: list[Match] = []
     for f in index._files(wanted):
         for li, line in enumerate(f.search_text(raw).split("\n")):
@@ -490,49 +485,30 @@ def resolve_env_var(index: FileIndex, expr: str, origin_path: str) -> str | None
 
 def iterative_search(
     index: FileIndex,
-    seed: str | re.Pattern,
-    extract,
+    seed: str,
+    extract: str,
     follow: list[str],
     languages=("java",),
-    regex: bool = False,
     raw: bool = False,
 ) -> list[EvidenceChain]:
     """Snowballing search: seed keyword, extract identifier, chase members.
 
-    extract is either a callable taking a Match and returning zero or more
-    identifier strings, or a regex applied to the matched line whose capture
-    groups are the identifiers.  For each identifier the search tries
-    identifier.member in the same file for every member in follow, then a
-    cross-file jump for dotted identifiers, then .env resolution for
-    ${...}-shaped ones.  Unresolvable candidates come back with
-    resolved=False so no evidence is silently dropped.
+    seed is a literal keyword.  extract is a regex applied to each matched
+    line; its non-empty capture groups are the identifiers.  For each
+    identifier the search tries identifier.member in the same file for
+    every member in follow, then a cross-file jump for dotted identifiers,
+    then .env resolution for ${...}-shaped ones.  Unresolvable candidates
+    come back with resolved=False so no evidence is silently dropped.
     """
     chains: list[EvidenceChain] = []
-    for m in find_keyword(index, seed, languages=languages, regex=regex, raw=raw):
-        idents = _apply_extract(extract, m)
+    for m in find_keyword(index, seed, languages=languages, raw=raw):
+        idents = [g for mm in re.finditer(extract, m.line_text) for g in mm.groups() if g]
         if not idents:
             chains.append(EvidenceChain([m], "", False))
             continue
         for ident in idents:
             chains.extend(_resolve_ident(index, m, ident, follow, raw))
     return chains
-
-
-def _apply_extract(extract, match: Match) -> list[str]:
-    if callable(extract):
-        res = extract(match)
-    else:
-        res = [
-            g
-            for mm in re.finditer(extract, match.line_text)
-            for g in mm.groups()
-            if g
-        ]
-    if res is None:
-        return []
-    if isinstance(res, str):
-        return [res]
-    return [r for r in res if r]
 
 
 def _resolve_ident(

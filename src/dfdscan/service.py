@@ -17,6 +17,9 @@ from .output import dfd_to_obj, traceability_to_obj
 # A request carries only a path, or a repository URL and ref.
 MAX_BODY_BYTES = 1024 * 1024
 
+# The JSON type of each request field; null counts as absent.
+_FIELD_TYPES = {"path": str, "repo_url": str, "ref": str, "paper_parity": bool}
+
 
 class _Handler(BaseHTTPRequestHandler):
     verbose = False
@@ -51,6 +54,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
+            for name, kind in _FIELD_TYPES.items():
+                if payload.get(name) is not None and not isinstance(payload[name], kind):
+                    raise ValueError("%s must be a %s" % (name, "boolean" if kind is bool else "string"))
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": "bad request: %s" % exc})
             return

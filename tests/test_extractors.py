@@ -13,6 +13,7 @@ from dfdscan.extractors.base import (
     Extractor,
     ServiceRoot,
     default_extractors,
+    resolve_text,
     run_pipeline,
 )
 from dfdscan.extractors.workspace import Workspace
@@ -587,6 +588,19 @@ def test_zuul_gateway_routes_and_user(tmp_path):
     assert "exitpoint" in user.stereotypes
 
 
+def test_zuul_url_routes_skip_local_hosts(tmp_path):
+    yml = (
+        "zuul:\n  routes:\n"
+        "    users:\n      url: http://localhost:9000\n"
+        "    orders:\n      url: http://orders.example.com/api\n"
+    )
+    dfd, report = analyze(tmp_path, service_files("gw", yml))
+    assert report.failures == []
+    assert dfd.node("localhost") is None
+    assert not any("localhost" in key for key in dfd.flows)
+    assert dfd.has_flow("gw", "orders_example_com")
+
+
 def test_cloud_gateway_lb_route_gets_load_balanced_link(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -778,6 +792,21 @@ def test_environment_placeholder_resolved_from_compose(tmp_path):
     )
     assert dfd.has_flow("svc", "bunny")
     assert "message_broker" in dfd.node("bunny").stereotypes
+
+
+def test_resolve_text_falls_back_to_env_then_inline_default(tmp_path):
+    make_tree(tmp_path, {".env": "DB_HOST=db.internal\n", "svc/application.yml": "x: 1\n"})
+    ctx = Context(build_index(tmp_path), load_rules())
+    # a service without properties, so every placeholder goes past them
+    svc = ServiceRoot(name="svc", canonical="svc", root="svc", trace=TraceEntry("svc", 1, (0, 1), "x"))
+    origin = "svc/application.yml"
+    assert resolve_text(ctx, svc, "${DB_HOST}", origin) == ("db.internal", None)
+    assert resolve_text(ctx, svc, "${DB_PORT:5432}", origin) == ("5432", None)
+    assert resolve_text(ctx, svc, "jdbc://${DB_HOST}:${DB_PORT:5432}/x", origin) == (
+        "jdbc://db.internal:5432/x",
+        None,
+    )
+    assert resolve_text(ctx, svc, "${MISSING}", origin) == (None, None)
 
 
 # ----------------------------------------------------------------------

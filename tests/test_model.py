@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dfdscan import output
 from dfdscan.model import (
     Dfd,
     Flow,
@@ -136,16 +137,6 @@ def test_database_external_conflict_keeps_first_and_records():
     assert len(d.conflicts) == 1
 
 
-def test_explicit_upsert_takes_over_auto_created_display_name():
-    d = Dfd()
-    d.upsert_flow(Flow("Caller-Svc", "Target-Svc"), t())
-    assert d.node("target_svc").auto_created
-    d.upsert_node(Node("Target-Svc"), t(line=2))
-    node = d.node("target_svc")
-    assert not node.auto_created
-    assert node.display_name == "Target-Svc"
-
-
 def test_upsert_flow_creates_endpoints():
     d = Dfd()
     d.upsert_flow(Flow("a", "b", stereotypes=["restful_http"]), t())
@@ -229,6 +220,72 @@ def test_trace_sub_items_for_stereotypes_and_tags():
     assert rec.sub_items["Port"] == t(line=9)
 
 
+# Evidence rule: an item's primary and each sub-item go to the entry of
+# the earliest epoch that produced evidence, ties broken by file position;
+# later entries only become extras of the primary.
+SETUP = t(file="z.yml", line=1)
+LOW = t(file="a.yml", line=9)  # sorts before HIGH by file position
+HIGH = t(file="b.yml", line=5)
+
+# writer -> (write one piece of evidence, the (item, sub-item key) it fills;
+# key None stands for the item's primary)
+EVIDENCE_WRITERS = {
+    "upsert_node": (
+        lambda d, e: d.upsert_node(Node("svc", stereotypes=["gateway"], tagged_values={"Port": 80}), e),
+        [("svc", None), ("svc", "gateway"), ("svc", "Port")],
+    ),
+    "upsert_flow": (
+        lambda d, e: d.upsert_flow(Flow("svc", "db", stereotypes=["jdbc"]), e),
+        [("svc -> db", None), ("svc -> db", "jdbc")],
+    ),
+    "annotate": (
+        lambda d, e: (
+            d.annotate("store", stereotype="local_logging", tags={"User": "x"}, trace=e),
+            d.annotate("gw -> store", stereotype="circuit_breaker_link", trace=e),
+        ),
+        [("store", "local_logging"), ("store", "User"), ("gw -> store", "circuit_breaker_link")],
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(EVIDENCE_WRITERS))
+@pytest.mark.parametrize(
+    "first, second, winner",
+    [
+        ((1, HIGH), (2, LOW), HIGH),  # a later epoch never takes over
+        ((1, HIGH), (1, LOW), LOW),  # within an epoch the lower position wins
+        ((1, LOW), (1, HIGH), LOW),
+    ],
+    ids=["later-epoch", "same-epoch-lower", "same-epoch-higher"],
+)
+def test_evidence_rule(writer, first, second, winner):
+    write, slots = EVIDENCE_WRITERS[writer]
+    loser = HIGH if winner == LOW else LOW
+    d = Dfd()
+    d.upsert_flow(Flow("gw", "store"), SETUP)  # epoch 0: items to annotate
+    for epoch, entry in (first, second):
+        d.traces.epoch = epoch
+        write(d, entry)
+    for item_id, key in slots:
+        rec = d.traces.get(item_id)
+        if key is None:
+            assert (rec.primary, rec.extras) == (winner, [loser]), item_id
+        else:
+            assert rec.sub_items[key] == winner, (item_id, key)
+    for item_id in ("gw", "store", "gw -> store"):
+        rec = d.traces.get(item_id)
+        assert (rec.primary, rec.extras) == (SETUP, []), item_id  # annotate adds no extras
+
+
+def test_flow_stereotype_evidence_is_the_upserts_own_trace():
+    d = Dfd()
+    d.upsert_flow(Flow("a", "b", stereotypes=["restful_http"]), t(line=1))
+    d.upsert_flow(Flow("a", "b", stereotypes=["feign_connection"]), t(line=2))
+    rec = d.traces.get("a -> b")
+    assert rec.primary == t(line=1)
+    assert rec.sub_items == {"restful_http": t(line=1), "feign_connection": t(line=2)}
+
+
 def test_span_rendering():
     entry = TraceEntry(file="f", line=3, span=(10, 30), snippet="x")
     assert entry.span_str() == "(10:30)"
@@ -267,12 +324,14 @@ def test_operation_order_does_not_change_result():
             lambda d: d.upsert_flow(Flow("gw", "db", stereotypes=["jdbc"]), t(line=4)),
             lambda d: d.upsert_flow(Flow("gw", "db", stereotypes=["plaintext_credentials_link"]), t(line=5)),
             lambda d: d.upsert_node(Node("other"), t(line=6)),
+            lambda d: d.upsert_node(Node("gw"), t(line=0)),
         ]
 
     def shape(d):
         return (
             [(n.name, n.node_type, tuple(sorted(n.stereotypes)), tuple(sorted((k, tuple(v)) for k, v in n.tagged_values.items()))) for n in d.sorted_nodes()],
             [(f.item_id, tuple(sorted(f.stereotypes))) for f in d.sorted_flows()],
+            output.traceability_to_obj(d),
         )
 
     base = Dfd()

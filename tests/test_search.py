@@ -635,6 +635,29 @@ def test_iterative_search_unresolved_chain_kept(tmp_path):
     assert chains[0].extracted_identifier == "unused"
 
 
+def test_iterative_search_resolves_a_placeholder_through_env(tmp_path):
+    make_tree(
+        tmp_path,
+        {
+            ".env": "# hosts\nDB_HOST = db.internal\n",
+            "svc/Repo.java": 'class Repo { @Value("${DB_HOST}") String host; }\n',
+        },
+    )
+    idx = build_index(tmp_path)
+    chains = iterative_search(
+        idx,
+        "@Value(",
+        extract=r'@Value\("(\$\{\w+\})"\)',
+        follow=["get"],
+    )
+    assert len(chains) == 1
+    chain = chains[0]
+    assert chain.resolved
+    assert chain.extracted_identifier == "${DB_HOST}"
+    assert chain.resolved_value == "db.internal"
+    assert (chain.last.file, chain.last.line, chain.last.span) == (".env", 2, (10, 21))
+
+
 def test_cross_file_resolution_prefers_origin_directory(tmp_path):
     make_tree(
         tmp_path,

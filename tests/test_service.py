@@ -156,6 +156,31 @@ def test_analyze_requires_exactly_one_source(server_url, miniapp_path):
     assert "exactly one" in body["error"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"path": 5},
+        {"path": ["a"]},
+        {"repo_url": 5},
+        {"repo_url": "file:///x", "ref": 5},
+        {"path": "/no/such/dir", "paper_parity": "no"},
+        {"path": "/no/such/dir", "paper_parity": 1},
+    ],
+    ids=["path-int", "path-list", "repo-url-int", "ref-int", "parity-str", "parity-int"],
+)
+def test_analyze_refuses_mistyped_fields(server_url, body):
+    status, resp = post(server_url + "/analyze", body)
+    assert status == 400
+    assert "must be a" in resp["error"]
+
+
+def test_analyze_takes_a_boolean_paper_parity(server_url, miniapp_path):
+    for parity in (True, False, None):
+        status, body = post(server_url + "/analyze", {"path": str(miniapp_path), "paper_parity": parity})
+        assert status == 200
+        assert len(body["dfd"]["nodes"]) == 6
+
+
 def test_analyze_missing_directory(server_url, tmp_path):
     status, body = post(server_url + "/analyze", {"path": str(tmp_path / "gone")})
     assert status == 400
