@@ -47,10 +47,10 @@ def _joined_lines(file, start_line: int, stop: int | None = None, count: int = 4
     """
     starts = file.line_starts
     last = start_line - 1 + count
-    end = starts[last] - 1 if last < len(starts) else len(file.masked_text)
+    end = starts[last] - 1 if last < len(starts) else len(file.text)
     if stop is not None:
         end = min(end, stop)
-    window = file.masked_text[starts[start_line - 1] : end]
+    window = file.search_text(start=starts[start_line - 1], end=end)
     return " ".join(l.strip() for l in window.split("\n"))
 
 
@@ -64,19 +64,19 @@ def _annotation_end(file, m) -> int | None:
     That is the balanced ) closing its arguments, or the end of its name
     when it has none.  None when the arguments are never closed.
     """
-    text = file.masked_text
     pos = file.line_starts[m.line - 1] + m.span[1]
-    args = _ARGS_OPEN.match(text, pos)
+    rest = file.search_text(start=pos)  # masked, from the end of the name on
+    args = _ARGS_OPEN.match(rest)
     if args is None:
         return pos
     depth = 0
-    for tok in _PAREN_OR_LITERAL.finditer(text, args.end() - 1):
+    for tok in _PAREN_OR_LITERAL.finditer(rest, args.end() - 1):
         if tok.group() == "(":
             depth += 1
         elif tok.group() == ")":
             depth -= 1
             if depth == 0:
-                return tok.end()
+                return pos + tok.end()
     return None
 
 
@@ -126,7 +126,7 @@ class FeignFlows(Extractor):
             file = ctx.index.by_path[m.file]
             definition = re.search(
                 _STRING_DEF.pattern % re.escape(ident.rpartition(".")[2]),
-                file.masked_text,
+                file.search_text(),
             )
             if "." in ident:
                 cross = resolve_cross_file(ctx.index, ident, m.file)
@@ -181,6 +181,11 @@ class RestClientFlows(Extractor):
                 continue
             if not any(marker in line for marker in _CLIENT_MARKERS):
                 continue
+            if not ctx.raw:
+                # a client named only in a comment does not count
+                line = ctx.index.by_path[m.file].line(m.line - 1, masked=True)
+                if not any(marker in line for marker in _CLIENT_MARKERS):
+                    continue
             owner = ctx.owner_of(m.file)
             if owner is None:
                 continue
@@ -295,6 +300,8 @@ class BrokerFlows(Extractor):
                 in_traces.append(in_bind[0].trace())
             if kind is None and (out_traces or in_traces):
                 kind, broker_name = "rabbitmq", self._default_broker(ctx, "rabbitmq")
+                # no broker property: the code that uses the broker is its evidence
+                host_trace = (out_traces + in_traces)[0]
             if kind is None or broker_name is None:
                 continue
             broker = Node(broker_name, "service", ["message_broker"])

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .model import Dfd, Node, TraceRecord
-from .search import snapshot_line
+from .search import snapshot_lines
 
 
 def _value_obj(values: list[str]):
@@ -111,20 +111,24 @@ def verify_traces(dfd: Dfd, root: str | Path) -> tuple[int, list[str]]:
 
     Returns (item_count, failures).  An item fails when any of its entries
     points at a line whose recorded span no longer holds the recorded
-    snippet.
+    snippet.  Each file is read once per call.
     """
     failures: list[str] = []
+    files: dict[str, list[str] | None] = {}
     items = dfd.traces.items()
     for item_id, rec in items:
         entries = [("", rec.primary)]
         entries += [(k, e) for k, e in sorted(rec.sub_items.items())]
         entries += [("", e) for e in rec.extras]
         for key, entry in entries:
-            line = snapshot_line(root, entry.file, entry.line)
+            if entry.file not in files:
+                files[entry.file] = snapshot_lines(root, entry.file)
+            lines = files[entry.file]
             label = "%s/%s" % (item_id, key) if key else item_id
-            if line is None:
+            if lines is None or not 1 <= entry.line <= len(lines):
                 failures.append("%s: %s:%d unreadable" % (label, entry.file, entry.line))
                 continue
+            line = lines[entry.line - 1]
             s, e = entry.span
             if line[s:e] != entry.snippet:
                 failures.append(

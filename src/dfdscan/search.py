@@ -1,11 +1,14 @@
 """File indexing and keyword search over a codebase snapshot.
 
 The index reads every text file once, classifies it by filename, and keeps
-one text per file plus, for Java, a comment-masked copy so searches do not
-hit commented-out code.  Lines are offsets into that text.  Literal
-searches run through _kernel.scan unless the index's token vocabulary
-shows the keyword cannot occur, their results are cached on the index,
-and every search returns matches ordered by (path, line, span).
+one text per file, the offset of every line start and, for Java, the
+[start, end) offsets of every comment, so searches do not hit
+commented-out code.  Masked text is never stored: a literal search scans
+the text and skips hits that touch a comment, and every other reader
+blanks the slice it needs on demand.  Literal searches run through
+_kernel.scan unless the index's token vocabulary shows the keyword cannot
+occur, small results are cached on the index, and every search returns
+matches ordered by (path, line, span).
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import posixpath
 import re
 import stat
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add
@@ -71,16 +75,17 @@ _JAVA_CODE = re.compile(
 )
 
 
-def mask_java_comments(text: str) -> str:
-    """Blank out // and /* */ comments, preserving line/column layout.
+def mask_java_comments(text: str) -> array:
+    """The comment mask of Java text: where its // and /* */ comments lie.
 
-    String, char and text-block literals are honored so protocol strings
-    like "http://host" survive.  Comment characters become spaces and
-    newlines stay, which keeps every span in the masked text valid in the
-    original text too.  An unterminated comment runs to the end of the text.
+    Returns the [start, end) offsets of every comment, flat and in order
+    (start0, end0, start1, end1, ...).  A // comment ends before its
+    newline; an unterminated comment runs to the end of the text.  String,
+    char and text-block literals are honored, so protocol strings like
+    "http://host" are not comments.  blank_comments applies the mask.
     """
-    parts = []
-    copied = pos = 0
+    spans = array("I")
+    pos = 0
     n = len(text)
     while pos < n:
         pos = _JAVA_CODE.match(text, pos).end()
@@ -88,45 +93,71 @@ def mask_java_comments(text: str) -> str:
             end = text.find("\n", pos)
             if end == -1:
                 end = n
-            blank = " " * (end - pos)
         elif text.startswith("/*", pos):
             end = text.find("*/", pos + 2)
             end = n if end == -1 else end + 2
-            blank = "\n".join(" " * len(part) for part in text[pos:end].split("\n"))
         else:
             continue  # the end of the text, or the repeat bound
-        parts += (text[copied:pos], blank)
-        copied = pos = end
-    if not parts:
-        return text
-    parts.append(text[copied:])
+        spans.append(pos)
+        spans.append(end)
+        pos = end
+    return spans
+
+
+def blank_comments(text: str, comments: array, start: int = 0, end: int | None = None) -> str:
+    """text[start:end] with the comment characters in it turned to spaces.
+
+    comments is a mask from mask_java_comments.  Newlines stay, so line and
+    column layout is kept and a span in the result is valid in text too.
+    """
+    end = len(text) if end is None else end
+    i = bisect_right(comments, start) & ~1  # the first comment ending after start
+    parts = []
+    copied = start
+    while i < len(comments) and comments[i] < end:
+        lo = max(comments[i], start)
+        hi = min(comments[i + 1], end)
+        parts += (text[copied:lo], "\n".join(" " * len(part) for part in text[lo:hi].split("\n")))
+        copied = hi
+        i += 2
+    parts.append(text[copied:end])
     return "".join(parts)
 
 
-@dataclass
+_NO_COMMENTS = array("I")
+
+
+@dataclass(slots=True)
 class IndexedFile:
     """One file of the snapshot.
 
-    masked_text is the comment-masked copy of text for Java and text itself
-    otherwise.  line_starts holds the offset of every line start; files are
-    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.
+    comments is the comment mask of a Java file (see mask_java_comments)
+    and empty otherwise; the masked text is not stored.  line_starts holds
+    the offset of every line start; files are capped at MAX_FILE_BYTES, so
+    32-bit offsets are enough.
     """
 
     path: str
     language: str
     text: str = field(repr=False)
-    masked_text: str = field(repr=False)
     line_starts: array = field(repr=False)
+    comments: array = field(repr=False)
 
-    def search_text(self, raw: bool = False) -> str:
-        return self.text if raw else self.masked_text
+    def search_text(self, raw: bool = False, start: int = 0, end: int | None = None) -> str:
+        """text[start:end], with comments blanked unless raw.
+
+        This is how every reader gets masked text: it is built on demand
+        and only for the slice asked for.
+        """
+        if raw:
+            return self.text[start:end]
+        return blank_comments(self.text, self.comments, start, end)
 
     def line(self, index: int, masked: bool = False) -> str:
         """The 0-based line index of the text, without its newline."""
-        text = self.masked_text if masked else self.text
         starts = self.line_starts
-        end = starts[index + 1] - 1 if index + 1 < len(starts) else len(text)
-        return text[starts[index] : end]
+        end = starts[index + 1] - 1 if index + 1 < len(starts) else len(self.text)
+        return self.search_text(not masked, starts[index], end)
 
 
 def normalize_newlines(text: str) -> str:
@@ -141,11 +172,11 @@ def normalize_newlines(text: str) -> str:
 def _index_file(rel_path: str, content: str) -> IndexedFile:
     text = normalize_newlines(content)
     language = classify_path(rel_path)
-    masked = mask_java_comments(text) if language == "java" else text
+    comments = mask_java_comments(text) if language == "java" else _NO_COMMENTS
     lengths = list(map(len, text.split("\n")))
     # line i starts after the i previous lines and their newlines
     starts = array("I", map(add, accumulate(lengths, initial=0), range(len(lengths))))
-    return IndexedFile(rel_path, language, text, masked, starts)
+    return IndexedFile(rel_path, language, text, starts, comments)
 
 
 # Texts are tokenised in slices of about this many characters, each cut at
@@ -160,8 +191,10 @@ class FileIndex:
 
     Each (languages, raw) pair searched gets its file list and, built on
     first use, its vocabulary: the distinct whitespace-separated tokens of
-    the searched texts, joined by newlines.  Literal results are cached per
-    (keyword, languages, raw); the counters say how searches were served.
+    the searched texts, joined by newlines.  Literal results of at most
+    _CACHED_MATCHES matches are cached per (keyword, languages, raw); the
+    counters say how searches were served.  Java files are also listed by
+    file name for cross-file resolution.
     """
 
     root: Path
@@ -174,9 +207,13 @@ class FileIndex:
     _lists: dict = field(default_factory=dict, init=False, repr=False)
     _vocabularies: dict = field(default_factory=dict, init=False, repr=False)
     _results: dict = field(default_factory=dict, init=False, repr=False)
+    _java_named: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.by_path = {f.path: f for f in self.files}
+        for f in self.files:
+            if f.language == "java":
+                self._java_named.setdefault(f.path.rpartition("/")[2], []).append(f)
 
     def of_language(self, *languages: str) -> list[IndexedFile]:
         return list(self._files(frozenset(languages)))
@@ -193,17 +230,28 @@ class FileIndex:
         if vocab is None:
             tokens: set[str] = set()
             for f in self._files(wanted):
-                text = f.search_text(raw)
-                start, n = 0, len(text)
-                while start < n:
-                    end = start + _VOCAB_SLICE
-                    if end < n:
-                        cut = _SPACE.search(text, end)
-                        end = cut.start() if cut else n
-                    tokens.update(text[start:end].split())
-                    start = end
+                # the tokens between comments are those of the masked text
+                text = f.text
+                bounds = iter(() if raw else f.comments)
+                start = 0
+                for stop, after in zip(bounds, bounds):
+                    _add_tokens(tokens, text, start, stop)
+                    start = after
+                _add_tokens(tokens, text, start, len(text))
             vocab = self._vocabularies[(wanted, raw)] = "\n".join(tokens)
         return vocab
+
+
+def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
+    """Add the tokens of text[start:stop], split in slices."""
+    while start < stop:
+        end = stop
+        if start + _VOCAB_SLICE < stop:
+            cut = _SPACE.search(text, start + _VOCAB_SLICE, stop)
+            if cut:
+                end = cut.start()
+        tokens.update(text[start:end].split())
+        start = end
 
 
 def build_index(
@@ -261,21 +309,16 @@ def build_index(
     return FileIndex(root=root, files=files, warnings=warnings)
 
 
-def snapshot_line(root: str | Path, rel_path: str, line: int) -> str | None:
-    """Re-read one line from disk with the same normalization as the index.
-
-    line is 1-based.  Returns None when the file or line is gone, which a
-    trace integrity check treats as a failure.
-    """
-    p = Path(root) / rel_path
+def snapshot_lines(root: str | Path, rel_path: str) -> list[str] | None:
+    """Re-read a file's lines from disk with the same normalization as the
+    index, so line n of the index is item n - 1.  None when the file cannot
+    be read, which a trace integrity check treats as a failure."""
     try:
-        data = p.read_bytes()
+        with open(os.path.join(root, rel_path), "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
-    lines = normalize_newlines(data.decode("utf-8", errors="replace")).split("\n")
-    if not 1 <= line <= len(lines):
-        return None
-    return lines[line - 1]
+    return normalize_newlines(data.decode("utf-8", errors="replace")).split("\n")
 
 
 # ============================================================================
@@ -295,18 +338,38 @@ class Match:
 
 
 def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> list[Match]:
-    """Every literal occurrence of keyword in the files, as matches."""
+    """Every literal occurrence of keyword in the files, as matches.
+
+    Masking turns comments into spaces and newlines, and a keyword holds no
+    newline.  So unless it holds a space, a keyword occurs in the masked
+    text exactly where it occurs in the text without touching a comment:
+    the kernel scans the text and skips the comments.  A keyword with a
+    space could match blanks and is scanned in the masked text, built for
+    the file.
+    """
+    spaced = " " in keyword
     out: list[Match] = []
     for f in files:
+        if spaced or raw:
+            text, skip = f.search_text(raw), _NO_COMMENTS
+        else:
+            text, skip = f.text, f.comments
         # called through the module so a tracer that wraps _kernel.scan sees it
-        for li, s, e in _kernel.scan(f.search_text(raw), keyword, f.line_starts):
+        for li, s, e in _kernel.scan(text, keyword, f.line_starts, skip):
             out.append(Match(f.path, li + 1, (s, e), keyword, f.line(li)))
     return out
 
 
+# Repeat searches in the built-in rules are for keywords with a handful of
+# hits; a keyword with thousands (such as "http") is read once.  Caching
+# only small results keeps the cache small, and a repeated large search
+# costs one more scan.
+_CACHED_MATCHES = 64
+
+
 def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[Match]:
     """The matches of keyword in the wanted languages' files, cached on the
-    index; the caller copies the list it returns."""
+    index when few; the caller copies the list it returns."""
     index.literal_searches += 1
     key = (keyword, wanted, raw)
     found = index._results.get(key)
@@ -319,7 +382,8 @@ def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[Mat
         found = []
     else:
         found = _scan_files(index._files(wanted), keyword, raw)
-    index._results[key] = found
+    if len(found) <= _CACHED_MATCHES:
+        index._results[key] = found
     return found
 
 
@@ -334,7 +398,8 @@ def find_keyword(
 
     Literal search is case-sensitive and may return overlapping matches;
     a keyword absent from the index's vocabulary is not scanned at all, and
-    a repeated literal search is served from the index's cache.
+    a repeated literal search with few matches is served from the index's
+    cache.
     raw=True searches original text even where comments are masked.
     A malformed pattern with regex=True raises re.error.
     """
@@ -408,21 +473,11 @@ def resolve_cross_file(
     stem, dot, remainder = dotted.partition(".")
     if not dot or not stem or not remainder:
         return None
-    target_name = stem + ".java"
     origin_dir = posixpath.dirname(origin_path)
-    candidates = [
-        f
-        for f in index.files
-        if f.language == "java"
-        and posixpath.basename(f.path) == target_name
-        and f.path != origin_path
-    ]
+    candidates = [f for f in index._java_named.get(stem + ".java", ()) if f.path != origin_path]
     if not candidates:
         return None
-    candidates.sort(
-        key=lambda f: (0 if posixpath.dirname(f.path) == origin_dir else 1, f.path)
-    )
-    target = candidates[0]
+    target = min(candidates, key=lambda f: (posixpath.dirname(f.path) != origin_dir, f.path))
     member = remainder.partition(".")[0]
     first: Match | None = None
     for hit in _scan_files([target], member):

@@ -448,6 +448,26 @@ def test_plain_url_without_client_marker_ignored(tmp_path):
     assert dfd.node("example.org") is None
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        'String docs = "https://example.org/manual"; // restTemplate.getForObject(docs)\n',
+        '/* WebClient */ String docs = "https://example.org/manual";\n',
+    ],
+)
+def test_client_named_only_in_a_comment_makes_no_flow(tmp_path, line):
+    files = {
+        "svc/pom.xml": "<project><artifactId>svc</artifactId></project>",
+        "svc/src/main/resources/application.yml": APP_YML % "svc",
+        "svc/src/main/java/Doc.java": line,
+    }
+    dfd, _ = analyze(tmp_path, files)
+    assert dfd.node("example.org") is None
+    # --paper-parity reads comments as code
+    raw, _ = analyze(tmp_path, raw=True)
+    assert raw.has_flow("svc", "example.org")
+
+
 def test_discovery_flow_and_registry_node(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -519,6 +539,26 @@ def test_rabbit_producer_consumer_flows(tmp_path):
     assert "message_producer_rabbitmq" in out.stereotypes
     inc = dfd.flows[("rabbitmq", "consumer")]
     assert "message_consumer_rabbitmq" in inc.stereotypes
+
+
+def test_broker_inferred_from_code_is_traced_to_that_code(tmp_path):
+    # no broker property: the producer call is the only evidence of the broker
+    dfd, _ = analyze(
+        tmp_path,
+        {
+            "p/pom.xml": "<project><artifactId>p</artifactId></project>",
+            "p/src/main/resources/application.yml": APP_YML % "p",
+            "p/src/main/java/P.java": 'class P {\n  void f() { rabbitTemplate.convertAndSend("q", m); }\n}\n',
+        },
+    )
+    assert "message_broker" in dfd.node("rabbitmq").stereotypes
+    primary = dfd.traces.get("rabbitmq").primary
+    assert (primary.file, primary.line, primary.snippet) == (
+        "p/src/main/java/P.java",
+        2,
+        "rabbitTemplate.convertAndSend",
+    )
+    assert verify_traces(dfd, tmp_path)[1] == []
 
 
 def test_kafka_flows_from_bootstrap_servers(tmp_path):

@@ -95,6 +95,38 @@ def test_randomized_against_oracle(scan):
         assert got == oracle_scan(text, keyword), (text, keyword)
 
 
+def oracle_scan_outside(text, keyword, skip):
+    """oracle_scan without the occurrences that touch a skipped range."""
+    ranges = list(zip(skip[::2], skip[1::2]))
+    starts = line_starts_of(text)
+    return [
+        (li, s, e)
+        for li, s, e in oracle_scan(text, keyword)
+        if not any(a < starts[li] + e and starts[li] + s < b for a, b in ranges)
+    ]
+
+
+def test_skipped_ranges_hold_no_occurrence(scan):
+    text = "ab/*ab*/ab/**/ab\naab//ab"
+    skip = array("I", [2, 8, 10, 14, 20, 24])
+    got = scan(text, "ab", line_starts_of(text), skip)
+    assert got == [(0, 0, 2), (0, 8, 10), (0, 14, 16), (1, 1, 3)]
+    assert got == oracle_scan_outside(text, "ab", skip)
+    # touching a range at either end is enough to be left out
+    assert scan("xab", "xa", [0], [1, 2]) == [] and scan("abx", "bx", [0], [0, 2]) == []
+
+
+def test_randomized_skips_against_oracle(scan):
+    rng = random.Random(8)
+    for _ in range(500):
+        text = "".join(rng.choice("ab\nc") for _ in range(rng.randrange(0, 80)))
+        cuts = sorted(rng.sample(range(len(text) + 1), min(len(text) + 1, 2 * rng.randrange(4))))
+        skip = array("I", [c for a, b in zip(cuts[::2], cuts[1::2]) if a < b for c in (a, b)])
+        keyword = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 4)))
+        got = scan(text, keyword, line_starts_of(text), skip)
+        assert got == oracle_scan_outside(text, keyword, skip), (text, keyword, skip)
+
+
 def test_index_line_starts_array(scan):
     # the index hands the scanner an array('I'), not a list
     text = "a.b x\n\nx a.b\na.b"

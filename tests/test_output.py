@@ -202,6 +202,36 @@ def test_verify_traces_detects_missing_file(tmp_path):
     assert "unreadable" in failures[0]
 
 
+def test_verify_traces_reads_each_file_once(tmp_path, monkeypatch):
+    src = tmp_path / "compose.yml"
+    src.write_text("one: svc-a\ntwo: svc-b\nlink: svc-a\n", encoding="utf-8")
+    d = Dfd()
+    d.upsert_node(Node("svc-a", stereotypes=["gateway"]), TraceEntry("compose.yml", 1, (5, 10), "svc-a"))
+    d.upsert_node(Node("svc-b"), TraceEntry("compose.yml", 2, (5, 10), "svc-b"))
+    d.upsert_flow(Flow("svc-a", "svc-b"), TraceEntry("compose.yml", 3, (6, 11), "svc-a"))
+    d.upsert_node(Node("svc-c"), TraceEntry("compose.yml", 9, (0, 1), "x"))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    count, failures = verify_traces(d, tmp_path)
+    assert opened == [str(src)]
+    assert count == 4
+    assert failures == ["svc_c: compose.yml:9 unreadable"]
+    src.write_text("one: svc-a\ntwo: svc-x\nlink: svc-a\n", encoding="utf-8")
+    opened.clear()
+    _, failures = verify_traces(d, tmp_path)
+    assert opened == [str(src)]
+    assert failures == [
+        "svc_b: compose.yml:2 span (5:10) holds 'svc-x', recorded 'svc-b'",
+        "svc_c: compose.yml:9 unreadable",
+    ]
+
+
 # ----------------------------------------------------------------------
 # byte determinism
 # ----------------------------------------------------------------------

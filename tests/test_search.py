@@ -13,6 +13,7 @@ from dfdscan import _kernel
 from dfdscan.search import (
     _SPACE,
     Match,
+    blank_comments,
     build_index,
     classify_path,
     find_keyword,
@@ -20,7 +21,7 @@ from dfdscan.search import (
     mask_java_comments,
     resolve_cross_file,
     resolve_env_var,
-    snapshot_line,
+    snapshot_lines,
 )
 
 
@@ -121,8 +122,13 @@ def oracle_mask(text):
     return "\n".join(masked)
 
 
+def masked(text):
+    """text with its comment mask applied."""
+    return blank_comments(text, mask_java_comments(text))
+
+
 def mask_lines(lines):
-    return mask_java_comments("\n".join(lines)).split("\n")
+    return masked("\n".join(lines)).split("\n")
 
 
 def test_mask_line_comment_preserves_columns():
@@ -165,7 +171,7 @@ def test_mask_matches_the_per_character_oracle():
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(32)))
         if '"""' in text:
             continue
-        assert mask_java_comments(text) == oracle_mask(text), repr(text)
+        assert masked(text) == oracle_mask(text), repr(text)
         checked += 1
     assert checked > 15000
 
@@ -179,31 +185,86 @@ int after = 1;
 
 
 def test_mask_keeps_text_block_content():
-    masked = mask_java_comments(TEXT_BLOCK_JAVA)
-    assert '"http://x" and // not a comment' in masked
-    assert "real comment" not in masked
-    assert "int after = 1;" in masked
-    assert len(masked) == len(TEXT_BLOCK_JAVA)
+    result = masked(TEXT_BLOCK_JAVA)
+    assert '"http://x" and // not a comment' in result
+    assert "real comment" not in result
+    assert "int after = 1;" in result
+    assert len(result) == len(TEXT_BLOCK_JAVA)
 
 
 @pytest.mark.parametrize("opener", ["/*", "/**"])
 def test_mask_comment_opener_inside_text_block_swallows_nothing(opener):
     text = 'String h = """\n    %s generated\n    """;\n@FeignClient(name = "x")\n' % opener
-    masked = mask_java_comments(text)
-    assert opener + " generated" in masked
-    assert '@FeignClient(name = "x")' in masked
+    result = masked(text)
+    assert opener + " generated" in result
+    assert '@FeignClient(name = "x")' in result
 
 
 def test_mask_escaped_quotes_do_not_close_a_text_block():
     text = 'String s = """\n  a \\""" // kept\n  """; // gone\n'
-    masked = mask_java_comments(text)
-    assert "// kept" in masked
-    assert "gone" not in masked
+    result = masked(text)
+    assert "// kept" in result
+    assert "gone" not in result
 
 
 def test_mask_unterminated_text_block_runs_to_the_end():
     text = 'String q = """\n  a // b\n  /* c\n'
-    assert mask_java_comments(text) == text
+    assert len(mask_java_comments(text)) == 0
+
+
+TEXT_BLOCK_CASES = [
+    TEXT_BLOCK_JAVA,
+    'String h = """\n    /* generated\n    """;\n@FeignClient(name = "x")\n',
+    'String h = """\n    /** generated\n    """;\n@FeignClient(name = "x")\n',
+    'String s = """\n  a \\""" // kept\n  """; // gone\n',
+    'String q = """\n  a // b\n  /* c\n',
+    'a = """x""" /* c """ */ + "y" // """\n"""\n// z',
+]
+
+
+def fuzz_corpus():
+    """The seeded inputs of the oracle test, text blocks included."""
+    rng = random.Random(378)
+    pieces = ["/", "*", '"', "'", "\\", "\n", "a", " ", "//", "/*", "*/"]
+    return ["".join(rng.choice(pieces) for _ in range(rng.randrange(32))) for _ in range(20000)]
+
+
+def test_mask_spans_are_ordered_comments():
+    for text in fuzz_corpus() + TEXT_BLOCK_CASES:
+        spans = list(mask_java_comments(text))
+        assert spans == sorted(spans), repr(text)
+        for start, end in zip(spans[::2], spans[1::2]):
+            assert start < end <= len(text) and text.startswith(("//", "/*"), start), repr(text)
+            if text.startswith("//", start):
+                assert "\n" not in text[start:end] and text[end : end + 1] in ("", "\n"), repr(text)
+            else:
+                assert text[start + 2 : end].endswith("*/") or end == len(text), repr(text)
+
+
+def test_blanking_any_slice_matches_the_masked_text():
+    rng = random.Random(11)
+    for text in fuzz_corpus()[:4000] + TEXT_BLOCK_CASES:
+        spans = mask_java_comments(text)
+        whole = blank_comments(text, spans)
+        if '"""' not in text:
+            assert whole == oracle_mask(text), repr(text)
+        for _ in range(4):
+            a = rng.randrange(len(text) + 1)
+            b = rng.randrange(a, len(text) + 1)
+            assert blank_comments(text, spans, a, b) == whole[a:b], (text, a, b)
+
+
+def test_text_block_cases_mask_exactly():
+    expected = [
+        'String query = """\n    see "http://x" and // not a comment\n    """;' + " " * 16 + "\nint after = 1;\n",
+        'String h = """\n    /* generated\n    """;\n@FeignClient(name = "x")\n',
+        'String h = """\n    /** generated\n    """;\n@FeignClient(name = "x")\n',
+        'String s = """\n  a \\""" // kept\n  """; ' + " " * 7 + "\n",
+        'String q = """\n  a // b\n  /* c\n',
+        # the last line opens a text block that is never closed
+        'a = """x"""' + " " * 13 + '+ "y"' + " " * 7 + '\n"""\n// z',
+    ]
+    assert [masked(text) for text in TEXT_BLOCK_CASES] == expected
 
 
 def test_mask_memory_stays_bounded_without_comments():
@@ -211,17 +272,18 @@ def test_mask_memory_stays_bounded_without_comments():
     text = unit * 4000
     tracemalloc.start()
     try:
-        masked = mask_java_comments(text)
+        comments = mask_java_comments(text)
+        result = blank_comments(text, comments)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert masked is text
+    assert len(comments) == 0 and result is text
     assert peak < len(text)
 
 
 def test_mask_unterminated_comment_runs_to_the_end():
     text = "int a; /* open\nstill // comment\n end"
-    assert mask_java_comments(text) == "int a; " + " " * 7 + "\n" + " " * 16 + "\n" + " " * 4
+    assert masked(text) == "int a; " + " " * 7 + "\n" + " " * 16 + "\n" + " " * 4
 
 
 # ----------------------------------------------------------------------
@@ -279,11 +341,52 @@ def test_index_keeps_one_text_per_file(tmp_path):
     make_tree(tmp_path, {"App.java": "int a; // note\nint b;\n", "c.yml": "a: 1\nb: 2\n"})
     idx = build_index(tmp_path)
     java, yml = idx.by_path["App.java"], idx.by_path["c.yml"]
-    assert yml.masked_text is yml.text
-    assert java.masked_text == "int a;        \nint b;\n"
+    assert yml.search_text() is yml.text and len(yml.comments) == 0
+    assert java.search_text() == "int a;        \nint b;\n"
+    assert list(java.comments) == [7, 14]
     assert list(java.line_starts) == [0, 15, 22]
     assert [java.line(i) for i in range(3)] == ["int a; // note", "int b;", ""]
     assert java.line(0, masked=True) == "int a;        "
+
+
+def test_masked_lines_are_lines_of_the_masked_text(tmp_path):
+    texts = {"A%d.java" % i: text for i, text in enumerate(TEXT_BLOCK_CASES)}
+    idx = build_index(make_tree(tmp_path, texts))
+    for f in idx.files:
+        lines = masked(f.text).split("\n")
+        assert [f.line(i, masked=True) for i in range(len(lines))] == lines
+        assert f.search_text() == masked(f.text)
+
+
+def comment_heavy_tree(root, files=40):
+    rng = random.Random(7)
+    words = ["http", "@FeignClient", "getLogger", "x", "url", "=", "name", "0"]
+    for i in range(files):
+        out = []
+        for _ in range(300):
+            code = "int v%d = %d; " % (rng.randrange(99), rng.randrange(999))
+            note = " ".join(rng.choice(words) for _ in range(6))
+            out.append(rng.choice([code + "// " + note, "/* " + note + " */ " + code, code]))
+        make_tree(root, {"svc/C%d.java" % i: "\n".join(out) + "\n"})
+    return root
+
+
+def test_index_holds_each_java_text_once(tmp_path):
+    root = comment_heavy_tree(tmp_path)
+    build_index(root)  # warm up caches that outlive the index
+    tracemalloc.start()
+    try:
+        idx = build_index(root)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    chars = sum(len(f.text) for f in idx.files)
+    comment_chars = sum(
+        end - start for f in idx.files for start, end in zip(f.comments[::2], f.comments[1::2])
+    )
+    assert comment_chars > chars / 3
+    # one text (1 byte per ASCII character), line starts and comment spans
+    assert retained / chars <= 1.5
 
 
 def test_build_index_skips_symlinks_that_leave_the_root(tmp_path):
@@ -372,7 +475,7 @@ def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
     assert texts["a/b/alias.yml"] == texts["données/application.yml"] == "clé: valeur\n"
     assert texts["données/Ünïcode.java"] == "class Ü {}\n"
     assert texts["zeta/Z.java"] == "class Z {} // z\n"
-    assert idx.by_path["zeta/Z.java"].masked_text == "class Z {}     \n"
+    assert idx.by_path["zeta/Z.java"].search_text() == "class Z {}     \n"
     # a directory's own files come before its subdirectories'
     assert idx.warnings == [
         "skipped a/blob.bin: binary",
@@ -382,11 +485,8 @@ def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
 
 def test_snapshot_line_round_trip(tmp_path):
     make_tree(tmp_path, {"f.yml": "one\r\ntwo\nthree\rfour\n"})
-    assert snapshot_line(tmp_path, "f.yml", 1) == "one"
-    assert snapshot_line(tmp_path, "f.yml", 2) == "two"
-    assert snapshot_line(tmp_path, "f.yml", 4) == "four"
-    assert snapshot_line(tmp_path, "f.yml", 99) is None
-    assert snapshot_line(tmp_path, "missing.yml", 1) is None
+    assert snapshot_lines(tmp_path, "f.yml") == ["one", "two", "three", "four", ""]
+    assert snapshot_lines(tmp_path, "missing.yml") is None
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +651,20 @@ def test_gated_search_matches_the_oracle_on_random_trees(tmp_path):
         assert_like_oracle(idx, sorted(keywords))
 
 
+def test_vocabulary_is_the_tokens_of_the_searched_texts(tmp_path, miniapp_path):
+    trees = [build_index(miniapp_path), build_index(comment_heavy_tree(tmp_path / "heavy", 3))]
+    text = "a /* b */c// d\n" * 30000 + "e/**/f"
+    trees.append(build_index(make_tree(tmp_path / "big", {"Big.java": text})))
+    for idx in trees:
+        for languages in LANGUAGE_SETS:
+            wanted = None if languages is None else frozenset(languages)
+            for raw in (False, True):
+                expected = set()
+                for f in idx._files(wanted):
+                    expected.update(f.search_text(raw).split())
+                assert set(idx._vocabulary(wanted, raw).split("\n")) - {""} == expected
+
+
 def test_gate_sees_tokens_across_vocabulary_slices(tmp_path):
     # "marker" straddles the first 64 KiB cut; a token longer than a slice
     # and a file without whitespace stay whole as well
@@ -673,6 +787,22 @@ def test_cross_file_resolution_prefers_origin_directory(tmp_path):
     assert hit.file == "svc/Constants.java"
     assert hit.value == "http://orders:8080"
     assert hit.match.text == "BASE_URL"
+
+
+def test_cross_file_candidates_are_origin_directory_then_path_order(tmp_path):
+    files = {
+        "%s/Stem.java" % d: 'class Stem { static final String V = "%s"; }\n' % d
+        for d in ("a", "m", "z")
+    }
+    files["m/Caller.java"] = "use(Stem.V);\n"
+    files["q/Caller.java"] = "use(Stem.V);\n"
+    files["a/Stem.JAVA"] = 'class Stem { static final String V = "upper"; }\n'
+    idx = build_index(make_tree(tmp_path, files))
+    assert resolve_cross_file(idx, "Stem.V", "m/Caller.java").value == "m"
+    assert resolve_cross_file(idx, "Stem.V", "q/Caller.java").value == "a"
+    # the origin file itself is never its own target
+    assert resolve_cross_file(idx, "Stem.V", "a/Stem.java").value == "m"
+    assert resolve_cross_file(idx, "Other.V", "m/Caller.java") is None
 
 
 def test_iterative_search_cross_file_jump(tmp_path):
