@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .extractors import Report, run_pipeline
 from .model import Dfd
-from .rules import RuleSet, load_rules
+from .rules import load_rules
 from .search import FileIndex, build_index
 
 
@@ -28,7 +28,6 @@ class AnalysisResult:
 
 def analyze_directory(
     path: str | Path,
-    rules: RuleSet | None = None,
     keyword_rules_path: str | None = None,
     image_catalog_path: str | None = None,
     raw: bool = False,
@@ -37,8 +36,7 @@ def analyze_directory(
     path = Path(path)
     if not path.is_dir():
         raise AnalysisError("not a directory: %s" % path)
-    if rules is None:
-        rules = load_rules(keyword_path=keyword_rules_path, image_path=image_catalog_path)
+    rules = load_rules(keyword_path=keyword_rules_path, image_path=image_catalog_path)
     started = time.perf_counter()
     index = build_index(path)
     dfd, report = run_pipeline(index, rules=rules, raw=raw)

@@ -83,11 +83,20 @@ class SslAnnotations(Extractor):
                 continue
             entry = svc.properties.get("server.ssl.enabled")
             if entry is not None and entry.value.strip().lower() == "true":
-                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace())
+                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace)
                 continue
             entry = svc.properties.get("server.ssl.key-store")
             if entry is not None and entry.value.strip():
-                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace())
+                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace)
+
+
+# the configuration prefix holding the credentials of each datastore kind
+_CREDENTIAL_PREFIX = {
+    "jdbc": "spring.datasource",
+    "mongodb": "spring.data.mongodb",
+    "redis": "spring.redis",
+    "elasticsearch": "spring.elasticsearch",
+}
 
 
 @register
@@ -122,7 +131,7 @@ class CredentialAnnotations(Extractor):
             value = entry.value.strip()
             if not value or "${" in value:
                 continue
-            found.setdefault(tag, (value, entry.trace()))
+            found.setdefault(tag, (value, entry.trace))
         return found
 
     def _apply(self, ctx: Context, item_id: str, found) -> None:
@@ -148,10 +157,7 @@ class CredentialAnnotations(Extractor):
         """owned: the (db, kind) pairs of the service's datastores, in order."""
         owner = svc.canonical
         for db, kind in owned:
-            prefix = "spring.datasource" if kind == "jdbc" else "spring.data.mongodb"
-            if kind == "redis":
-                prefix = "spring.redis"
-            found = self._collect(ctx, svc, prefix)
+            found = self._collect(ctx, svc, _CREDENTIAL_PREFIX[kind])
             if not found:
                 continue
             self._apply(ctx, db, found)
@@ -226,7 +232,7 @@ class LoadBalancedLinks(Extractor):
         for svc in ctx.services.values():
             if svc.properties.find_prefix("ribbon"):
                 entry = svc.properties.find_prefix("ribbon")[0]
-                owners.setdefault(svc.canonical, entry.trace())
+                owners.setdefault(svc.canonical, entry.trace)
         _annotate_outgoing(ctx, owners, "load_balanced_link")
         for key in ctx.lb_flow_hints:
             if key in ctx.dfd.flows:

@@ -219,7 +219,7 @@ def resolve_text(
             for key in keys:
                 e = svc.properties.get(key)
                 if e is not None and "${" not in e.value and e.value.strip():
-                    return e.value.strip(), e.trace()
+                    return e.value.strip(), e.trace
         env_val = resolve_env_var(ctx.index, "${%s}" % name, origin_file)
         if env_val:
             return env_val, None
@@ -246,5 +246,5 @@ def resolve_entry(
     ctx: Context, svc: ServiceRoot | None, entry: PropertyEntry
 ) -> tuple[str | None, TraceEntry]:
     """Resolve one property entry's value; trace follows the resolution."""
-    value, trace = resolve_text(ctx, svc, entry.value, entry.file)
-    return value, trace or entry.trace()
+    value, trace = resolve_text(ctx, svc, entry.value, entry.trace.file)
+    return value, trace or entry.trace

@@ -32,25 +32,24 @@ def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
     service holding the fallback keyword, else None.  The trace follows
     placeholder resolution.
     """
-    host, override = _resolved_host(ctx, svc, entry.value, entry.file)
-    trace = override or entry.trace()
+    host, override = _resolved_host(ctx, svc, entry.value, entry.trace.file)
+    trace = override or entry.trace
     if is_remote(host):
         return host, trace
     return (ctx.sole_owner(fallback) if fallback else None), trace
 
 
-def _joined_lines(file, start_line: int, stop: int | None = None, count: int = 4) -> str:
+def _joined_lines(file, start_line: int, stop: int | None) -> str:
     """A statement that may wrap across lines, re-joined for regexes.
 
-    The window holds count lines of the masked text from start_line and is
-    cut at the text offset stop when one is given.
+    The window is the masked text from start_line to the text offset stop,
+    or four lines long when there is no stop.
     """
     starts = file.line_starts
-    last = start_line - 1 + count
-    end = starts[last] - 1 if last < len(starts) else len(file.text)
-    if stop is not None:
-        end = min(end, stop)
-    window = file.search_text(start=starts[start_line - 1], end=end)
+    if stop is None:
+        last = start_line + 3
+        stop = starts[last] - 1 if last < len(starts) else len(file.text)
+    window = file.search_text(start=starts[start_line - 1], end=stop)
     return " ".join(l.strip() for l in window.split("\n"))
 
 
@@ -217,47 +216,55 @@ class RestClientFlows(Extractor):
 # ============================================================================
 
 
+class _UrlFlows(Extractor):
+    """A flow between each service and the host of a URL it configures.
+
+    The first of keys that a service configures holds the URL.  When its
+    host is local, the sole service holding the fallback keyword stands in.
+    With a node_stereotype the peer becomes a service node carrying it.
+    The flow runs from the peer to the service when inbound, else the other
+    way.  Subclasses set the class attributes; this class is not registered.
+    """
+
+    phase = "flow"
+    keys: tuple[str, ...] = ()
+    fallback: str | None = None
+    node_stereotype: str | None = None
+    stereotypes: tuple[str, ...] = ("restful_http",)
+    inbound = False
+
+    def run(self, ctx: Context) -> None:
+        for svc in ctx.services.values():
+            entry = svc.properties.get(*self.keys)
+            if entry is None:
+                continue
+            target, trace = _remote_target(ctx, svc, entry, self.fallback)
+            if not target:
+                continue
+            if self.node_stereotype is not None:
+                ctx.dfd.upsert_node(Node(target, "service", [self.node_stereotype]), trace)
+            ends = (target, svc.name) if self.inbound else (svc.name, target)
+            ctx.connect(*ends, self.stereotypes, trace)
+
+
 @register
-class ConfigClientFlows(Extractor):
+class ConfigClientFlows(_UrlFlows):
     """Configuration flowing from a config server to its clients."""
 
     name = "config_client_flows"
-    phase = "flow"
-
-    def run(self, ctx: Context) -> None:
-        for svc in ctx.services.values():
-            entry = svc.properties.get("spring.cloud.config.uri")
-            if entry is not None:
-                target, trace = _remote_target(ctx, svc, entry, "@EnableConfigServer")
-            else:
-                disc = svc.properties.get("spring.cloud.config.discovery.service-id")
-                if disc is None:
-                    continue
-                target, trace = resolve_entry(ctx, svc, disc)
-            if target:
-                ctx.connect(target, svc.name, ["restful_http"], trace)
+    keys = ("spring.cloud.config.uri", "spring.cloud.config.discovery.service-id")
+    fallback = "@EnableConfigServer"
+    inbound = True
 
 
 @register
-class DiscoveryFlows(Extractor):
+class DiscoveryFlows(_UrlFlows):
     """Service registration with a discovery server."""
 
     name = "discovery_flows"
-    phase = "flow"
-
-    def run(self, ctx: Context) -> None:
-        for svc in ctx.services.values():
-            entry = svc.properties.get("eureka.client.serviceurl.defaultzone")
-            if entry is None:
-                continue
-            target, trace = _remote_target(ctx, svc, entry, "@EnableEurekaServer")
-            if not target:
-                continue
-            registry = Node(target, "service", ["service_discovery"])
-            registry = ctx.dfd.upsert_node(registry, trace)
-            if registry.name == svc.canonical:
-                continue
-            ctx.dfd.upsert_flow(Flow(svc.name, target, ["restful_http"]), trace)
+    keys = ("eureka.client.serviceurl.defaultzone",)
+    fallback = "@EnableEurekaServer"
+    node_stereotype = "service_discovery"
 
 
 # ============================================================================
@@ -295,9 +302,9 @@ class BrokerFlows(Extractor):
             out_bind = [e for e in bindings if ".output" in e.key or ".out" in e.key]
             in_bind = [e for e in bindings if ".input" in e.key or ".in." in e.key]
             if out_bind:
-                out_traces.append(out_bind[0].trace())
+                out_traces.append(out_bind[0].trace)
             if in_bind:
-                in_traces.append(in_bind[0].trace())
+                in_traces.append(in_bind[0].trace)
             if kind is None and (out_traces or in_traces):
                 kind, broker_name = "rabbitmq", self._default_broker(ctx, "rabbitmq")
                 # no broker property: the code that uses the broker is its evidence
@@ -325,9 +332,9 @@ class BrokerFlows(Extractor):
             host, trace = resolve_entry(ctx, svc, entry)
             name = host if is_remote(host) else self._default_broker(ctx, "rabbitmq")
             return "rabbitmq", name, trace
-        entry = svc.properties.get("spring.kafka.bootstrap-servers")
-        if entry is None:
-            entry = svc.properties.get("spring.cloud.stream.kafka.binder.brokers")
+        entry = svc.properties.get(
+            "spring.kafka.bootstrap-servers", "spring.cloud.stream.kafka.binder.brokers"
+        )
         if entry is not None:
             value, trace = resolve_entry(ctx, svc, entry)
             host = (value or "").split(",")[0].split(":")[0].strip()
@@ -445,7 +452,7 @@ class GatewayRouteFlows(Extractor):
                 target, trace = _remote_target(ctx, svc, entry)
             else:
                 entry = next(iter(attrs.values()))
-                trace = entry.trace()
+                trace = entry.trace
                 if ctx.service_named(route_id) is not None:
                     target = route_id
             if target:
@@ -468,54 +475,30 @@ class GatewayRouteFlows(Extractor):
 
 
 @register
-class OAuthFlows(Extractor):
+class OAuthFlows(_UrlFlows):
     """Token traffic between services and their authorization server."""
 
     name = "oauth_flows"
-    phase = "flow"
-
-    def run(self, ctx: Context) -> None:
-        for svc in ctx.services.values():
-            entry = None
-            for key in (
-                "security.oauth2.client.access-token-uri",
-                "security.oauth2.resource.user-info-uri",
-                "spring.security.oauth2.client.provider.token-uri",
-            ):
-                entry = svc.properties.get(key)
-                if entry is not None:
-                    break
-            if entry is None:
-                continue
-            target, trace = _remote_target(ctx, svc, entry, "@EnableAuthorizationServer")
-            if target:
-                ctx.connect(svc.name, target, ["restful_http", "auth_provider"], trace)
+    keys = (
+        "security.oauth2.client.access-token-uri",
+        "security.oauth2.resource.user-info-uri",
+        "spring.security.oauth2.client.provider.token-uri",
+    )
+    fallback = "@EnableAuthorizationServer"
+    stereotypes = ("restful_http", "auth_provider")
 
 
 @register
-class TracingFlows(Extractor):
+class TracingFlows(_UrlFlows):
     """Trace shipping to a distributed tracing server."""
 
     name = "tracing_flows"
-    phase = "flow"
-
-    def run(self, ctx: Context) -> None:
-        for svc in ctx.services.values():
-            entry = svc.properties.get("spring.zipkin.base-url")
-            if entry is None:
-                continue
-            host, trace = _remote_target(ctx, svc, entry)
-            if not host:
-                continue
-            tracer = Node(host, "service", ["tracing_server"])
-            tracer = ctx.dfd.upsert_node(tracer, trace)
-            if tracer.name == svc.canonical:
-                continue
-            ctx.dfd.upsert_flow(Flow(svc.name, host, ["restful_http"]), trace)
+    keys = ("spring.zipkin.base-url",)
+    node_stereotype = "tracing_server"
 
 
 @register
-class MonitoringFlows(Extractor):
+class MonitoringFlows(_UrlFlows):
     """Metric aggregation: turbine clusters and admin clients.
 
     A turbine app list that names the turbine service itself would create a
@@ -524,27 +507,19 @@ class MonitoringFlows(Extractor):
     """
 
     name = "monitoring_flows"
-    phase = "flow"
+    keys = ("spring.boot.admin.url", "spring.boot.admin.client.url")
 
     def run(self, ctx: Context) -> None:
         for svc in ctx.services.values():
             entry = svc.properties.get("turbine.app-config")
-            if entry is not None:
-                value, trace = resolve_entry(ctx, svc, entry)
-                for app in (value or "").split(","):
-                    app = app.strip()
-                    if not app:
-                        continue
-                    flow = Flow(app, svc.name, ["restful_http"], allow_self=True)
-                    ctx.dfd.upsert_flow(flow, trace)
-            entry = svc.properties.get("spring.boot.admin.url")
-            if entry is None:
-                entry = svc.properties.get("spring.boot.admin.client.url")
             if entry is None:
                 continue
-            host, trace = _remote_target(ctx, svc, entry)
-            if host:
-                ctx.connect(svc.name, host, ["restful_http"], trace)
+            value, trace = resolve_entry(ctx, svc, entry)
+            for app in (value or "").split(","):
+                app = app.strip()
+                if app:
+                    ctx.dfd.upsert_flow(Flow(app, svc.name, ["restful_http"], allow_self=True), trace)
+        super().run(ctx)
 
 
 @register

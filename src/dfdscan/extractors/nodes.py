@@ -167,12 +167,12 @@ class DatastoreNodes(Extractor):
             return
         host, trace = resolve_entry(ctx, svc, entry)
         name = self._name_for(svc, host, "redis")
-        self._add(ctx, svc, name, "redis", trace or entry.trace(), "service", ["in_memory_datastore"])
+        self._add(ctx, svc, name, "redis", trace, "service", ["in_memory_datastore"])
 
     def _elasticsearch(self, ctx: Context, svc) -> None:
-        entry = svc.properties.get("spring.elasticsearch.uris")
-        if entry is None:
-            entry = svc.properties.get("spring.data.elasticsearch.cluster-nodes")
+        entry = svc.properties.get(
+            "spring.elasticsearch.uris", "spring.data.elasticsearch.cluster-nodes"
+        )
         if entry is None:
             return
         value, trace = resolve_entry(ctx, svc, entry)
@@ -184,7 +184,7 @@ class DatastoreNodes(Extractor):
         else:
             host = host.split(":")[0]
         name = self._name_for(svc, host, "elasticsearch")
-        self._add(ctx, svc, name, "elasticsearch", trace or entry.trace(), "service", ["search_engine"])
+        self._add(ctx, svc, name, "elasticsearch", trace, "service", ["search_engine"])
 
 
 _GATEWAY_KEYWORDS = ("@EnableZuulProxy", "@EnableZuulServer")
@@ -207,4 +207,4 @@ class GatewayMarker(Extractor):
             if routed:
                 entry = routed[0]
                 node = Node(svc.name, "service", ["gateway"])
-                ctx.dfd.upsert_node(node, entry.trace())
+                ctx.dfd.upsert_node(node, entry.trace)

@@ -13,6 +13,7 @@ from ..model import TraceEntry, normalize_name
 from ..parsers import (
     ComposeService,
     ParserError,
+    PropertyEntry,
     PropertyMap,
     parse_compose,
     parse_dockerfile,
@@ -150,14 +151,14 @@ class Workspace(Extractor):
     ) -> ServiceRoot | None:
         index = ctx.index
         if compose_match is not None:
-            props.add(_env_entry(k, v, t) for k, v, t in compose_match.environment)
+            props.add(PropertyEntry(relaxed_key(k), v, t) for k, v, t in compose_match.environment)
 
         name = None
         trace = None
         app_name = props.get("spring.application.name")
         if app_name is not None and app_name.value and "${" not in app_name.value:
             name = app_name.value
-            trace = app_name.trace()
+            trace = app_name.trace
         if name is None and compose_match is not None:
             name = compose_match.name
             trace = compose_match.trace
@@ -211,15 +212,3 @@ class Workspace(Extractor):
             return TraceEntry(f.path, 1, (0, end), first[:end])
         return None
 
-
-def _env_entry(key: str, value: str, trace: TraceEntry):
-    from ..parsers import PropertyEntry  # noqa: PLC0415
-
-    return PropertyEntry(
-        key=relaxed_key(key),
-        value=value,
-        file=trace.file,
-        line=trace.line,
-        span=trace.span,
-        snippet=trace.snippet,
-    )

@@ -56,14 +56,15 @@ def normalize_name(raw: str) -> str:
 # ============================================================================
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """Where in the codebase a model item was detected.
 
     line is 1-based; span is a 0-based half-open [start:end) character
     interval within that line, rendered as "(start:end)".  snippet keeps the
     matched text so the evidence can be re-checked against the file later;
-    it is not serialized.
+    it is not serialized.  Entries are immutable because one entry is shared
+    by every item and property entry it is evidence for.
     """
 
     file: str

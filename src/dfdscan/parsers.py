@@ -34,18 +34,12 @@ class ParserError(Exception):
 # ============================================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyEntry:
     key: str  # dotted, lowercased; sequence elements carry [i]
     value: str
-    file: str
-    line: int  # 1-based, location of the value
-    span: tuple[int, int]
-    snippet: str
+    trace: TraceEntry  # location of the value
     profile: str | None = None
-
-    def trace(self) -> TraceEntry:
-        return TraceEntry(self.file, self.line, self.span, self.snippet)
 
 
 def _dotted_suffixes(key: str):
@@ -104,12 +98,14 @@ class PropertyMap:
         entries = self.entries
         return [entries[i] for i in found]
 
-    def get(self, dotted: str) -> PropertyEntry | None:
-        found = self.find(dotted)
-        if not found:
-            return None
-        unprofiled = [e for e in found if e.profile is None]
-        return (unprofiled or found)[0]
+    def get(self, *keys: str) -> PropertyEntry | None:
+        """The entry of the first key that has one, unprofiled entries first."""
+        for dotted in keys:
+            found = self.find(dotted)
+            if found:
+                unprofiled = [e for e in found if e.profile is None]
+                return (unprofiled or found)[0]
+        return None
 
     def value(self, dotted: str, default: str | None = None) -> str | None:
         e = self.get(dotted)
@@ -132,7 +128,8 @@ class PropertyMap:
 # ----------------------------------------------------------------------------
 
 
-def _scalar_location(node, lines: list[str]) -> tuple[int, tuple[int, int], str]:
+def _trace(node, path: str, lines: list[str]) -> TraceEntry:
+    """Location of a YAML node; a value spanning lines is cut at its first line's end."""
     line = node.start_mark.line + 1
     start = node.start_mark.column
     if node.end_mark.line == node.start_mark.line:
@@ -142,35 +139,25 @@ def _scalar_location(node, lines: list[str]) -> tuple[int, tuple[int, int], str]
     if end <= start:
         end = start + 1
     raw = lines[line - 1] if line - 1 < len(lines) else ""
-    return line, (start, end), raw[start:end]
+    return TraceEntry(path, line, (start, end), raw[start:end])
 
 
-def _flatten_yaml(node, prefix: str, lines: list[str], entries: list[PropertyEntry]) -> None:
+def _flatten_yaml(node, prefix: str, scalars: list[tuple[str, yaml.ScalarNode]]) -> None:
+    """Collect (dotted key, scalar node) pairs below node, in document order."""
     if isinstance(node, yaml.MappingNode):
         for k, v in node.value:
             key_text = str(getattr(k, "value", ""))
             if key_text == "<<":
-                _flatten_yaml(v, prefix, lines, entries)
+                _flatten_yaml(v, prefix, scalars)
                 continue
             dotted = "%s.%s" % (prefix, key_text.lower()) if prefix else key_text.lower()
-            _flatten_yaml(v, dotted, lines, entries)
+            _flatten_yaml(v, dotted, scalars)
     elif isinstance(node, yaml.SequenceNode):
         for i, v in enumerate(node.value):
-            _flatten_yaml(v, "%s[%d]" % (prefix, i), lines, entries)
+            _flatten_yaml(v, "%s[%d]" % (prefix, i), scalars)
     elif isinstance(node, yaml.ScalarNode):
-        if not prefix:
-            return
-        line, span, snippet = _scalar_location(node, lines)
-        entries.append(
-            PropertyEntry(
-                key=prefix,
-                value=str(node.value),
-                file="",
-                line=line,
-                span=span,
-                snippet=snippet,
-            )
-        )
+        if prefix:
+            scalars.append((prefix, node))
 
 
 _PROFILE_KEYS = ("spring.profiles", "spring.config.activate.on-profile")
@@ -191,17 +178,13 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
     for doc in docs:
         if doc is None:
             continue
-        doc_entries: list[PropertyEntry] = []
-        _flatten_yaml(doc, "", lines, doc_entries)
-        profile = None
-        for e in doc_entries:
-            if e.key in _PROFILE_KEYS:
-                profile = e.value
-                break
-        for e in doc_entries:
-            e.file = file.path
-            e.profile = profile
-        entries.extend(doc_entries)
+        scalars: list[tuple[str, yaml.ScalarNode]] = []
+        _flatten_yaml(doc, "", scalars)
+        profile = next((str(n.value) for key, n in scalars if key in _PROFILE_KEYS), None)
+        entries += (
+            PropertyEntry(key, str(n.value), _trace(n, file.path, lines), profile)
+            for key, n in scalars
+        )
     return entries
 
 
@@ -246,7 +229,7 @@ def parse_properties_file(file: IndexedFile) -> list[PropertyEntry]:
             value += lines[i].strip()
         if key:
             entries.append(
-                PropertyEntry(key, value, file.path, line_no, (vstart, vend), snippet)
+                PropertyEntry(key, value, TraceEntry(file.path, line_no, (vstart, vend), snippet))
             )
         i += 1
     return entries
@@ -325,13 +308,11 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
         name = str(getattr(k, "value", "")).strip()
         if not name or not isinstance(v, yaml.MappingNode):
             continue
-        line, span, snippet = _scalar_location(k, lines)
-        svc = ComposeService(name=name, trace=TraceEntry(file.path, line, span, snippet))
+        svc = ComposeService(name=name, trace=_trace(k, file.path, lines))
         img = _mapping_get(v, "image")
         if isinstance(img, yaml.ScalarNode):
-            il, isp, isn = _scalar_location(img, lines)
             svc.image = str(img.value).strip()
-            svc.image_trace = TraceEntry(file.path, il, isp, isn)
+            svc.image_trace = _trace(img, file.path, lines)
         build = _mapping_get(v, "build")
         if isinstance(build, yaml.ScalarNode):
             svc.build_context = str(build.value).strip()
@@ -345,34 +326,28 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 if isinstance(p, yaml.ScalarNode):
                     port = _container_port(str(p.value))
                     if port is not None:
-                        pl, psp, psn = _scalar_location(p, lines)
-                        svc.ports.append((port, TraceEntry(file.path, pl, psp, psn)))
+                        svc.ports.append((port, _trace(p, file.path, lines)))
                 elif isinstance(p, yaml.MappingNode):
                     tgt = _mapping_get(p, "target")
                     if isinstance(tgt, yaml.ScalarNode):
                         port = _container_port(str(tgt.value))
                         if port is not None:
-                            pl, psp, psn = _scalar_location(tgt, lines)
-                            svc.ports.append((port, TraceEntry(file.path, pl, psp, psn)))
+                            svc.ports.append((port, _trace(tgt, file.path, lines)))
         env = _mapping_get(v, "environment")
         if isinstance(env, yaml.SequenceNode):
             for item in env.value:
                 text = _scalar(item)
                 if text and "=" in text:
                     ekey, _, eval_ = text.partition("=")
-                    el, esp, esn = _scalar_location(item, lines)
                     svc.environment.append(
-                        (ekey.strip(), eval_.strip(), TraceEntry(file.path, el, esp, esn))
+                        (ekey.strip(), eval_.strip(), _trace(item, file.path, lines))
                     )
         elif isinstance(env, yaml.MappingNode):
             for ek, ev in env.value:
                 ekey = str(getattr(ek, "value", "")).strip()
                 evalue = _scalar(ev)
                 if ekey and evalue is not None:
-                    el, esp, esn = _scalar_location(ev, lines)
-                    svc.environment.append(
-                        (ekey, evalue.strip(), TraceEntry(file.path, el, esp, esn))
-                    )
+                    svc.environment.append((ekey, evalue.strip(), _trace(ev, file.path, lines)))
         dep = _mapping_get(v, "depends_on")
         if isinstance(dep, yaml.SequenceNode):
             svc.depends_on = [str(d.value) for d in dep.value if isinstance(d, yaml.ScalarNode)]

@@ -2,7 +2,8 @@
 
 Three rule files steer extraction: keyword rules (code evidence mapped to
 node stereotypes), the container image catalog, and credential key
-suffixes.  Defaults ship as package data; the CLI can swap in user files.
+suffixes.  Defaults ship as package data; the CLI can swap in user files
+for the first two.
 """
 from __future__ import annotations
 
@@ -68,7 +69,6 @@ def _default_text(name: str) -> str:
 def load_rules(
     keyword_path: str | Path | None = None,
     image_path: str | Path | None = None,
-    credential_path: str | Path | None = None,
 ) -> RuleSet:
     """Build a RuleSet from the given files, defaulting to package data."""
     if keyword_path is not None:
@@ -79,12 +79,8 @@ def load_rules(
         image_lines = Path(image_path).read_text(encoding="utf-8").splitlines()
     else:
         image_lines = _default_text("image_catalog.txt").splitlines()
-    if credential_path is not None:
-        cred_lines = Path(credential_path).read_text(encoding="utf-8").splitlines()
-    else:
-        cred_lines = _default_text("credential_keys.txt").splitlines()
     return RuleSet(
         keyword_rules=_parse_keyword_rules(keyword_text),
         image_rules=load_image_catalog(image_lines),
-        credential_keys=_parse_credential_keys(cred_lines),
+        credential_keys=_parse_credential_keys(_default_text("credential_keys.txt").splitlines()),
     )

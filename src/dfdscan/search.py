@@ -256,7 +256,6 @@ def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
 
 def build_index(
     root: str | Path,
-    ignored_dirs: frozenset[str] | set[str] = IGNORED_DIRS,
     max_bytes: int = MAX_FILE_BYTES,
 ) -> FileIndex:
     """Walk a directory tree and index every readable text file.
@@ -271,7 +270,7 @@ def build_index(
     files: list[IndexedFile] = []
     warnings: list[str] = []
     for dirpath, dirnames, filenames in os.walk(inside):
-        dirnames[:] = sorted(d for d in dirnames if d not in ignored_dirs)
+        dirnames[:] = sorted(d for d in dirnames if d not in IGNORED_DIRS)
         # dirpath is inside joined with the relative directory
         rel_dir = os.path.join(dirpath, "")[len(inside) :].replace(os.sep, "/")
         for fn in sorted(filenames):
@@ -549,15 +548,17 @@ def iterative_search(
     """Snowballing search: seed keyword, extract identifier, chase members.
 
     seed is a literal keyword.  extract is a regex applied to each matched
-    line; its non-empty capture groups are the identifiers.  For each
-    identifier the search tries identifier.member in the same file for
-    every member in follow, then a cross-file jump for dotted identifiers,
-    then .env resolution for ${...}-shaped ones.  Unresolvable candidates
-    come back with resolved=False so no evidence is silently dropped.
+    line, comments blanked unless raw; its non-empty capture groups are the
+    identifiers.  For each identifier the search tries identifier.member in
+    the same file for every member in follow, then a cross-file jump for
+    dotted identifiers, then .env resolution for ${...}-shaped ones.
+    Unresolvable candidates come back with resolved=False so no evidence is
+    silently dropped.
     """
     chains: list[EvidenceChain] = []
     for m in find_keyword(index, seed, languages=languages, raw=raw):
-        idents = [g for mm in re.finditer(extract, m.line_text) for g in mm.groups() if g]
+        line = m.line_text if raw else index.by_path[m.file].line(m.line - 1, masked=True)
+        idents = [g for mm in re.finditer(extract, line) for g in mm.groups() if g]
         if not idents:
             chains.append(EvidenceChain([m], "", False))
             continue

@@ -4,6 +4,7 @@ synthetic codebases, order independence, and fault isolation."""
 import json
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,15 @@ from dfdscan.extractors.base import (
     resolve_text,
     run_pipeline,
 )
+from dfdscan.extractors.flows import _UrlFlows
 from dfdscan.extractors.workspace import Workspace
 from dfdscan.model import TraceEntry
 from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
 from dfdscan.rules import load_rules
 from dfdscan.search import build_index
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_tree(tmp_path, files):
@@ -186,12 +191,12 @@ def test_parent_root_holds_nested_module_entries_in_path_order(tmp_path):
     assert sorted(ctx.services) == ["core", "platform", "tools"]
     parent, child, tools = (ctx.services[n] for n in ("platform", "core", "tools"))
     # sorted by path, not grouped by format: the .properties file comes first
-    assert [e.file for e in parent.properties.entries] == [
+    assert [e.trace.file for e in parent.properties.entries] == [
         "platform/a.properties",
         "platform/application.yml",
         "platform/core/src/main/resources/application.yml",
     ]
-    assert [e.file for e in child.properties.entries] == [
+    assert [e.trace.file for e in child.properties.entries] == [
         "platform/core/src/main/resources/application.yml"
     ]
     assert parent.properties.value("spring.application.name") == "platform"
@@ -378,6 +383,22 @@ def test_feign_window_ends_at_the_annotations_closing_paren(tmp_path):
     )
     assert set(dfd.nodes) == {"caller", "callee"}
     assert set(dfd.flows) == {("caller", "callee")}
+
+
+def test_feign_window_reads_a_long_annotation_to_its_closing_paren(tmp_path):
+    java = (
+        "@FeignClient(\n"
+        "    configuration = C.class,\n"
+        "    fallback = F.class,\n"
+        "    decode404 = true,\n"
+        '    name = "b")\n'
+        "interface Client {}\n"
+    )
+    files = service_files("a", java=java)
+    files.update(service_files("b"))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {("a", "b")}
 
 
 def test_feign_client_after_a_text_block_with_a_comment_opener(tmp_path):
@@ -803,6 +824,34 @@ def test_local_config_uri_without_a_sole_config_server_has_no_flow(tmp_path):
     assert not any(receiver == "svc" for _, receiver in dfd.flows)
 
 
+CONFIG_DISCOVERY_YML = (
+    "spring:\n  cloud:\n    config:\n      discovery:\n        service-id: %s\n"
+)
+
+
+def test_config_discovery_service_id_flows_from_that_service(tmp_path):
+    files = service_files("config")
+    files.update(service_files("svc", CONFIG_DISCOVERY_YML % "config"))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {("config", "svc")}
+
+
+def test_local_config_service_id_flows_from_the_one_config_server(tmp_path):
+    files = service_files("config", java="@EnableConfigServer\nclass C {}\n")
+    files.update(service_files("svc", CONFIG_DISCOVERY_YML % "localhost"))
+    dfd, _ = analyze(tmp_path, files)
+    assert set(dfd.flows) == {("config", "svc")}
+    assert "localhost" not in dfd.nodes
+
+
+def test_local_config_service_id_without_a_config_server_has_no_flow(tmp_path):
+    dfd, report = analyze(tmp_path, service_files("svc", CONFIG_DISCOVERY_YML % "localhost"))
+    assert report.failures == []
+    assert dfd.flows == {}
+    assert set(dfd.nodes) == {"svc"}
+
+
 def test_feign_name_that_normalizes_to_empty_is_skipped(tmp_path):
     java = '@FeignClient(name = "\' \'")\ninterface C {}\n'
     dfd, report = analyze(tmp_path, service_files("svc", java=java))
@@ -864,6 +913,21 @@ def test_keyword_annotations_on_miniapp(miniapp_result):
     assert "configuration_server" in dfd.node("config").stereotypes
 
 
+ENCODER_DECLARED_IN_A_COMMENT = (
+    "class S {\n"
+    "    BCryptPasswordEncoder e = new BCryptPasswordEncoder(); "
+    "// was: BCryptPasswordEncoder legacy = old;\n"
+    "    void f(String p) { legacy.encode(p); }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["masked", "paper-parity"])
+def test_encoder_named_only_in_a_comment_is_not_chased(tmp_path, raw):
+    dfd, _ = analyze(tmp_path, service_files("svc", java=ENCODER_DECLARED_IN_A_COMMENT), raw=raw)
+    assert ("encryption" in dfd.node("svc").stereotypes) == raw
+
+
 def test_keyword_annotation_in_comment_not_counted(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -908,6 +972,29 @@ def test_datastore_credentials_and_link(tmp_path):
     assert db.tagged_values["password"] == ["hunter2"]
     flow = dfd.flows[("svc", "pay_db")]
     assert "plaintext_credentials_link" in flow.stereotypes
+
+
+def test_elasticsearch_does_not_take_mongodb_credentials(tmp_path):
+    yml = (
+        "spring:\n"
+        "  data:\n"
+        "    mongodb:\n"
+        "      host: mongo\n"
+        "      username: root\n"
+        "      password: hunter2\n"
+        "  elasticsearch:\n"
+        "    uris: http://search:9200\n"
+    )
+    dfd, report = analyze(tmp_path, service_files("svc", yml))
+    assert report.failures == []
+    mongo, search = dfd.node("mongo"), dfd.node("search")
+    assert "plaintext_credentials" in mongo.stereotypes
+    assert mongo.tagged_values["password"] == ["hunter2"]
+    assert "plaintext_credentials" not in search.stereotypes
+    assert "username" not in search.tagged_values
+    assert "password" not in search.tagged_values
+    assert "plaintext_credentials_link" in dfd.flows[("svc", "mongo")].stereotypes
+    assert "plaintext_credentials_link" not in dfd.flows[("svc", "search")].stereotypes
 
 
 def test_datastore_credentials_stay_with_their_owner(tmp_path):
@@ -1141,6 +1228,15 @@ def test_cr_only_line_ends_keep_the_diagram(miniapp_path, miniapp_result, tmp_pa
 def test_report_timings_cover_all_extractors(miniapp_result):
     names = {e.name for e in default_extractors()}
     assert names <= set(miniapp_result.report.timings)
+
+
+def test_every_extractor_has_its_benchmark_layer():
+    # merging or renaming extractors must not silently drop a per-layer metric
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        layers = {m["name"] for m in json.load(fh)["per_layer"]}
+    for ex in default_extractors():
+        assert "extractors.%s_s" % ex.name in layers
+    assert not any(type(ex) is _UrlFlows for ex in default_extractors())
 
 
 def test_empty_directory_yields_empty_diagram(tmp_path):

@@ -23,6 +23,7 @@ from dfdscan.parsers import (
     parse_yaml_properties,
     relaxed_key,
 )
+from dfdscan.model import TraceEntry
 from dfdscan.rules import load_rules
 from dfdscan.search import _index_file, build_index
 
@@ -47,9 +48,9 @@ def test_yaml_flattening_and_locations():
     entries = {e.key: e for e in parse_yaml_properties(f)}
     name = entries["spring.application.name"]
     assert name.value == "notification-service"
-    assert name.line == 3
-    assert name.span == (10, 30)
-    assert name.snippet == "notification-service"
+    assert name.trace.line == 3
+    assert name.trace.span == (10, 30)
+    assert name.trace.snippet == "notification-service"
     assert entries["server.port"].value == "8000"
 
 
@@ -232,8 +233,8 @@ def test_yaml_loaders_agree_on_fixtures_and_edge_corpus(tmp_path, monkeypatch):
     assert entries["db.url"].profile == "prod"
     assert entries["dq"].value == "double quoted é"
     assert entries["sq"].value == "single 'quoted'"
-    assert entries["emoji"].snippet == '"😀 rocket 🚀"'
-    assert entries["after"].span == (7, 11)
+    assert entries["emoji"].trace.snippet == '"😀 rocket 🚀"'
+    assert entries["after"].trace.span == (7, 11)
     api, db = parse_compose(corpus.by_path["resources/docker-compose.yml"])
     assert [p for p, _ in api.ports] == [8080, 9090]
     assert api.environment[0][:2] == ("PASSWORD", "s3cret more")
@@ -282,8 +283,8 @@ def test_properties_basic_and_colon_separator():
 def test_properties_value_span_points_at_value():
     f = _index_file("a.properties", "key = hello\n")
     (entry,) = parse_properties_file(f)
-    assert entry.line == 1
-    start, end = entry.span
+    assert entry.trace.line == 1
+    start, end = entry.trace.span
     assert "key = hello"[start:end] == "hello"
 
 
@@ -291,7 +292,7 @@ def test_properties_backslash_continuation():
     f = _index_file("a.properties", "key=one\\\n    two\n")
     (entry,) = parse_properties_file(f)
     assert entry.value == "onetwo"
-    assert entry.line == 1
+    assert entry.trace.line == 1
 
 
 def test_relaxed_key():
@@ -325,6 +326,27 @@ def test_property_map_prefers_unprofiled_entry():
     assert values == {"localhost", "rabbitmq"}
 
 
+def test_property_map_get_takes_the_first_configured_key():
+    f = yaml_file(
+        "later:\n"
+        "  key: b\n"
+        "first:\n"
+        "  key: a\n"
+        "---\n"
+        "spring:\n"
+        "  profiles: docker\n"
+        "only:\n"
+        "  profiled: p\n"
+    )
+    pm = PropertyMap(parse_yaml_properties(f))
+    # key order decides, not entry order
+    assert pm.get("first.key", "later.key").value == "a"
+    assert pm.get("missing.key", "later.key").value == "b"
+    # a key with only a profiled entry still comes before later keys
+    assert pm.get("only.profiled", "first.key").value == "p"
+    assert pm.get("missing.key", "other.key") is None
+
+
 def oracle_find(entries, dotted):
     """PropertyMap.find recomputing every relaxed key per call."""
 
@@ -352,7 +374,7 @@ def test_property_map_find_matches_the_uncached_oracle():
     pm = PropertyMap()
     for batch in range(30):
         pm.add(
-            PropertyEntry(dotted(), "%d.%d" % (batch, i), "f", 1, (0, 1), "v", rng.choice([None, "docker"]))
+            PropertyEntry(dotted(), "%d.%d" % (batch, i), TraceEntry("f", 1, (0, 1), "v"), rng.choice([None, "docker"]))
             for i in range(rng.randint(0, 10))
         )
         for _ in range(20):
