@@ -13,7 +13,6 @@ from .base import (
     default_extractors,
     register,
     run_pipeline,
-    trace_from,
 )
 
 # Importing each module registers its extractors; this order is the order
@@ -30,5 +29,4 @@ __all__ = [
     "default_extractors",
     "register",
     "run_pipeline",
-    "trace_from",
 ]

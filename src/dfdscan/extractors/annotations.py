@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..model import ModelError, flow_id, normalize_name
 from ..search import iterative_search
-from .base import Context, Extractor, register, trace_from
+from .base import Context, Extractor, register
 
 
 def _annotate(ctx: Context, item_id: str, stereotype: str, trace) -> None:
@@ -28,9 +28,9 @@ class KeywordAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for rule in ctx.rules.keyword_rules:
-            for owner, m in ctx.hits(rule.keywords, rule.languages, rule.regex):
+            for owner, hit in ctx.hits(rule.keywords, rule.languages, rule.regex):
                 if owner.canonical in ctx.dfd.nodes:
-                    _annotate(ctx, owner.canonical, rule.stereotype, trace_from(m))
+                    _annotate(ctx, owner.canonical, rule.stereotype, hit)
 
 
 _ENCODER_CLASSES = (
@@ -67,7 +67,7 @@ class EncryptionAnnotations(Extractor):
                     continue
                 owner = ctx.owner_of(chain.seed.file)
                 if owner is not None and owner.canonical in ctx.dfd.nodes:
-                    _annotate(ctx, owner.canonical, "encryption", trace_from(chain.last))
+                    _annotate(ctx, owner.canonical, "encryption", chain.last)
 
 
 @register
@@ -184,8 +184,8 @@ _HTTP_LINK = ("restful_http", "feign_connection")
 
 def _owners_with_evidence(ctx: Context, keywords) -> dict[str, object]:
     owners: dict[str, object] = {}
-    for owner, m in ctx.hits(keywords):
-        owners.setdefault(owner.canonical, trace_from(m))
+    for owner, hit in ctx.hits(keywords):
+        owners.setdefault(owner.canonical, hit)
     return owners
 
 
@@ -230,9 +230,9 @@ class LoadBalancedLinks(Extractor):
     def run(self, ctx: Context) -> None:
         owners = _owners_with_evidence(ctx, self._KEYWORDS)
         for svc in ctx.services.values():
-            if svc.properties.find_prefix("ribbon"):
-                entry = svc.properties.find_prefix("ribbon")[0]
-                owners.setdefault(svc.canonical, entry.trace)
+            ribbon = svc.properties.find_prefix("ribbon")
+            if ribbon:
+                owners.setdefault(svc.canonical, ribbon[0].trace)
         _annotate_outgoing(ctx, owners, "load_balanced_link")
         for key in ctx.lb_flow_hints:
             if key in ctx.dfd.flows:

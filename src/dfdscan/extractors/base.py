@@ -8,7 +8,6 @@ extractor never aborts the run; the failure lands in the report.
 """
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ from .. import search
 from ..model import Dfd, Flow, ModelError, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
-from ..search import FileIndex, Match, resolve_env_var
+from ..search import PLACEHOLDER, FileIndex, env_value
 
 PHASES = ("parse", "node", "flow", "annotation", "finalize")
 
@@ -34,12 +33,6 @@ def enclosing(path: str):
         yield path
         path = path.rpartition("/")[0]
     yield ""
-
-
-def trace_from(m: Match) -> TraceEntry:
-    """TraceEntry for a search match, snippet taken from the matched span."""
-    s, e = m.span
-    return TraceEntry(m.file, m.line, m.span, m.line_text[s:e])
 
 
 @dataclass
@@ -98,7 +91,7 @@ class Context:
         return None
 
     def hits(self, keywords, languages=("java",), regex=False):
-        """Yield (owner, match) for every hit of the keywords inside a service.
+        """Yield (owner, trace) for every hit of the keywords inside a service.
 
         Searches masked text unless the context is raw; hits outside every
         service directory are dropped.
@@ -192,9 +185,6 @@ def run_pipeline(
 # Placeholder resolution
 # ============================================================================
 
-_PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
-
-
 def resolve_text(
     ctx: Context, svc: ServiceRoot | None, text: str, origin_file: str
 ) -> tuple[str | None, TraceEntry | None]:
@@ -208,7 +198,7 @@ def resolve_text(
     """
     text = text.strip()
     trace: TraceEntry | None = None
-    whole = _PLACEHOLDER.fullmatch(text)
+    whole = PLACEHOLDER.fullmatch(text)
 
     def lookup(name: str, default: str | None) -> tuple[str | None, TraceEntry | None]:
         keys = [relaxed_key(name)]
@@ -220,16 +210,16 @@ def resolve_text(
                 e = svc.properties.get(key)
                 if e is not None and "${" not in e.value and e.value.strip():
                     return e.value.strip(), e.trace
-        env_val = resolve_env_var(ctx.index, "${%s}" % name, origin_file)
-        if env_val:
-            return env_val, None
+        found = env_value(ctx.index, name.strip(), origin_file)
+        if found is not None and found[0]:
+            return found[0], None
         if default is not None:
             return default.strip(), None
         return None, None
 
     out = []
     last = 0
-    for m in _PLACEHOLDER.finditer(text):
+    for m in PLACEHOLDER.finditer(text):
         value, vtrace = lookup(m.group(1), m.group(2))
         if value is None:
             return None, None

@@ -10,8 +10,8 @@ import re
 from urllib.parse import urlparse
 
 from ..model import Flow, Node
-from ..search import find_keyword, resolve_cross_file
-from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_text, trace_from
+from ..search import find_keyword, resolve_cross_file, string_constant
+from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_text
 
 
 def _resolved_host(ctx: Context, svc, url_value: str, origin_file: str):
@@ -57,13 +57,13 @@ _ARGS_OPEN = re.compile(r"\s*\(")
 _PAREN_OR_LITERAL = re.compile(r"\"(?:[^\"\\\n]|\\.)*\"|'(?:[^'\\\n]|\\.)*'|[()]")
 
 
-def _annotation_end(file, m) -> int | None:
-    """Text offset just past the annotation matched by m.
+def _annotation_end(file, hit) -> int | None:
+    """Text offset just past the annotation whose name is at hit.
 
     That is the balanced ) closing its arguments, or the end of its name
     when it has none.  None when the arguments are never closed.
     """
-    pos = file.line_starts[m.line - 1] + m.span[1]
+    pos = file.line_starts[hit.line - 1] + hit.span[1]
     rest = file.search_text(start=pos)  # masked, from the end of the name on
     args = _ARGS_OPEN.match(rest)
     if args is None:
@@ -87,7 +87,6 @@ _FEIGN_NAME = re.compile(r"(?:name|value)\s*=\s*\"([^\"]+)\"")
 _FEIGN_BARE = re.compile(r"@FeignClient\s*\(\s*\"([^\"]+)\"")
 _FEIGN_URL = re.compile(r"url\s*=\s*\"([^\"]+)\"")
 _FEIGN_IDENT = re.compile(r"(?:name|value)\s*=\s*([A-Za-z_][\w.]*)")
-_STRING_DEF = re.compile(r"%s\s*=\s*\"([^\"]+)\"")
 
 
 @register
@@ -98,41 +97,37 @@ class FeignFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        for owner, m in ctx.hits(["@FeignClient"]):
-            file = ctx.index.by_path[m.file]
-            stmt = _joined_lines(file, m.line, _annotation_end(file, m))
-            target = self._target_from(ctx, owner, m, stmt)
+        for owner, hit in ctx.hits(["@FeignClient"]):
+            file = ctx.index.by_path[hit.file]
+            stmt = _joined_lines(file, hit.line, _annotation_end(file, hit))
+            target = self._target_from(ctx, owner, hit, stmt)
             if not target or target == owner.canonical:
                 continue
-            ctx.connect(owner.name, target, ["restful_http", "feign_connection"], trace_from(m))
+            ctx.connect(owner.name, target, ["restful_http", "feign_connection"], hit)
 
-    def _target_from(self, ctx: Context, owner, m, stmt: str) -> str | None:
+    def _target_from(self, ctx: Context, owner, hit, stmt: str) -> str | None:
         for rx in (_FEIGN_NAME, _FEIGN_BARE):
-            hit = rx.search(stmt)
-            if hit:
-                value = hit.group(1)
+            found = rx.search(stmt)
+            if found:
+                value = found.group(1)
                 if "${" in value:
-                    resolved, _ = resolve_text(ctx, owner, value, m.file)
+                    resolved, _ = resolve_text(ctx, owner, value, hit.file)
                     return resolved
                 return value
-        hit = _FEIGN_URL.search(stmt)
-        if hit:
-            host, _ = _resolved_host(ctx, owner, hit.group(1), m.file)
+        found = _FEIGN_URL.search(stmt)
+        if found:
+            host, _ = _resolved_host(ctx, owner, found.group(1), hit.file)
             return host if is_remote(host) else None
-        hit = _FEIGN_IDENT.search(stmt)
-        if hit:
-            ident = hit.group(1)
-            file = ctx.index.by_path[m.file]
-            definition = re.search(
-                _STRING_DEF.pattern % re.escape(ident.rpartition(".")[2]),
-                file.search_text(),
-            )
+        found = _FEIGN_IDENT.search(stmt)
+        if found:
+            ident = found.group(1)
             if "." in ident:
-                cross = resolve_cross_file(ctx.index, ident, m.file)
+                cross = resolve_cross_file(ctx.index, ident, hit.file)
                 if cross is not None and cross.value:
                     return cross.value
-            if definition:
-                return definition.group(1)
+            constant = string_constant(ctx.index.by_path[hit.file], ident.rpartition(".")[2])
+            if constant is not None:
+                return constant[1]
         return None
 
 
@@ -171,9 +166,10 @@ class RestClientFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        for m in find_keyword(ctx.index, "http", languages=("java",), raw=ctx.raw):
-            line = m.line_text
-            s = m.span[0]
+        for hit in find_keyword(ctx.index, "http", languages=("java",), raw=ctx.raw):
+            file = ctx.index.by_path[hit.file]
+            line = file.line(hit.line - 1)
+            s = hit.span[0]
             if not (line[s:].startswith("http://") or line[s:].startswith("https://")):
                 continue
             if s > 0 and (line[s - 1].isalnum() or line[s - 1] in "_."):
@@ -182,33 +178,32 @@ class RestClientFlows(Extractor):
                 continue
             if not ctx.raw:
                 # a client named only in a comment does not count
-                line = ctx.index.by_path[m.file].line(m.line - 1, masked=True)
+                line = file.line(hit.line - 1, masked=True)
                 if not any(marker in line for marker in _CLIENT_MARKERS):
                     continue
-            owner = ctx.owner_of(m.file)
+            owner = ctx.owner_of(hit.file)
             if owner is None:
                 continue
             end = s
             while end < len(line) and line[end] not in _URL_STOP:
                 end += 1
             url = line[s:end]
-            host, _ = _resolved_host(ctx, owner, url, m.file)
+            host, _ = _resolved_host(ctx, owner, url, hit.file)
             if not is_remote(host):
                 continue
-            trace = trace_from(m)
             target_svc = ctx.service_named(host)
             if target_svc is not None:
                 if target_svc.canonical == owner.canonical:
                     continue
                 ctx.dfd.upsert_flow(
-                    Flow(owner.name, target_svc.name, ["restful_http"]), trace
+                    Flow(owner.name, target_svc.name, ["restful_http"]), hit
                 )
             elif "." in host:
                 if host.lower() in _SCHEMA_HOSTS:
                     continue
                 site = Node(host, "external_entity", ["external_website"])
-                ctx.dfd.upsert_node(site, trace)
-                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
+                ctx.dfd.upsert_node(site, hit)
+                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), hit)
 
 
 # ============================================================================
@@ -291,8 +286,8 @@ class BrokerFlows(Extractor):
             (produced, _RABBIT_PRODUCER + _KAFKA_PRODUCER),
             (consumed, _RABBIT_CONSUMER + _KAFKA_CONSUMER),
         ):
-            for owner, m in ctx.hits(keywords):
-                slot.setdefault(owner.canonical, []).append(trace_from(m))
+            for owner, hit in ctx.hits(keywords):
+                slot.setdefault(owner.canonical, []).append(hit)
 
         for svc in ctx.services.values():
             kind, broker_name, host_trace = self._broker_of(ctx, svc)
@@ -379,16 +374,16 @@ class MailFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        first_hit = {}  # service name -> its first JavaMailSender match
-        for owner, m in ctx.hits(["JavaMailSender"]):
-            first_hit.setdefault(owner.canonical, m)
+        first_hit = {}  # service name -> its first JavaMailSender hit
+        for owner, hit in ctx.hits(["JavaMailSender"]):
+            first_hit.setdefault(owner.canonical, hit)
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.mail.host")
             trace = None
             if entry is not None:
                 _, trace = resolve_entry(ctx, svc, entry)
             elif svc.canonical in first_hit:
-                trace = trace_from(first_hit[svc.canonical])
+                trace = first_hit[svc.canonical]
             if trace is None:
                 continue
             mail = Node("mail-server", "external_entity", ["mail_server"])

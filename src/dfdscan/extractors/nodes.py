@@ -10,7 +10,7 @@ from urllib.parse import urlparse
 
 from ..model import Node
 from ..parsers import classify_image
-from .base import Context, Extractor, is_remote, register, resolve_entry, trace_from
+from .base import Context, Extractor, is_remote, register, resolve_entry
 
 
 @register
@@ -198,9 +198,9 @@ class GatewayMarker(Extractor):
     phase = "node"
 
     def run(self, ctx: Context) -> None:
-        for owner, m in ctx.hits(_GATEWAY_KEYWORDS):
+        for owner, hit in ctx.hits(_GATEWAY_KEYWORDS):
             node = Node(owner.name, "service", ["gateway"])
-            ctx.dfd.upsert_node(node, trace_from(m))
+            ctx.dfd.upsert_node(node, hit)
         for svc in ctx.services.values():
             routed = svc.properties.find_prefix("zuul.routes")
             routed += svc.properties.find_prefix("spring.cloud.gateway.routes")

@@ -45,7 +45,9 @@ class Workspace(Extractor):
         compose_by_root: dict[str, ComposeService] = {}
         for svc in ctx.compose_services:
             if svc.build_context:
-                compose_by_root.setdefault(_norm_dir(svc.build_context), svc)
+                # compose reads a context against the compose file's directory
+                context = posixpath.join(posixpath.dirname(svc.trace.file), svc.build_context)
+                compose_by_root.setdefault(_norm_dir(context), svc)
         roots = self._discover_roots(ctx, compose_by_root)
         entries_by_file = self._collect_properties(ctx)
 
@@ -121,10 +123,15 @@ class Workspace(Extractor):
             except ParserError as exc:
                 ctx.report.warnings.append(str(exc))
         roots |= {m for m in module_dirs if m in build_dirs}
-        # any non-root directory with its own build file is a candidate
-        roots |= {d for d in build_dirs if d != ""}
-        if not roots and "" in build_dirs:
-            roots.add("")
+        # any directory with its own build file is a candidate, except the
+        # project's top, the one enclosing every build file and the compose
+        # file, which like the repository root is a service only when
+        # nothing else is
+        ends = build_dirs | {posixpath.dirname(c.trace.file) for c in ctx.compose_services}
+        top = posixpath.commonpath(ends) if ends else ""
+        roots |= build_dirs - {top}
+        if not roots and top in build_dirs:
+            roots.add(top)
         return roots
 
     def _collect_properties(self, ctx: Context) -> dict[str, list]:
@@ -168,8 +175,6 @@ class Workspace(Extractor):
                 trace = self._build_file_trace(ctx, root, name)
         if name is None:
             name = posixpath.basename(root) if root else index.root.name
-            trace = self._build_file_trace(ctx, root, name)
-        if trace is None:
             trace = self._build_file_trace(ctx, root, name)
         if trace is None:
             return None

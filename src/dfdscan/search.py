@@ -7,8 +7,9 @@ commented-out code.  Masked text is never stored: a literal search scans
 the text and skips hits that touch a comment, and every other reader
 blanks the slice it needs on demand.  Literal searches run through
 _kernel.scan unless the index's token vocabulary shows the keyword cannot
-occur, small results are cached on the index, and every search returns
-matches ordered by (path, line, span).
+occur, small results are cached on the index, and every search returns its
+hits as TraceEntry evidence ordered by (path, line, span), each snippet
+the original text at the span.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from operator import add
 from pathlib import Path
 
 from . import _kernel
+from .model import TraceEntry
 
 # Directories that never contain analyzable sources (VCS metadata and
 # build output) and the size cap for individual files.
@@ -325,19 +327,8 @@ def snapshot_lines(root: str | Path, rel_path: str) -> list[str] | None:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class Match:
-    """One occurrence of a search pattern."""
-
-    file: str
-    line: int  # 1-based
-    span: tuple[int, int]  # 0-based half-open columns
-    text: str
-    line_text: str
-
-
-def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> list[Match]:
-    """Every literal occurrence of keyword in the files, as matches.
+def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> list[TraceEntry]:
+    """Every literal occurrence of keyword in the files, as trace entries.
 
     Masking turns comments into spaces and newlines, and a keyword holds no
     newline.  So unless it holds a space, a keyword occurs in the masked
@@ -347,7 +338,7 @@ def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> li
     the file.
     """
     spaced = " " in keyword
-    out: list[Match] = []
+    out: list[TraceEntry] = []
     for f in files:
         if spaced or raw:
             text, skip = f.search_text(raw), _NO_COMMENTS
@@ -355,8 +346,14 @@ def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> li
             text, skip = f.text, f.comments
         # called through the module so a tracer that wraps _kernel.scan sees it
         for li, s, e in _kernel.scan(text, keyword, f.line_starts, skip):
-            out.append(Match(f.path, li + 1, (s, e), keyword, f.line(li)))
+            out.append(_trace(f, li, s, e))
     return out
+
+
+def _trace(f: IndexedFile, li: int, start: int, end: int) -> TraceEntry:
+    """The evidence at columns [start, end) of line index li of f."""
+    at = f.line_starts[li]
+    return TraceEntry(f.path, li + 1, (start, end), f.text[at + start : at + end])
 
 
 # Repeat searches in the built-in rules are for keywords with a handful of
@@ -366,7 +363,7 @@ def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> li
 _CACHED_MATCHES = 64
 
 
-def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[Match]:
+def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[TraceEntry]:
     """The matches of keyword in the wanted languages' files, cached on the
     index when few; the caller copies the list it returns."""
     index.literal_searches += 1
@@ -392,7 +389,7 @@ def find_keyword(
     languages=None,
     regex: bool = False,
     raw: bool = False,
-) -> list[Match]:
+) -> list[TraceEntry]:
     """Search the index for a literal keyword or a regular expression.
 
     Literal search is case-sensitive and may return overlapping matches;
@@ -406,13 +403,13 @@ def find_keyword(
     if not regex:
         return list(_find_literal(index, pattern, wanted, raw))
     rx = re.compile(pattern)
-    out: list[Match] = []
+    out: list[TraceEntry] = []
     for f in index._files(wanted):
         for li, line in enumerate(f.search_text(raw).split("\n")):
             for m in rx.finditer(line):
                 if m.start() == m.end():
                     continue
-                out.append(Match(f.path, li + 1, m.span(), m.group(0), f.line(li)))
+                out.append(_trace(f, li, *m.span()))
     return out
 
 
@@ -423,13 +420,13 @@ def find_keyword(
 
 @dataclass
 class EvidenceChain:
-    """A seed match plus the follow-up matches that substantiate it.
+    """A seed hit plus the follow-up hits that substantiate it.
 
-    A chain holds one to three matches: the seed, an optional member-usage
+    A chain holds one to three hits: the seed, an optional member-usage
     or definition hit, and an optional final resolution hit.
     """
 
-    matches: list[Match]
+    matches: list[TraceEntry]
     extracted_identifier: str
     resolved: bool
     resolved_value: str | None = None
@@ -439,11 +436,11 @@ class EvidenceChain:
             raise ValueError("evidence chain must hold 1 to 3 matches")
 
     @property
-    def seed(self) -> Match:
+    def seed(self) -> TraceEntry:
         return self.matches[0]
 
     @property
-    def last(self) -> Match:
+    def last(self) -> TraceEntry:
         return self.matches[-1]
 
 
@@ -451,13 +448,29 @@ class EvidenceChain:
 class CrossFileHit:
     """Result of resolving a dotted identifier in another file."""
 
-    file: str
-    remainder: str
-    match: Match
+    trace: TraceEntry
     value: str | None
 
 
-_QUOTED_DEF = re.compile(r"=\s*\"([^\"]*)\"")
+_STRING_ASSIGNMENT = re.compile(r"\s*=\s*\"([^\"]*)\"")
+
+
+def string_constant(file: IndexedFile, name: str) -> tuple[TraceEntry, str] | None:
+    """The first line of a Java file that assigns a string literal to name.
+
+    Returns the trace of name on that line and the literal; None when no
+    line does outside comments.  name must be a whole identifier there, so
+    OLD_NAME = "x" does not assign NAME.
+    """
+    for hit in _scan_files([file], name):
+        line = file.line(hit.line - 1, masked=True)
+        start, end = hit.span
+        if start and (line[start - 1].isalnum() or line[start - 1] in "_$"):
+            continue
+        m = _STRING_ASSIGNMENT.match(line, end)
+        if m:
+            return hit, m.group(1)
+    return None
 
 
 def resolve_cross_file(
@@ -466,8 +479,9 @@ def resolve_cross_file(
     """Resolve Stem.MEMBER by finding MEMBER inside Stem.java.
 
     Files in the origin's directory win over same-named files elsewhere.
-    When the member's line assigns a string literal, that literal comes back
-    as the resolved value.
+    When a line assigns a string literal to the member, the hit is there and
+    that literal is the resolved value; otherwise the hit is the member's
+    first occurrence and the value is None.
     """
     stem, dot, remainder = dotted.partition(".")
     if not dot or not stem or not remainder:
@@ -478,63 +492,39 @@ def resolve_cross_file(
         return None
     target = min(candidates, key=lambda f: (posixpath.dirname(f.path) != origin_dir, f.path))
     member = remainder.partition(".")[0]
-    first: Match | None = None
-    for hit in _scan_files([target], member):
-        if first is None:
-            first = hit
-        tail = target.line(hit.line - 1, masked=True)[hit.span[1] :]
-        m = _QUOTED_DEF.search(tail)
-        if m:
-            return CrossFileHit(target.path, remainder, hit, m.group(1))
-    if first is None:
-        return None
-    return CrossFileHit(target.path, remainder, first, None)
+    found = string_constant(target, member)
+    if found is not None:
+        return CrossFileHit(*found)
+    hits = _scan_files([target], member)
+    return CrossFileHit(hits[0], None) if hits else None
 
 
-_ENV_SHAPE = re.compile(r"^\$\{([^}:]+)(?::([^}]*))?\}$")
+# ${NAME} or ${NAME:default}, the one placeholder grammar of configuration
+# values and searched identifiers
+PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
 
 
-def _resolve_env(
-    index: FileIndex, expr: str, origin_path: str
-) -> tuple[str | None, Match | None]:
-    shaped = _ENV_SHAPE.match(expr.strip())
-    if not shaped:
-        return None, None
-    name = shaped.group(1).strip()
-    default = shaped.group(2)
-    # nearest .env wins, walking up from the origin file's directory
+def env_value(index: FileIndex, name: str, origin_path: str) -> tuple[str, TraceEntry] | None:
+    """The value a .env file gives name, and the trace of that value.
+
+    The nearest .env wins, walking up from the origin file's directory to
+    the root.  Quotes around the value are dropped; the trace covers the
+    value as written.  None when no .env sets name.
+    """
     d = posixpath.dirname(origin_path)
-    dirs = []
     while True:
-        dirs.append(d)
+        f = index.by_path.get(posixpath.join(d, ".env"))
+        if f is not None:
+            for li, line in enumerate(f.text.split("\n")):
+                key, eq, value = line.partition("=")
+                if eq and key.strip() == name and not line.lstrip().startswith("#"):
+                    start = len(key) + 1 + len(value) - len(value.lstrip(" "))
+                    end = len(line.rstrip())
+                    trace = TraceEntry(f.path, li + 1, (start, end), line[start:end])
+                    return value.strip().strip("\"'"), trace
         if not d:
-            break
+            return None
         d = posixpath.dirname(d)
-    for d in dirs:
-        env_path = posixpath.join(d, ".env") if d else ".env"
-        f = index.by_path.get(env_path)
-        if f is None:
-            continue
-        for li, line in enumerate(f.text.split("\n")):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#") or "=" not in stripped:
-                continue
-            key, _, value = stripped.partition("=")
-            if key.strip() == name:
-                vstart = line.index("=") + 1
-                while vstart < len(line) and line[vstart] == " ":
-                    vstart += 1
-                hit = Match(f.path, li + 1, (vstart, len(line.rstrip())), value.strip(), line)
-                return value.strip().strip("\"'"), hit
-    if default is not None:
-        return default, None
-    return None, None
-
-
-def resolve_env_var(index: FileIndex, expr: str, origin_path: str) -> str | None:
-    """Resolve a ${NAME} or ${NAME:default} expression via .env lookup."""
-    value, _ = _resolve_env(index, expr, origin_path)
-    return value
 
 
 def iterative_search(
@@ -556,40 +546,39 @@ def iterative_search(
     silently dropped.
     """
     chains: list[EvidenceChain] = []
-    for m in find_keyword(index, seed, languages=languages, raw=raw):
-        line = m.line_text if raw else index.by_path[m.file].line(m.line - 1, masked=True)
-        idents = [g for mm in re.finditer(extract, line) for g in mm.groups() if g]
+    for hit in find_keyword(index, seed, languages=languages, raw=raw):
+        line = index.by_path[hit.file].line(hit.line - 1, masked=not raw)
+        idents = [g for m in re.finditer(extract, line) for g in m.groups() if g]
         if not idents:
-            chains.append(EvidenceChain([m], "", False))
+            chains.append(EvidenceChain([hit], "", False))
             continue
         for ident in idents:
-            chains.extend(_resolve_ident(index, m, ident, follow, raw))
+            chains.extend(_resolve_ident(index, hit, ident, follow, raw))
     return chains
 
 
 def _resolve_ident(
-    index: FileIndex, seed_match: Match, ident: str, follow, raw: bool
+    index: FileIndex, seed: TraceEntry, ident: str, follow, raw: bool
 ) -> list[EvidenceChain]:
-    f = index.by_path[seed_match.file]
+    f = index.by_path[seed.file]
     out: list[EvidenceChain] = []
     for member in follow:
         for hit in _scan_files([f], "%s.%s" % (ident, member), raw):
-            if hit.line == seed_match.line and hit.span == seed_match.span:
+            if hit.line == seed.line and hit.span == seed.span:
                 continue
-            out.append(EvidenceChain([seed_match, hit], ident, True))
+            out.append(EvidenceChain([seed, hit], ident, True))
     if out:
         return out
     if "." in ident:
-        cross = resolve_cross_file(index, ident, seed_match.file)
+        cross = resolve_cross_file(index, ident, seed.file)
         if cross is not None:
-            return [
-                EvidenceChain(
-                    [seed_match, cross.match], ident, True, resolved_value=cross.value
-                )
-            ]
-    if ident.startswith("${"):
-        value, hit = _resolve_env(index, ident, seed_match.file)
-        if value is not None:
-            matches = [seed_match, hit] if hit else [seed_match]
-            return [EvidenceChain(matches, ident, True, resolved_value=value)]
-    return [EvidenceChain([seed_match], ident, False)]
+            return [EvidenceChain([seed, cross.trace], ident, True, resolved_value=cross.value)]
+    shaped = PLACEHOLDER.fullmatch(ident.strip())
+    if shaped:
+        found = env_value(index, shaped.group(1).strip(), seed.file)
+        if found is not None:
+            value, hit = found
+            return [EvidenceChain([seed, hit], ident, True, resolved_value=value)]
+        if shaped.group(2) is not None:
+            return [EvidenceChain([seed], ident, True, resolved_value=shaped.group(2))]
+    return [EvidenceChain([seed], ident, False)]

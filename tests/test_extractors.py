@@ -76,6 +76,15 @@ def test_compose_build_services_become_nodes(tmp_path):
     assert dfd.node("svc-a").node_type == "service"
 
 
+def test_compose_build_contexts_are_relative_to_the_compose_file(miniapp_path, miniapp_result, tmp_path):
+    shutil.copytree(miniapp_path, tmp_path / "code")
+    result = analyze_directory(tmp_path)
+    assert [w for w in result.report.warnings if "duplicate service name" in w] == []
+    auth = result.dfd.node("auth_service")
+    assert auth.stereotypes == miniapp_result.dfd.node("auth_service").stereotypes
+    assert {"authorization_server", "encryption", "ssl_enabled", "infrastructural"} <= auth.stereotypes
+
+
 def test_spring_application_name_wins_over_compose_name(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -201,6 +210,35 @@ def test_parent_root_holds_nested_module_entries_in_path_order(tmp_path):
     ]
     assert parent.properties.value("spring.application.name") == "platform"
     assert (parent.has_java, child.has_java, tools.has_java) == (True, True, False)
+
+
+def test_project_top_below_the_repository_root_is_no_service(tmp_path):
+    # the aggregator holding every build file is not a service wherever it lies
+    files = {"code/pom.xml": "<project><modules><module>a</module><module>b</module></modules></project>"}
+    for name in ("a", "b"):
+        files.update({"code/" + rel: text for rel, text in service_files(name).items()})
+    make_tree(tmp_path, files)
+    ctx = Context(build_index(tmp_path), load_rules())
+    Workspace().run(ctx)
+    assert ctx.report.warnings == []
+    assert {n: s.root for n, s in ctx.services.items()} == {"a": "code/a", "b": "code/b"}
+
+
+def test_lone_build_directory_below_the_root_is_a_service(tmp_path):
+    make_tree(tmp_path, service_files("solo"))
+    ctx = Context(build_index(tmp_path), load_rules())
+    Workspace().run(ctx)
+    assert {n: s.root for n, s in ctx.services.items()} == {"solo": "solo"}
+
+
+def test_lone_build_directory_beside_compose_services_is_a_service(tmp_path):
+    files = service_files("solo")
+    files["docker-compose.yml"] = compose_of({"web": {"build": "./web"}})
+    files["web/Dockerfile"] = "FROM nginx\n"
+    make_tree(tmp_path, files)
+    ctx = Context(build_index(tmp_path), load_rules())
+    Workspace().run(ctx)
+    assert {n: s.root for n, s in ctx.services.items()} == {"solo": "solo", "web": "web"}
 
 
 def test_mail_flow_uses_each_services_first_mail_sender(tmp_path):
@@ -357,6 +395,29 @@ def test_feign_client_name_via_constant_in_other_file(tmp_path):
         },
     )
     assert ("caller", "callee") in dfd.flows
+
+
+NAMES_JAVA = 'class Names {\n    static final String OLD_NAME = "c";\n    static final String NAME = "b";\n}\n'
+
+
+def test_feign_constant_in_the_same_file_is_matched_by_its_whole_name(tmp_path):
+    java = "@FeignClient(name = NAME)\ninterface Client {\n" + NAMES_JAVA.partition("\n")[2]
+    files = service_files("a", java=java)
+    files.update(service_files("b"))
+    files.update(service_files("c"))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {("a", "b")}
+
+
+def test_feign_constant_in_another_file_is_matched_by_its_whole_name(tmp_path):
+    files = service_files("a", java="@FeignClient(name = Names.NAME)\ninterface Client {}\n")
+    files["a/src/main/java/Names.java"] = NAMES_JAVA
+    files.update(service_files("b"))
+    files.update(service_files("c"))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {("a", "b")}
 
 
 def test_feign_window_ends_at_the_annotations_closing_paren(tmp_path):

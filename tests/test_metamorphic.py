@@ -1,22 +1,36 @@
-"""Comments that must not change the diagram.
+"""Transformations that must not change the diagram.
 
 Every Java file of miniapp gets comments that hold every keyword of the
 rule set and every literal keyword the pipeline searches.  In masked mode
 the diagram must stay the same and its traces must verify; with
 --paper-parity only items whose evidence lies in the new comments may
 differ.
+
+Miniapp and a generated eight-service workspace are also rewritten in ways
+that leave the application as it was: other line ends, a byte order mark,
+trailing whitespace, .yaml for .yml, compose services in reverse order,
+copies of services in ignored build directories, and the whole tree moved
+under a subdirectory.  Each must give the same dfd.json, with traces that
+verify against the rewritten tree.
 """
 
 import json
+import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from dfdscan import search
 from dfdscan.analysis import analyze_directory
 from dfdscan.output import dfd_to_json, dfd_to_obj, verify_traces
 from dfdscan.rules import load_rules
+
+# the benchmark's seeded workspace generator, used read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "dfdbench"))
+import gen  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +169,88 @@ def test_wrapped_feign_arguments_with_comments_keep_the_flow(miniapp_path, tmp_p
     after = analyze_directory(app)
     assert dfd_to_json(after.dfd) == dfd_to_json(before.dfd)
     assert verify_traces(after.dfd, app)[1] == []
+
+
+# ----------------------------------------------------------------------
+# rewrites of the whole tree
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def apps(miniapp_path, tmp_path_factory):
+    """Each base tree with the dfd.json of its own analysis."""
+    generated = tmp_path_factory.mktemp("generated") / "small"
+    gen.write(gen.plan_small(1, 0), str(generated))
+    return {
+        name: (Path(root), dfd_to_json(analyze_directory(root).dfd))
+        for name, root in (("miniapp", Path(miniapp_path)), ("generated", generated))
+    }
+
+
+def rewrite_texts(root, change):
+    for path in sorted(Path(root).rglob("*")):
+        if path.is_file():
+            text = path.read_bytes().decode("utf-8")
+            path.write_bytes(change(text).encode("utf-8"))
+
+
+def yml_to_yaml(root):
+    for path in sorted(Path(root).rglob("*.yml")):
+        path.rename(path.with_suffix(".yaml"))
+
+
+def compose_reversed(root):
+    path = next(Path(root).glob("docker-compose.yml"))
+    text = path.read_text(encoding="utf-8")
+    head, marker, body = text.partition("services:\n")
+    services = [chunk for chunk in re.split(r"(?m)^(?=  \S)", body) if chunk]
+    ended = [c if c.endswith("\n") else c + "\n" for c in services]
+    reordered = head + marker + "".join(reversed(ended))
+    names = list(yaml.safe_load(text)["services"])
+    assert list(yaml.safe_load(reordered)["services"]) == names[::-1]
+    path.write_text(reordered, encoding="utf-8")
+
+
+def ignored_copies(root):
+    services = sorted(p.parent for p in Path(root).glob("*/pom.xml")) + sorted(
+        p.parent for p in Path(root).glob("*/build.gradle")
+    )
+    assert services
+    for svc in services:
+        shutil.copytree(svc, Path(root) / "node_modules" / svc.name)
+        shutil.copytree(svc, svc / "target" / "classes" / svc.name)
+
+
+TRANSFORMS = {
+    "crlf": lambda root: rewrite_texts(root, lambda t: t.replace("\n", "\r\n")),
+    "lone_cr": lambda root: rewrite_texts(root, lambda t: t.replace("\n", "\r")),
+    "bom": lambda root: rewrite_texts(root, lambda t: "\ufeff" + t),
+    # spaces only: PyYAML, with or without libyaml, refuses a tab on a blank line of a mapping
+    "trailing_whitespace": lambda root: rewrite_texts(root, lambda t: t.replace("\n", "  \n")),
+    "yaml_suffix": yml_to_yaml,
+    "compose_reversed": compose_reversed,
+    "ignored_copies": ignored_copies,
+}
+
+
+@pytest.mark.parametrize("app", ["miniapp", "generated"])
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_rewritten_tree_keeps_the_diagram(apps, app, transform, tmp_path):
+    root, expected = apps[app]
+    copy = tmp_path / app
+    shutil.copytree(root, copy)
+    TRANSFORMS[transform](copy)
+    result = analyze_directory(copy)
+    assert dfd_to_json(result.dfd) == expected
+    assert verify_traces(result.dfd, copy)[1] == []
+    assert result.report.failures == []
+
+
+@pytest.mark.parametrize("app", ["miniapp", "generated"])
+def test_tree_moved_under_a_subdirectory_keeps_the_diagram(apps, app, tmp_path):
+    root, expected = apps[app]
+    shutil.copytree(root, tmp_path / "code" / "app")
+    result = analyze_directory(tmp_path)
+    assert dfd_to_json(result.dfd) == expected
+    assert verify_traces(result.dfd, tmp_path)[1] == []
+    assert not [w for w in result.report.warnings if w.startswith("duplicate service name")]

@@ -10,18 +10,20 @@ import tracemalloc
 import pytest
 
 from dfdscan import _kernel
+from dfdscan.model import TraceEntry
 from dfdscan.search import (
     _SPACE,
-    Match,
+    CrossFileHit,
     blank_comments,
     build_index,
     classify_path,
     find_keyword,
     iterative_search,
     mask_java_comments,
+    env_value,
     resolve_cross_file,
-    resolve_env_var,
     snapshot_lines,
+    string_constant,
 )
 
 
@@ -521,7 +523,8 @@ def test_find_keyword_line_text_is_unmasked(tmp_path):
     make_tree(tmp_path, {"App.java": "int a; // note\nint b;\n"})
     idx = build_index(tmp_path)
     hits = find_keyword(idx, "int")
-    assert hits[0].line_text == "int a; // note"
+    assert hits[0] == TraceEntry("App.java", 1, (0, 3), "int")
+    assert idx.by_path[hits[0].file].line(hits[0].line - 1) == "int a; // note"
 
 
 def test_find_keyword_regex(tmp_path):
@@ -531,7 +534,7 @@ def test_find_keyword_regex(tmp_path):
         idx, r"zuul\.routes\.(\w+)", languages=("properties",), regex=True
     )
     assert len(hits) == 1
-    assert hits[0].text == "zuul.routes.users"
+    assert hits[0].snippet == "zuul.routes.users"
 
 
 def test_find_keyword_bad_regex_raises(tmp_path):
@@ -561,7 +564,7 @@ def oracle_find_keyword(index, keyword, languages=None, raw=False):
         if wanted is not None and f.language not in wanted:
             continue
         for li, s, e in _kernel.scan(f.search_text(raw), keyword, f.line_starts):
-            out.append(Match(f.path, li + 1, (s, e), keyword, f.line(li)))
+            out.append(TraceEntry(f.path, li + 1, (s, e), f.line(li)[s:e]))
     return out
 
 
@@ -727,7 +730,7 @@ def test_iterative_search_same_file_member(tmp_path):
     # the type name appears twice on the declaration line, so two seeds
     # both resolve to the same usage site
     assert resolved
-    assert {(c.last.line, c.last.text) for c in resolved} == {(5, "encoder.encode")}
+    assert {(c.last.line, c.last.snippet) for c in resolved} == {(5, "encoder.encode")}
     assert {c.extracted_identifier for c in resolved} == {"encoder"}
     assert all(c.seed.line == 2 for c in resolved)
     # the declaration-line seed with no extractable identifier shows up
@@ -772,6 +775,15 @@ def test_iterative_search_resolves_a_placeholder_through_env(tmp_path):
     assert (chain.last.file, chain.last.line, chain.last.span) == (".env", 2, (10, 21))
 
 
+def test_iterative_search_takes_a_placeholder_default_without_env(tmp_path):
+    java = 'class Repo { @Value("${DB_HOST:db.local}") String host; }\n'
+    make_tree(tmp_path, {"svc/Repo.java": java})
+    chains = iterative_search(
+        build_index(tmp_path), "@Value(", extract=r'@Value\("(\$\{[^"]+\})"\)', follow=["get"]
+    )
+    assert [(c.resolved, c.resolved_value, len(c.matches)) for c in chains] == [(True, "db.local", 1)]
+
+
 def test_cross_file_resolution_prefers_origin_directory(tmp_path):
     make_tree(
         tmp_path,
@@ -784,9 +796,9 @@ def test_cross_file_resolution_prefers_origin_directory(tmp_path):
     idx = build_index(tmp_path)
     hit = resolve_cross_file(idx, "Constants.BASE_URL", "svc/Client.java")
     assert hit is not None
-    assert hit.file == "svc/Constants.java"
+    assert hit.trace.file == "svc/Constants.java"
     assert hit.value == "http://orders:8080"
-    assert hit.match.text == "BASE_URL"
+    assert hit.trace.snippet == "BASE_URL"
 
 
 def test_cross_file_candidates_are_origin_directory_then_path_order(tmp_path):
@@ -803,6 +815,40 @@ def test_cross_file_candidates_are_origin_directory_then_path_order(tmp_path):
     # the origin file itself is never its own target
     assert resolve_cross_file(idx, "Stem.V", "a/Stem.java").value == "m"
     assert resolve_cross_file(idx, "Other.V", "m/Caller.java") is None
+
+
+def test_string_constant_takes_the_first_assignment_of_the_whole_name(tmp_path):
+    java = (
+        "class Names {\n"
+        '    // static final String NAME = "commented";\n'
+        "    boolean same = NAME == \"x\";\n"
+        '    static final String OLD_NAME = "old", NAME_2 = "two";\n'
+        '    static final String NAME /* id */ = "b";\n'
+        '    static final String $NAME = "dollar";\n'
+        '    static final String AGAIN = "a", NAME = "later";\n'
+        "}\n"
+    )
+    idx = build_index(make_tree(tmp_path, {"Names.java": java}))
+    f = idx.by_path["Names.java"]
+    assert string_constant(f, "NAME") == (TraceEntry("Names.java", 5, (24, 28), "NAME"), "b")
+    assert string_constant(f, "AGAIN")[1] == "a"
+    assert string_constant(f, "OLD_NAME")[1] == "old"
+    assert string_constant(f, "NAME_2")[1] == "two"
+    assert string_constant(f, "same") is None
+    assert string_constant(f, "MISSING") is None
+
+
+def test_cross_file_value_is_the_whole_name_assignment(tmp_path):
+    files = {
+        "a/Names.java": 'class Names {\n    String OLD_NAME = "c";\n    String NAME = "b";\n}\n',
+        "a/Caller.java": "use(Names.NAME);\n",
+    }
+    idx = build_index(make_tree(tmp_path, files))
+    hit = resolve_cross_file(idx, "Names.NAME", "a/Caller.java")
+    assert hit == CrossFileHit(TraceEntry("a/Names.java", 3, (11, 15), "NAME"), "b")
+    # without an assignment the hit is the member's first occurrence
+    hit = resolve_cross_file(idx, "Names.OLD", "a/Caller.java")
+    assert hit == CrossFileHit(TraceEntry("a/Names.java", 2, (11, 14), "OLD"), None)
 
 
 def test_iterative_search_cross_file_jump(tmp_path):
@@ -830,15 +876,15 @@ def test_env_variable_resolution(tmp_path):
     make_tree(
         tmp_path,
         {
-            ".env": "# comment\nRABBIT_HOST=rabbitmq\n",
+            ".env": "# RABBIT_HOST=commented\nRABBIT_HOST=rabbitmq\n",
             "svc/app.properties": "spring.rabbitmq.host=${RABBIT_HOST}\n",
         },
     )
     idx = build_index(tmp_path)
-    assert resolve_env_var(idx, "${RABBIT_HOST}", "svc/app.properties") == "rabbitmq"
-    assert resolve_env_var(idx, "${MISSING:fallback}", "svc/app.properties") == "fallback"
-    assert resolve_env_var(idx, "${MISSING}", "svc/app.properties") is None
-    assert resolve_env_var(idx, "not-a-ref", "svc/app.properties") is None
+    value, trace = env_value(idx, "RABBIT_HOST", "svc/app.properties")
+    assert value == "rabbitmq"
+    assert trace == TraceEntry(".env", 2, (12, 20), "rabbitmq")
+    assert env_value(idx, "MISSING", "svc/app.properties") is None
 
 
 def test_nearest_env_file_wins(tmp_path):
@@ -851,5 +897,5 @@ def test_nearest_env_file_wins(tmp_path):
         },
     )
     idx = build_index(tmp_path)
-    assert resolve_env_var(idx, "${HOST}", "svc/App.java") == "inner"
-    assert resolve_env_var(idx, "${HOST}", "App.java") == "outer"
+    assert env_value(idx, "HOST", "svc/App.java")[0] == "inner"
+    assert env_value(idx, "HOST", "App.java")[0] == "outer"
