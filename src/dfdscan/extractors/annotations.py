@@ -67,7 +67,7 @@ class EncryptionAnnotations(Extractor):
                     continue
                 owner = ctx.owner_of(chain.seed.file)
                 if owner is not None and owner.canonical in ctx.dfd.nodes:
-                    _annotate(ctx, owner.canonical, "encryption", chain.last)
+                    _annotate(ctx, owner.canonical, "encryption", chain.last.linked([chain.seed]))
 
 
 @register

@@ -8,6 +8,7 @@ extractor never aborts the run; the failure lands in the report.
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ from .. import search
 from ..model import Dfd, Flow, ModelError, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
-from ..search import PLACEHOLDER, FileIndex, env_value
+from ..search import FileIndex, env_value
 
 PHASES = ("parse", "node", "flow", "annotation", "finalize")
 
@@ -185,56 +186,75 @@ def run_pipeline(
 # Placeholder resolution
 # ============================================================================
 
+# ${NAME} or ${NAME:default}, the one placeholder grammar of configuration values
+PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
+
+
+def resolve_name(
+    ctx: Context, svc: ServiceRoot | None, name: str, origin_file: str
+) -> tuple[str | None, tuple[TraceEntry, ...]]:
+    """The value of one name used in origin_file, and every entry that gave it.
+
+    name is a ${NAME} / ${NAME:default} placeholder or a Java identifier,
+    NAME or Stem.NAME.  A placeholder takes, in order, the owning service's
+    property NAME (covers compose environment bindings), the nearest
+    non-blank .env line setting NAME, then its default, which has no entry
+    of its own.  An identifier takes the string literal Stem.java assigns
+    NAME, else the one origin_file assigns NAME.  (None, ()) when nothing
+    resolves.
+    """
+    shaped = PLACEHOLDER.fullmatch(name)
+    if shaped is None:
+        # looked up on the module, so a wrapper installed there sees each call
+        found = search.resolve_cross_file(ctx.index, name, origin_file)
+        if found is None or not found[1]:
+            found = search.string_constant(ctx.index.by_path[origin_file], name.rpartition(".")[2])
+        return (None, ()) if found is None else (found[1], (found[0],))
+    key, default = shaped.group(1).strip(), shaped.group(2)
+    if svc is not None:
+        for dotted in dict.fromkeys((relaxed_key(key), key.lower())):
+            e = svc.properties.get(dotted)
+            if e is not None and "${" not in e.value and e.value.strip():
+                return e.value.strip(), (e.trace,)
+    found = env_value(ctx.index, key, origin_file)
+    if found is not None:
+        return found[0], (found[1],)
+    return (None if default is None else default.strip()), ()
+
+
 def resolve_text(
     ctx: Context, svc: ServiceRoot | None, text: str, origin_file: str
-) -> tuple[str | None, TraceEntry | None]:
-    """Substitute ${NAME} / ${NAME:default} placeholders in a config value.
+) -> tuple[str | None, tuple[TraceEntry, ...]]:
+    """Substitute every placeholder in a config value through resolve_name.
 
-    Resolution order per placeholder: the owning service's merged
-    properties (covers compose environment bindings), the nearest .env
-    file, then the inline default.  Returns (None, None) when any
-    placeholder stays unresolved.  The trace points at the resolving entry
-    when the whole value was a single placeholder.
+    Returns the value and the entries its placeholders were resolved
+    from, in order; (None, ()) when any placeholder stays unresolved.
     """
     text = text.strip()
-    trace: TraceEntry | None = None
-    whole = PLACEHOLDER.fullmatch(text)
-
-    def lookup(name: str, default: str | None) -> tuple[str | None, TraceEntry | None]:
-        keys = [relaxed_key(name)]
-        low = name.strip().lower()
-        if low not in keys:
-            keys.append(low)
-        if svc is not None:
-            for key in keys:
-                e = svc.properties.get(key)
-                if e is not None and "${" not in e.value and e.value.strip():
-                    return e.value.strip(), e.trace
-        found = env_value(ctx.index, name.strip(), origin_file)
-        if found is not None and found[0]:
-            return found[0], None
-        if default is not None:
-            return default.strip(), None
-        return None, None
-
-    out = []
+    out: list[str] = []
+    links: list[TraceEntry] = []
     last = 0
     for m in PLACEHOLDER.finditer(text):
-        value, vtrace = lookup(m.group(1), m.group(2))
+        value, found = resolve_name(ctx, svc, m.group(), origin_file)
         if value is None:
-            return None, None
-        out.append(text[last : m.start()])
-        out.append(value)
+            return None, ()
+        out += (text[last : m.start()], value)
+        links += found
         last = m.end()
-        if whole is not None and vtrace is not None:
-            trace = vtrace
     out.append(text[last:])
-    return "".join(out), trace
+    return "".join(out), tuple(links)
 
 
 def resolve_entry(
     ctx: Context, svc: ServiceRoot | None, entry: PropertyEntry
 ) -> tuple[str | None, TraceEntry]:
-    """Resolve one property entry's value; trace follows the resolution."""
-    value, trace = resolve_text(ctx, svc, entry.value, entry.trace.file)
-    return value, trace or entry.trace
+    """Resolve one property entry's value, traced to where it came from.
+
+    A value that is one placeholder, resolved from a property or a .env
+    line, is traced to that line, linked to the entry; any other value is
+    traced to the entry, linked to the lines its placeholders came from.
+    """
+    value, links = resolve_text(ctx, svc, entry.value, entry.trace.file)
+    if len(links) == 1 and PLACEHOLDER.fullmatch(entry.value.strip()):
+        return value, links[0].linked([entry.trace])
+    return value, entry.trace.linked(links)

@@ -10,19 +10,17 @@ import re
 from urllib.parse import urlparse
 
 from ..model import Flow, Node
-from ..search import find_keyword, resolve_cross_file, string_constant
-from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_text
+from ..search import find_keyword
+from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_name, resolve_text
 
 
-def _resolved_host(ctx: Context, svc, url_value: str, origin_file: str):
-    """Resolve placeholders in a URL and return (hostname, trace_override)."""
-    resolved, trace = resolve_text(ctx, svc, url_value, origin_file)
-    if not resolved:
-        return None, None
-    if "://" not in resolved:
-        resolved = "http://" + resolved
-    host = urlparse(resolved).hostname
-    return host, trace
+def _host(url: str | None) -> str | None:
+    """The host a configured URL names; a bare host:port counts as http."""
+    if not url:
+        return None
+    if "://" not in url:
+        url = "http://" + url
+    return urlparse(url).hostname
 
 
 def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
@@ -32,8 +30,8 @@ def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
     service holding the fallback keyword, else None.  The trace follows
     placeholder resolution.
     """
-    host, override = _resolved_host(ctx, svc, entry.value, entry.trace.file)
-    trace = override or entry.trace
+    url, trace = resolve_entry(ctx, svc, entry)
+    host = _host(url)
     if is_remote(host):
         return host, trace
     return (ctx.sole_owner(fallback) if fallback else None), trace
@@ -100,35 +98,27 @@ class FeignFlows(Extractor):
         for owner, hit in ctx.hits(["@FeignClient"]):
             file = ctx.index.by_path[hit.file]
             stmt = _joined_lines(file, hit.line, _annotation_end(file, hit))
-            target = self._target_from(ctx, owner, hit, stmt)
+            target, links = self._target_from(ctx, owner, hit, stmt)
             if not target or target == owner.canonical:
                 continue
-            ctx.connect(owner.name, target, ["restful_http", "feign_connection"], hit)
+            ctx.connect(owner.name, target, ["restful_http", "feign_connection"], hit.linked(links))
 
-    def _target_from(self, ctx: Context, owner, hit, stmt: str) -> str | None:
+    def _target_from(self, ctx: Context, owner, hit, stmt: str):
+        """(target, links): the service a client names, and the entries
+        (property, .env line, constant) its name came from."""
         for rx in (_FEIGN_NAME, _FEIGN_BARE):
             found = rx.search(stmt)
             if found:
-                value = found.group(1)
-                if "${" in value:
-                    resolved, _ = resolve_text(ctx, owner, value, hit.file)
-                    return resolved
-                return value
+                return resolve_text(ctx, owner, found.group(1), hit.file)
         found = _FEIGN_URL.search(stmt)
         if found:
-            host, _ = _resolved_host(ctx, owner, found.group(1), hit.file)
-            return host if is_remote(host) else None
+            url, links = resolve_text(ctx, owner, found.group(1), hit.file)
+            host = _host(url)
+            return (host, links) if is_remote(host) else (None, ())
         found = _FEIGN_IDENT.search(stmt)
         if found:
-            ident = found.group(1)
-            if "." in ident:
-                cross = resolve_cross_file(ctx.index, ident, hit.file)
-                if cross is not None and cross.value:
-                    return cross.value
-            constant = string_constant(ctx.index.by_path[hit.file], ident.rpartition(".")[2])
-            if constant is not None:
-                return constant[1]
-        return None
+            return resolve_name(ctx, owner, found.group(1), hit.file)
+        return None, ()
 
 
 _URL_STOP = " \t\"'`)>,;"
@@ -187,23 +177,24 @@ class RestClientFlows(Extractor):
             end = s
             while end < len(line) and line[end] not in _URL_STOP:
                 end += 1
-            url = line[s:end]
-            host, _ = _resolved_host(ctx, owner, url, hit.file)
+            url, links = resolve_text(ctx, owner, line[s:end], hit.file)
+            host = _host(url)
             if not is_remote(host):
                 continue
+            trace = hit.linked(links)
             target_svc = ctx.service_named(host)
             if target_svc is not None:
                 if target_svc.canonical == owner.canonical:
                     continue
                 ctx.dfd.upsert_flow(
-                    Flow(owner.name, target_svc.name, ["restful_http"]), hit
+                    Flow(owner.name, target_svc.name, ["restful_http"]), trace
                 )
             elif "." in host:
                 if host.lower() in _SCHEMA_HOSTS:
                     continue
                 site = Node(host, "external_entity", ["external_website"])
-                ctx.dfd.upsert_node(site, hit)
-                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), hit)
+                ctx.dfd.upsert_node(site, trace)
+                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
 
 
 # ============================================================================

@@ -8,7 +8,7 @@ what makes extractor order within a pipeline phase irrelevant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import catalog
 
@@ -63,14 +63,22 @@ class TraceEntry:
     line is 1-based; span is a 0-based half-open [start:end) character
     interval within that line, rendered as "(start:end)".  snippet keeps the
     matched text so the evidence can be re-checked against the file later;
-    it is not serialized.  Entries are immutable because one entry is shared
-    by every item and property entry it is evidence for.
+    it is not serialized.  via holds the other links of the evidence chain
+    (a ${...} entry, a constant's definition, a declaration), which the
+    trace store keeps as extras; it takes no part in equality.  Entries are
+    immutable because one entry is shared by every item and property entry
+    it is evidence for.
     """
 
     file: str
     line: int
     span: tuple[int, int]
     snippet: str = ""
+    via: tuple[TraceEntry, ...] = field(default=(), compare=False)
+
+    def linked(self, links) -> TraceEntry:
+        """This entry with the links added to via."""
+        return replace(self, via=self.via + tuple(links)) if links else self
 
     def span_str(self) -> str:
         return "(%d:%d)" % self.span
@@ -104,7 +112,8 @@ class TraceStore:
     entry for an item (and for each sub-item key) is decided within the
     earliest epoch that produced evidence, with ties broken by file
     position so that the choice never depends on extractor order; later
-    epochs only accumulate extras.
+    epochs only accumulate extras.  The via links of a recorded entry join
+    the extras without competing for the primary or a sub-item.
     """
 
     def __init__(self) -> None:
@@ -134,16 +143,28 @@ class TraceStore:
 
     def record(self, item_id: str, entry: TraceEntry) -> None:
         rec = self._open(item_id, entry)
-        if entry in rec.all_entries():
-            return
-        if self._wins(item_id, entry, rec.primary):
-            rec.primary, entry = entry, rec.primary
-        rec.extras.append(entry)
+        if entry != rec.primary and entry not in rec.sub_items.values():
+            loser = entry
+            # only an extra that came as a link, and so never competed, can win
+            if self._wins(item_id, entry, rec.primary):
+                if entry in rec.extras:
+                    rec.extras.remove(entry)
+                rec.primary, loser = entry, rec.primary
+            if loser not in rec.extras:
+                rec.extras.append(loser)
+        self._link(rec, entry)
 
     def record_sub(self, item_id: str, key: str, entry: TraceEntry) -> None:
         rec = self._open(item_id, entry)
         if self._wins((item_id, key), entry, rec.sub_items.get(key)):
             rec.sub_items[key] = entry
+        self._link(rec, entry)
+
+    @staticmethod
+    def _link(rec: TraceRecord, entry: TraceEntry) -> None:
+        for link in entry.via:
+            if link not in rec.all_entries():
+                rec.extras.append(link)
 
     def get(self, item_id: str) -> TraceRecord | None:
         return self._records.get(item_id)

@@ -420,20 +420,13 @@ def find_keyword(
 
 @dataclass
 class EvidenceChain:
-    """A seed hit plus the follow-up hits that substantiate it.
-
-    A chain holds one to three hits: the seed, an optional member-usage
-    or definition hit, and an optional final resolution hit.
-    """
+    """A seed hit and, when the identifier it declares is used, that use."""
 
     matches: list[TraceEntry]
-    extracted_identifier: str
-    resolved: bool
-    resolved_value: str | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.matches) <= 3:
-            raise ValueError("evidence chain must hold 1 to 3 matches")
+        if not 1 <= len(self.matches) <= 2:
+            raise ValueError("evidence chain must hold 1 or 2 matches")
 
     @property
     def seed(self) -> TraceEntry:
@@ -443,13 +436,9 @@ class EvidenceChain:
     def last(self) -> TraceEntry:
         return self.matches[-1]
 
-
-@dataclass(frozen=True)
-class CrossFileHit:
-    """Result of resolving a dotted identifier in another file."""
-
-    trace: TraceEntry
-    value: str | None
+    @property
+    def resolved(self) -> bool:
+        return len(self.matches) == 2
 
 
 _STRING_ASSIGNMENT = re.compile(r"\s*=\s*\"([^\"]*)\"")
@@ -475,13 +464,13 @@ def string_constant(file: IndexedFile, name: str) -> tuple[TraceEntry, str] | No
 
 def resolve_cross_file(
     index: FileIndex, dotted: str, origin_path: str
-) -> CrossFileHit | None:
-    """Resolve Stem.MEMBER by finding MEMBER inside Stem.java.
+) -> tuple[TraceEntry, str] | None:
+    """Resolve Stem.MEMBER to the string literal Stem.java assigns MEMBER.
 
     Files in the origin's directory win over same-named files elsewhere.
-    When a line assigns a string literal to the member, the hit is there and
-    that literal is the resolved value; otherwise the hit is the member's
-    first occurrence and the value is None.
+    Returns the trace of the member on its assigning line and the literal,
+    as string_constant does; None when Stem.java or the assignment is
+    missing.
     """
     stem, dot, remainder = dotted.partition(".")
     if not dot or not stem or not remainder:
@@ -491,25 +480,17 @@ def resolve_cross_file(
     if not candidates:
         return None
     target = min(candidates, key=lambda f: (posixpath.dirname(f.path) != origin_dir, f.path))
-    member = remainder.partition(".")[0]
-    found = string_constant(target, member)
-    if found is not None:
-        return CrossFileHit(*found)
-    hits = _scan_files([target], member)
-    return CrossFileHit(hits[0], None) if hits else None
-
-
-# ${NAME} or ${NAME:default}, the one placeholder grammar of configuration
-# values and searched identifiers
-PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
+    return string_constant(target, remainder.partition(".")[0])
 
 
 def env_value(index: FileIndex, name: str, origin_path: str) -> tuple[str, TraceEntry] | None:
     """The value a .env file gives name, and the trace of that value.
 
-    The nearest .env wins, walking up from the origin file's directory to
-    the root.  Quotes around the value are dropped; the trace covers the
-    value as written.  None when no .env sets name.
+    The nearest .env that sets name wins, walking up from the origin
+    file's directory to the root.  Quotes around the value are dropped;
+    the trace covers the value as written.  A line whose value is blank,
+    or empty once its quotes are dropped, sets nothing.  None when no .env
+    sets name.
     """
     d = posixpath.dirname(origin_path)
     while True:
@@ -517,11 +498,13 @@ def env_value(index: FileIndex, name: str, origin_path: str) -> tuple[str, Trace
         if f is not None:
             for li, line in enumerate(f.text.split("\n")):
                 key, eq, value = line.partition("=")
-                if eq and key.strip() == name and not line.lstrip().startswith("#"):
+                if not eq or key.strip() != name or line.lstrip().startswith("#"):
+                    continue
+                unquoted = value.strip().strip("\"'")
+                if unquoted:
                     start = len(key) + 1 + len(value) - len(value.lstrip(" "))
                     end = len(line.rstrip())
-                    trace = TraceEntry(f.path, li + 1, (start, end), line[start:end])
-                    return value.strip().strip("\"'"), trace
+                    return unquoted, TraceEntry(f.path, li + 1, (start, end), line[start:end])
         if not d:
             return None
         d = posixpath.dirname(d)
@@ -535,50 +518,30 @@ def iterative_search(
     languages=("java",),
     raw: bool = False,
 ) -> list[EvidenceChain]:
-    """Snowballing search: seed keyword, extract identifier, chase members.
+    """Snowballing search: seed keyword, extract identifier, find its use.
 
     seed is a literal keyword.  extract is a regex applied to each matched
     line, comments blanked unless raw; its non-empty capture groups are the
-    identifiers.  For each identifier the search tries identifier.member in
-    the same file for every member in follow, then a cross-file jump for
-    dotted identifiers, then .env resolution for ${...}-shaped ones.
-    Unresolvable candidates come back with resolved=False so no evidence is
-    silently dropped.
+    identifiers.  Each use of identifier.member in the seed's file, for
+    every member in follow, makes a resolved chain [seed, use].  A seed
+    with no identifier, or an identifier with no use, comes back alone as
+    an unresolved chain, so no evidence is silently dropped.  Resolving a
+    name to a value (a constant, a property, a .env line) is the
+    extractors' resolver's job, not this search's.
     """
     chains: list[EvidenceChain] = []
     for hit in find_keyword(index, seed, languages=languages, raw=raw):
-        line = index.by_path[hit.file].line(hit.line - 1, masked=not raw)
+        f = index.by_path[hit.file]
+        line = f.line(hit.line - 1, masked=not raw)
         idents = [g for m in re.finditer(extract, line) for g in m.groups() if g]
         if not idents:
-            chains.append(EvidenceChain([hit], "", False))
-            continue
+            chains.append(EvidenceChain([hit]))
         for ident in idents:
-            chains.extend(_resolve_ident(index, hit, ident, follow, raw))
+            uses = [
+                use
+                for member in follow
+                for use in _scan_files([f], "%s.%s" % (ident, member), raw)
+                if use != hit
+            ]
+            chains.extend([EvidenceChain([hit, use]) for use in uses] or [EvidenceChain([hit])])
     return chains
-
-
-def _resolve_ident(
-    index: FileIndex, seed: TraceEntry, ident: str, follow, raw: bool
-) -> list[EvidenceChain]:
-    f = index.by_path[seed.file]
-    out: list[EvidenceChain] = []
-    for member in follow:
-        for hit in _scan_files([f], "%s.%s" % (ident, member), raw):
-            if hit.line == seed.line and hit.span == seed.span:
-                continue
-            out.append(EvidenceChain([seed, hit], ident, True))
-    if out:
-        return out
-    if "." in ident:
-        cross = resolve_cross_file(index, ident, seed.file)
-        if cross is not None:
-            return [EvidenceChain([seed, cross.trace], ident, True, resolved_value=cross.value)]
-    shaped = PLACEHOLDER.fullmatch(ident.strip())
-    if shaped:
-        found = env_value(index, shaped.group(1).strip(), seed.file)
-        if found is not None:
-            value, hit = found
-            return [EvidenceChain([seed, hit], ident, True, resolved_value=value)]
-        if shaped.group(2) is not None:
-            return [EvidenceChain([seed], ident, True, resolved_value=shaped.group(2))]
-    return [EvidenceChain([seed], ident, False)]

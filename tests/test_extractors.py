@@ -14,13 +14,15 @@ from dfdscan.extractors.base import (
     Extractor,
     ServiceRoot,
     default_extractors,
+    resolve_name,
     resolve_text,
     run_pipeline,
 )
 from dfdscan.extractors.flows import _UrlFlows
 from dfdscan.extractors.workspace import Workspace
 from dfdscan.model import TraceEntry
-from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
+from dfdscan.output import dfd_to_json, traceability_to_json, traceability_to_obj, verify_traces
+from dfdscan.parsers import PropertyEntry, PropertyMap
 from dfdscan.rules import load_rules
 from dfdscan.search import build_index
 
@@ -944,19 +946,114 @@ def test_environment_placeholder_resolved_from_compose(tmp_path):
     assert "message_broker" in dfd.node("bunny").stereotypes
 
 
+def resolver_context(tmp_path, files, properties=()):
+    """A context over the files and one service "svc" holding the properties."""
+    ctx = Context(build_index(make_tree(tmp_path, files)), load_rules())
+    svc = ServiceRoot(
+        name="svc",
+        canonical="svc",
+        root="svc",
+        trace=TraceEntry("svc", 1, (0, 1), "x"),
+        properties=PropertyMap(properties),
+    )
+    return ctx, svc
+
+
 def test_resolve_text_falls_back_to_env_then_inline_default(tmp_path):
-    make_tree(tmp_path, {".env": "DB_HOST=db.internal\n", "svc/application.yml": "x: 1\n"})
-    ctx = Context(build_index(tmp_path), load_rules())
     # a service without properties, so every placeholder goes past them
-    svc = ServiceRoot(name="svc", canonical="svc", root="svc", trace=TraceEntry("svc", 1, (0, 1), "x"))
+    ctx, svc = resolver_context(tmp_path, {".env": "DB_HOST=db.internal\n", "svc/application.yml": "x: 1\n"})
     origin = "svc/application.yml"
-    assert resolve_text(ctx, svc, "${DB_HOST}", origin) == ("db.internal", None)
-    assert resolve_text(ctx, svc, "${DB_PORT:5432}", origin) == ("5432", None)
+    env_line = TraceEntry(".env", 1, (8, 19), "db.internal")
+    assert resolve_text(ctx, svc, "${DB_HOST}", origin) == ("db.internal", (env_line,))
+    assert resolve_text(ctx, svc, "${DB_PORT:5432}", origin) == ("5432", ())
     assert resolve_text(ctx, svc, "jdbc://${DB_HOST}:${DB_PORT:5432}/x", origin) == (
         "jdbc://db.internal:5432/x",
-        None,
+        (env_line,),
     )
-    assert resolve_text(ctx, svc, "${MISSING}", origin) == (None, None)
+    assert resolve_text(ctx, svc, "${MISSING}", origin) == (None, ())
+
+
+def test_resolve_name_takes_a_placeholder_from_env(tmp_path):
+    ctx, svc = resolver_context(
+        tmp_path,
+        {
+            ".env": "# hosts\nDB_HOST = db.internal\n",
+            "svc/Repo.java": 'class Repo { @Value("${DB_HOST}") String host; }\n',
+        },
+    )
+    assert resolve_name(ctx, svc, "${DB_HOST}", "svc/Repo.java") == (
+        "db.internal",
+        (TraceEntry(".env", 2, (10, 21), "db.internal"),),
+    )
+
+
+def test_resolve_name_takes_a_placeholder_default_without_env(tmp_path):
+    java = 'class Repo { @Value("${DB_HOST:db.local}") String host; }\n'
+    ctx, svc = resolver_context(tmp_path, {"svc/Repo.java": java})
+    assert resolve_name(ctx, svc, "${DB_HOST:db.local}", "svc/Repo.java") == ("db.local", ())
+    assert resolve_name(ctx, svc, "${DB_HOST}", "svc/Repo.java") == (None, ())
+
+
+def test_resolve_name_jumps_to_a_cross_file_constant(tmp_path):
+    ctx, svc = resolver_context(
+        tmp_path,
+        {
+            "a/Caller.java": "connect(Config.TARGET);\n",
+            "a/Config.java": 'class Config { static final String TARGET = "inventory"; }\n',
+        },
+    )
+    assert resolve_name(ctx, svc, "Config.TARGET", "a/Caller.java") == (
+        "inventory",
+        (TraceEntry("a/Config.java", 1, (35, 41), "TARGET"),),
+    )
+
+
+def test_resolve_name_tries_each_source_in_order(tmp_path):
+    prop = PropertyEntry("db.host", "from-property", TraceEntry("svc/app.properties", 1, (8, 21), "from-property"))
+    blank = PropertyEntry("cache.host", " ", TraceEntry("svc/app.properties", 2, (11, 12), " "))
+    ctx, svc = resolver_context(
+        tmp_path,
+        {
+            "svc/app.properties": "db.host=from-property\ncache.host= \n",
+            "svc/.env": "DB_HOST=from-env\nCACHE_HOST=cache-env\n",
+            "svc/Client.java": 'class Client {\n    static final String TARGET = "same-file";\n    String NAME = "";\n}\n',
+            "svc/Names.java": 'class Names {\n    static final String NAME = "";\n}\n',
+        },
+        [prop, blank],
+    )
+    origin = "svc/Client.java"
+    # property first, under its relaxed spelling; a blank property is skipped
+    assert resolve_name(ctx, svc, "${DB_HOST:fb}", origin) == ("from-property", (prop.trace,))
+    assert resolve_name(ctx, svc, "${CACHE_HOST:fb}", origin) == (
+        "cache-env",
+        (TraceEntry("svc/.env", 2, (11, 20), "cache-env"),),
+    )
+    assert resolve_name(ctx, None, "${DB_HOST:fb}", origin)[0] == "from-env"
+    # a stem with no Stem.java, or an empty literal there, falls back to the origin file
+    assert resolve_name(ctx, svc, "Missing.TARGET", origin) == (
+        "same-file",
+        (TraceEntry(origin, 2, (24, 30), "TARGET"),),
+    )
+    assert resolve_name(ctx, svc, "TARGET", origin)[0] == "same-file"
+    assert resolve_name(ctx, svc, "Names.NAME", origin) == ("", (TraceEntry(origin, 3, (11, 15), "NAME"),))
+    assert resolve_name(ctx, svc, "Names.OTHER", origin) == (None, ())
+
+
+def test_whole_placeholder_from_env_is_traced_to_the_env_line(tmp_path):
+    yml = "spring:\n  zipkin:\n    base-url: ${ZIPKIN_URL}\n"
+    files = service_files("svc", yml)
+    files[".env"] = "ZIPKIN_URL=http://zipkin:9411\n"
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert dfd.has_flow("svc", "zipkin")
+    env_line = TraceEntry(".env", 1, (11, 29), "http://zipkin:9411")
+    placeholder = TraceEntry("svc/src/main/resources/application.yml", 6, (14, 27), "${ZIPKIN_URL}")
+    for item in ("svc -> zipkin", "zipkin"):
+        rec = dfd.traces.get(item)
+        assert rec.primary == env_line
+        assert placeholder in rec.extras
+    assert traceability_to_obj(dfd)["svc -> zipkin"]["file"] == ".env"
+    assert verify_traces(dfd, tmp_path)[1] == []
 
 
 # ----------------------------------------------------------------------
@@ -1172,6 +1269,61 @@ def test_mail_credentials_from_miniapp(miniapp_result):
     assert mail.tagged_values["username"] == ["dev-user@gmail.com"]
     assert mail.tagged_values["password"] == ["dev-mail-password"]
     assert "plaintext_credentials" in mail.stereotypes
+
+
+# ----------------------------------------------------------------------
+# evidence chains
+# ----------------------------------------------------------------------
+
+LINKED_YML = (
+    "clients:\n  mail: mailer\n"
+    "spring:\n  zipkin:\n    base-url: ${ZIPKIN_URL}\n"
+)
+LINKED_FILES = {
+    ".env": "ZIPKIN_URL=http://zipkin:9411\nPAY_URL=https://payments.example.com/v1\n",
+    "a/src/main/java/AccountsClient.java": "@FeignClient(name = ServiceNames.ACCOUNTS)\ninterface AccountsClient {}\n",
+    "a/src/main/java/ServiceNames.java": 'class ServiceNames {\n    static final String ACCOUNTS = "accounts";\n}\n',
+    "a/src/main/java/StoreClient.java": '@FeignClient(name = STORE)\ninterface StoreClient {\n    String STORE = "store";\n}\n',
+    "a/src/main/java/MailClient.java": '@FeignClient(name = "${clients.mail}")\ninterface MailClient {}\n',
+    "a/src/main/java/PayClient.java": '@FeignClient(url = "${PAY_URL}")\ninterface PayClient {}\n',
+}
+YML = "a/src/main/resources/application.yml"
+# item -> the line that gave its value, other than the item's own evidence
+LINKS = {
+    "a -> accounts": ("a/src/main/java/ServiceNames.java", 2),
+    "a -> store": ("a/src/main/java/StoreClient.java", 3),
+    "a -> mailer": (YML, 5),
+    "a -> payments_example_com": (".env", 2),
+    "a -> zipkin": (YML, 8),
+}
+MINIAPP_LINKS = {
+    # the encoder's declaration, whose use marks the service
+    "auth_service": ("auth-service/src/main/java/com/acme/auth/UserService.java", 9),
+}
+
+
+def test_every_link_of_a_resolved_value_is_kept_and_verified(miniapp_path, tmp_path):
+    files = service_files("a", LINKED_YML)
+    files.update(LINKED_FILES)
+    small = make_tree(tmp_path / "small", files)
+    for root, links in ((Path(miniapp_path), MINIAPP_LINKS), (small, LINKS)):
+        dfd = analyze_directory(root).dfd
+        assert verify_traces(dfd, root)[1] == []
+        for item, (path, line) in links.items():
+            rec = dfd.traces.get(item)
+            assert rec is not None, item
+            assert (path, line) in {(e.file, e.line) for e in rec.all_entries()}, item
+            assert (path, line) != (rec.primary.file, rec.primary.line), item
+            # the link is evidence like any other: editing its line is caught
+            edited = tmp_path / "edited"
+            shutil.rmtree(edited, ignore_errors=True)
+            shutil.copytree(root, edited)
+            target = edited / path
+            lines = target.read_text(encoding="utf-8").split("\n")
+            lines[line - 1] = " " + lines[line - 1]
+            target.write_text("\n".join(lines), encoding="utf-8")
+            failures = verify_traces(dfd, edited)[1]
+            assert any(f.startswith("%s: %s:%d " % (item, path, line)) for f in failures), item
 
 
 # ----------------------------------------------------------------------

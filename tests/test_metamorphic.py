@@ -11,7 +11,9 @@ that leave the application as it was: other line ends, a byte order mark,
 trailing whitespace, .yaml for .yml, compose services in reverse order,
 copies of services in ignored build directories, and the whole tree moved
 under a subdirectory.  Each must give the same dfd.json, with traces that
-verify against the rewritten tree.
+verify against the rewritten tree.  A comment block put on top of every
+Java file must move each trace entry in a Java file down by its lines and
+leave every other entry where it was.
 """
 
 import json
@@ -25,6 +27,7 @@ import yaml
 
 from dfdscan import search
 from dfdscan.analysis import analyze_directory
+from dfdscan.model import TraceEntry
 from dfdscan.output import dfd_to_json, dfd_to_obj, verify_traces
 from dfdscan.rules import load_rules
 
@@ -254,3 +257,46 @@ def test_tree_moved_under_a_subdirectory_keeps_the_diagram(apps, app, tmp_path):
     assert dfd_to_json(result.dfd) == expected
     assert verify_traces(result.dfd, tmp_path)[1] == []
     assert not [w for w in result.report.warnings if w.startswith("duplicate service name")]
+
+
+# three lines of keywords the pipeline chases, all inside one comment
+JAVA_HEADER = (
+    '/* @FeignClient(name = "ghost-service") BCryptPasswordEncoder ghost = new BCryptPasswordEncoder();\n'
+    ' * new RestTemplate().getForObject("http://ghost.example.com/x", String.class); ghost.encode(p);\n'
+    " */\n"
+)
+
+
+def trace_layout(dfd, move=lambda entry: entry):
+    """Every item's primary, sub-item and extra entries, each moved."""
+    return {
+        item: (
+            move(rec.primary),
+            {key: move(entry) for key, entry in rec.sub_items.items()},
+            [move(entry) for entry in rec.extras],
+        )
+        for item, rec in dfd.traces.items()
+    }
+
+
+@pytest.mark.parametrize("app", ["miniapp", "generated"])
+def test_java_header_moves_java_traces_down_by_its_lines(apps, app, tmp_path):
+    root, expected = apps[app]
+    before = analyze_directory(root).dfd
+    copy = tmp_path / app
+    shutil.copytree(root, copy)
+    java = sorted(copy.rglob("*.java"))
+    assert java
+    for path in java:
+        path.write_text(JAVA_HEADER + path.read_text(encoding="utf-8"), encoding="utf-8")
+    result = analyze_directory(copy)
+    assert dfd_to_json(result.dfd) == expected
+    assert verify_traces(result.dfd, copy)[1] == []
+    assert result.report.failures == []
+
+    def down(entry):
+        if not entry.file.endswith(".java"):
+            return entry
+        return TraceEntry(entry.file, entry.line + JAVA_HEADER.count("\n"), entry.span, entry.snippet)
+
+    assert trace_layout(result.dfd) == trace_layout(before, down)

@@ -277,6 +277,21 @@ def test_evidence_rule(writer, first, second, winner):
         assert (rec.primary, rec.extras) == (SETUP, []), item_id  # annotate adds no extras
 
 
+def test_links_join_the_extras_without_competing():
+    d = Dfd()
+    evidence, link = t(file="b.yml"), t(file="a.yml")  # the link sorts first
+    assert evidence.linked([link]) == evidence
+    d.upsert_node(Node("svc", stereotypes=["gateway"]), evidence.linked([link]))
+    rec = d.traces.get("svc")
+    assert (rec.primary, rec.sub_items, rec.extras) == (evidence, {"gateway": evidence}, [link])
+    # recorded as evidence of its own, the link competes and leaves the extras
+    d.upsert_node(Node("svc"), link)
+    assert (rec.primary, rec.extras) == (link, [evidence])
+    d.annotate("svc", stereotype="local_logging", trace=t(file="c.yml").linked([t(file="d.yml")]))
+    assert rec.sub_items["local_logging"] == t(file="c.yml")
+    assert rec.extras == [evidence, t(file="d.yml")]
+
+
 def test_flow_stereotype_evidence_is_the_upserts_own_trace():
     d = Dfd()
     d.upsert_flow(Flow("a", "b", stereotypes=["restful_http"]), t(line=1))

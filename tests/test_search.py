@@ -10,10 +10,11 @@ import tracemalloc
 import pytest
 
 from dfdscan import _kernel
+from dfdscan.extractors.base import Context, resolve_text
 from dfdscan.model import TraceEntry
+from dfdscan.rules import load_rules
 from dfdscan.search import (
     _SPACE,
-    CrossFileHit,
     blank_comments,
     build_index,
     classify_path,
@@ -731,11 +732,10 @@ def test_iterative_search_same_file_member(tmp_path):
     # both resolve to the same usage site
     assert resolved
     assert {(c.last.line, c.last.snippet) for c in resolved} == {(5, "encoder.encode")}
-    assert {c.extracted_identifier for c in resolved} == {"encoder"}
     assert all(c.seed.line == 2 for c in resolved)
     # the declaration-line seed with no extractable identifier shows up
     # unresolved rather than disappearing
-    assert all(1 <= len(c.matches) <= 3 for c in chains)
+    assert all(1 <= len(c.matches) <= 2 for c in chains)
 
 
 def test_iterative_search_unresolved_chain_kept(tmp_path):
@@ -749,39 +749,7 @@ def test_iterative_search_unresolved_chain_kept(tmp_path):
     )
     assert len(chains) == 1
     assert not chains[0].resolved
-    assert chains[0].extracted_identifier == "unused"
-
-
-def test_iterative_search_resolves_a_placeholder_through_env(tmp_path):
-    make_tree(
-        tmp_path,
-        {
-            ".env": "# hosts\nDB_HOST = db.internal\n",
-            "svc/Repo.java": 'class Repo { @Value("${DB_HOST}") String host; }\n',
-        },
-    )
-    idx = build_index(tmp_path)
-    chains = iterative_search(
-        idx,
-        "@Value(",
-        extract=r'@Value\("(\$\{\w+\})"\)',
-        follow=["get"],
-    )
-    assert len(chains) == 1
-    chain = chains[0]
-    assert chain.resolved
-    assert chain.extracted_identifier == "${DB_HOST}"
-    assert chain.resolved_value == "db.internal"
-    assert (chain.last.file, chain.last.line, chain.last.span) == (".env", 2, (10, 21))
-
-
-def test_iterative_search_takes_a_placeholder_default_without_env(tmp_path):
-    java = 'class Repo { @Value("${DB_HOST:db.local}") String host; }\n'
-    make_tree(tmp_path, {"svc/Repo.java": java})
-    chains = iterative_search(
-        build_index(tmp_path), "@Value(", extract=r'@Value\("(\$\{[^"]+\})"\)', follow=["get"]
-    )
-    assert [(c.resolved, c.resolved_value, len(c.matches)) for c in chains] == [(True, "db.local", 1)]
+    assert chains[0].matches == [TraceEntry("A.java", 1, (0, 21), "BCryptPasswordEncoder")]
 
 
 def test_cross_file_resolution_prefers_origin_directory(tmp_path):
@@ -794,11 +762,10 @@ def test_cross_file_resolution_prefers_origin_directory(tmp_path):
         },
     )
     idx = build_index(tmp_path)
-    hit = resolve_cross_file(idx, "Constants.BASE_URL", "svc/Client.java")
-    assert hit is not None
-    assert hit.trace.file == "svc/Constants.java"
-    assert hit.value == "http://orders:8080"
-    assert hit.trace.snippet == "BASE_URL"
+    trace, value = resolve_cross_file(idx, "Constants.BASE_URL", "svc/Client.java")
+    assert trace.file == "svc/Constants.java"
+    assert value == "http://orders:8080"
+    assert trace.snippet == "BASE_URL"
 
 
 def test_cross_file_candidates_are_origin_directory_then_path_order(tmp_path):
@@ -810,10 +777,10 @@ def test_cross_file_candidates_are_origin_directory_then_path_order(tmp_path):
     files["q/Caller.java"] = "use(Stem.V);\n"
     files["a/Stem.JAVA"] = 'class Stem { static final String V = "upper"; }\n'
     idx = build_index(make_tree(tmp_path, files))
-    assert resolve_cross_file(idx, "Stem.V", "m/Caller.java").value == "m"
-    assert resolve_cross_file(idx, "Stem.V", "q/Caller.java").value == "a"
+    assert resolve_cross_file(idx, "Stem.V", "m/Caller.java")[1] == "m"
+    assert resolve_cross_file(idx, "Stem.V", "q/Caller.java")[1] == "a"
     # the origin file itself is never its own target
-    assert resolve_cross_file(idx, "Stem.V", "a/Stem.java").value == "m"
+    assert resolve_cross_file(idx, "Stem.V", "a/Stem.java")[1] == "m"
     assert resolve_cross_file(idx, "Other.V", "m/Caller.java") is None
 
 
@@ -845,31 +812,9 @@ def test_cross_file_value_is_the_whole_name_assignment(tmp_path):
     }
     idx = build_index(make_tree(tmp_path, files))
     hit = resolve_cross_file(idx, "Names.NAME", "a/Caller.java")
-    assert hit == CrossFileHit(TraceEntry("a/Names.java", 3, (11, 15), "NAME"), "b")
-    # without an assignment the hit is the member's first occurrence
-    hit = resolve_cross_file(idx, "Names.OLD", "a/Caller.java")
-    assert hit == CrossFileHit(TraceEntry("a/Names.java", 2, (11, 14), "OLD"), None)
-
-
-def test_iterative_search_cross_file_jump(tmp_path):
-    make_tree(
-        tmp_path,
-        {
-            "a/Caller.java": "connect(Config.TARGET);\n",
-            "a/Config.java": 'class Config { static final String TARGET = "inventory"; }\n',
-        },
-    )
-    idx = build_index(tmp_path)
-    chains = iterative_search(
-        idx,
-        "connect(",
-        extract=r"connect\(([\w.]+)\)",
-        follow=[],
-    )
-    assert len(chains) == 1
-    assert chains[0].resolved
-    assert chains[0].resolved_value == "inventory"
-    assert chains[0].last.file == "a/Config.java"
+    assert hit == (TraceEntry("a/Names.java", 3, (11, 15), "NAME"), "b")
+    # a member that is only part of an assigned name does not resolve
+    assert resolve_cross_file(idx, "Names.OLD", "a/Caller.java") is None
 
 
 def test_env_variable_resolution(tmp_path):
@@ -899,3 +844,22 @@ def test_nearest_env_file_wins(tmp_path):
     idx = build_index(tmp_path)
     assert env_value(idx, "HOST", "svc/App.java")[0] == "inner"
     assert env_value(idx, "HOST", "App.java")[0] == "outer"
+
+
+def test_blank_env_value_does_not_resolve(tmp_path):
+    make_tree(
+        tmp_path,
+        {
+            ".env": "QUOTED=outer\n",
+            "svc/.env": "HOST=   \nQUOTED=''\n",
+            "svc/application.yml": "x: 1\n",
+        },
+    )
+    ctx = Context(build_index(tmp_path), load_rules())
+    origin = "svc/application.yml"
+    assert env_value(ctx.index, "HOST", origin) is None
+    # a value that is empty once unquoted sets nothing either, so the
+    # nearest .env line that does set the name wins
+    assert env_value(ctx.index, "QUOTED", origin) == ("outer", TraceEntry(".env", 1, (7, 12), "outer"))
+    assert resolve_text(ctx, None, "${HOST:fb}", origin)[0] == "fb"
+    assert resolve_text(ctx, None, "${HOST}", origin)[0] is None
