@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
@@ -91,6 +92,7 @@ def run_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     app = _app_name(args)
     written = []
+    started = time.perf_counter()
     if "json" in formats:
         dfd_path = out_dir / ("%s.json" % app)
         dfd_path.write_text(dfd_to_json(dfd), encoding="utf-8")
@@ -101,15 +103,14 @@ def run_analyze(args) -> int:
         dot_path = out_dir / ("%s.dot" % app)
         dot_path.write_text(dfd_to_dot(dfd, title=app), encoding="utf-8")
         written.append(dot_path)
-        if "png" in formats:
-            png_path = out_dir / ("%s.png" % app)
-            if shutil.which("dot"):
-                subprocess.run(
-                    ["dot", "-Tpng", str(dot_path), "-o", str(png_path)], check=False
-                )
-                written.append(png_path)
-            else:
-                print("note: graphviz 'dot' not found, skipping PNG rendering")
+    report.timings["serialize"] = time.perf_counter() - started
+    if "png" in formats:
+        png_path = out_dir / ("%s.png" % app)
+        if shutil.which("dot"):
+            subprocess.run(["dot", "-Tpng", str(dot_path), "-o", str(png_path)], check=False)
+            written.append(png_path)
+        else:
+            print("note: graphviz 'dot' not found, skipping PNG rendering")
 
     print(
         "%s: %d nodes, %d flows in %.2fs%s"

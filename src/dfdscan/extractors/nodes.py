@@ -21,18 +21,22 @@ class ServiceNodes(Extractor):
     phase = "node"
 
     def run(self, ctx: Context) -> None:
+        # the first port of the first compose service of each name that has one
+        compose_ports = {}
+        for comp in ctx.compose_services:
+            if comp.ports:
+                compose_ports.setdefault(comp.name, comp.ports[0])
         for svc in ctx.services.values():
             node = Node(svc.name, "service")
             ctx.dfd.upsert_node(node, svc.trace)
-            port, ptrace = self._port_of(ctx, svc)
+            port, ptrace = self._port_of(ctx, svc, compose_ports)
             if port is not None:
                 ctx.dfd.annotate(svc.canonical, tags={"Port": port}, trace=ptrace)
 
-    def _port_of(self, ctx: Context, svc):
-        for comp in ctx.compose_services:
-            if comp.name == svc.compose_name and comp.ports:
-                port, trace = comp.ports[0]
-                return str(port), trace
+    def _port_of(self, ctx: Context, svc, compose_ports):
+        if svc.compose_name in compose_ports:
+            port, trace = compose_ports[svc.compose_name]
+            return str(port), trace
         info = ctx.dockerfiles.get(svc.root)
         if info is not None and info.exposed_ports:
             port, trace = info.exposed_ports[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import catalog
 
@@ -34,6 +35,7 @@ class SelfFlowError(ModelError):
 _SQUEEZE = re.compile(r"_+")
 
 
+@lru_cache(maxsize=4096)  # pure, and a diagram names each element many times
 def normalize_name(raw: str) -> str:
     """Canonicalize an element name.
 
@@ -111,9 +113,10 @@ class TraceStore:
     The pipeline runner bumps epoch at every phase boundary.  The primary
     entry for an item (and for each sub-item key) is decided within the
     earliest epoch that produced evidence, with ties broken by file
-    position so that the choice never depends on extractor order; later
-    epochs only accumulate extras.  The via links of a recorded entry join
-    the extras without competing for the primary or a sub-item.
+    position so that the choice never depends on extractor order.  An
+    entry that loses a slot, or is pushed out of one, stays as an extra.
+    The via links of a recorded entry join the extras without competing
+    for the primary or a sub-item.
     """
 
     def __init__(self) -> None:
@@ -121,6 +124,8 @@ class TraceStore:
         # the epoch that filled each slot: an item id names its primary,
         # an (item id, key) pair one of its sub-items
         self._epochs: dict[str | tuple[str, str], int] = {}
+        # (item id, entry) for every extra: an item can gather thousands
+        self._extras: set[tuple[str, TraceEntry]] = set()
         self.epoch = 0
 
     def _wins(self, slot, entry: TraceEntry, current: TraceEntry | None) -> bool:
@@ -141,30 +146,44 @@ class TraceStore:
             self._epochs[item_id] = self.epoch
         return rec
 
+    def _keep(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
+        """Add entry to the extras unless they hold it."""
+        if (item_id, entry) not in self._extras:
+            self._extras.add((item_id, entry))
+            rec.extras.append(entry)
+
+    def _promote(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
+        """Take entry out of the extras: it has won a slot."""
+        if (item_id, entry) in self._extras:
+            self._extras.remove((item_id, entry))
+            rec.extras.remove(entry)
+
     def record(self, item_id: str, entry: TraceEntry) -> None:
         rec = self._open(item_id, entry)
         if entry != rec.primary and entry not in rec.sub_items.values():
             loser = entry
-            # only an extra that came as a link, and so never competed, can win
             if self._wins(item_id, entry, rec.primary):
-                if entry in rec.extras:
-                    rec.extras.remove(entry)
+                self._promote(item_id, rec, entry)
                 rec.primary, loser = entry, rec.primary
-            if loser not in rec.extras:
-                rec.extras.append(loser)
-        self._link(rec, entry)
+            self._keep(item_id, rec, loser)
+        self._link(item_id, rec, entry)
 
     def record_sub(self, item_id: str, key: str, entry: TraceEntry) -> None:
         rec = self._open(item_id, entry)
-        if self._wins((item_id, key), entry, rec.sub_items.get(key)):
-            rec.sub_items[key] = entry
-        self._link(rec, entry)
+        current = rec.sub_items.get(key)
+        if entry != current:
+            loser = entry
+            if self._wins((item_id, key), entry, current):
+                self._promote(item_id, rec, entry)
+                rec.sub_items[key], loser = entry, current
+            if loser is not None and loser != rec.primary and loser not in rec.sub_items.values():
+                self._keep(item_id, rec, loser)
+        self._link(item_id, rec, entry)
 
-    @staticmethod
-    def _link(rec: TraceRecord, entry: TraceEntry) -> None:
+    def _link(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
         for link in entry.via:
-            if link not in rec.all_entries():
-                rec.extras.append(link)
+            if link != rec.primary and link not in rec.sub_items.values():
+                self._keep(item_id, rec, link)
 
     def get(self, item_id: str) -> TraceRecord | None:
         return self._records.get(item_id)

@@ -7,6 +7,7 @@ libyaml's when PyYAML was built with it.
 """
 from __future__ import annotations
 
+import functools
 import posixpath
 import re
 import xml.etree.ElementTree as ET
@@ -17,8 +18,9 @@ import yaml
 from .model import TraceEntry
 from .search import IndexedFile
 
-# libyaml's composer gives the same nodes and marks about eight times faster
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's composer gives the same nodes and marks about eight times faster.
+# The base loader leaves implicit tags unresolved: only values and marks are read.
+_Loader = getattr(yaml, "CBaseLoader", yaml.BaseLoader)
 
 
 class ParserError(Exception):
@@ -85,13 +87,13 @@ class PropertyMap:
         rabbitmq.host and the other way round, which bridges environment
         variable bindings of typical deployments.
         """
-        want = self._canon(dotted)
+        want, tails = _query(dotted)
         exact = self._exact
         found = exact.get(want) or self._suffix.get(want)
         if not found:
             # entries whose key is a dotted suffix of the query
             found = []
-            for tail in _dotted_suffixes(want):
+            for tail in tails:
                 if tail in exact:
                     found += exact[tail]
             found.sort()
@@ -121,6 +123,17 @@ class PropertyMap:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@functools.lru_cache(maxsize=4096)
+def _query(dotted: str) -> tuple[str, tuple[str, ...]]:
+    """A find query's relaxed key and its dotted suffixes.
+
+    Every service asks the same extractor keys, so they are kept; the bound
+    holds placeholder names, which come from the analyzed files.
+    """
+    want = PropertyMap._canon(dotted)
+    return want, tuple(_dotted_suffixes(want))
 
 
 # ----------------------------------------------------------------------------

@@ -310,6 +310,21 @@ def test_fetch_repository_at_a_ref(git_repo, tmp_path, temp_root):
         assert (path / "docker-compose.yml").is_file()
 
 
+def test_a_digit_like_password_is_written_as_a_string(tmp_path, capsys):
+    svc = tmp_path / "app" / "shop"
+    (svc / "src" / "main" / "resources").mkdir(parents=True)
+    (svc / "pom.xml").write_text("<project><artifactId>shop</artifactId></project>\n", encoding="utf-8")
+    (svc / "src" / "main" / "resources" / "application.yml").write_text(
+        'spring:\n  security:\n    user:\n      name: admin\n      password: "²"\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(["analyze", "--path", str(tmp_path / "app"), "--out", str(out)], capsys)
+    assert (code, stderr) == (0, "")
+    (node,) = json.loads((out / "app.json").read_text(encoding="utf-8"))["nodes"]
+    assert node["tagged_values"]["password"] == "²"
+
+
 def test_verbose_reports_failures(miniapp_path, tmp_path, capsys, monkeypatch):
     from dfdscan.extractors import base
 
@@ -347,7 +362,8 @@ def test_verbose_prints_timings_in_pipeline_order(miniapp_path, tmp_path, capsys
     code, stdout, _ = run_cli(argv + ["--verbose"], capsys)
     assert code == 0
     timed = re.findall(r"^  time (\w+): \d+\.\d{4}s$", stdout, re.MULTILINE)
-    assert timed == [e.name for p in PHASES for e in default_extractors() if e.phase == p]
+    pipeline = [e.name for p in PHASES for e in default_extractors() if e.phase == p]
+    assert timed == pipeline + ["serialize"]
 
 
 def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path, capsys):

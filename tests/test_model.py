@@ -272,9 +272,12 @@ def test_evidence_rule(writer, first, second, winner):
             assert (rec.primary, rec.extras) == (winner, [loser]), item_id
         else:
             assert rec.sub_items[key] == winner, (item_id, key)
+    # annotate competes only for sub-items; the losing entry stays as an extra
+    annotated = {item_id for item_id, _ in slots} if writer == "annotate" else set()
     for item_id in ("gw", "store", "gw -> store"):
         rec = d.traces.get(item_id)
-        assert (rec.primary, rec.extras) == (SETUP, []), item_id  # annotate adds no extras
+        extras = [loser] if item_id in annotated else []
+        assert (rec.primary, rec.extras) == (SETUP, extras), item_id
 
 
 def test_links_join_the_extras_without_competing():
@@ -290,6 +293,27 @@ def test_links_join_the_extras_without_competing():
     d.annotate("svc", stereotype="local_logging", trace=t(file="c.yml").linked([t(file="d.yml")]))
     assert rec.sub_items["local_logging"] == t(file="c.yml")
     assert rec.extras == [evidence, t(file="d.yml")]
+
+
+@pytest.mark.parametrize("low_first", [True, False], ids=["low-first", "high-first"])
+def test_a_lost_sub_item_slot_keeps_the_entry_as_an_extra(tmp_path, low_first):
+    (tmp_path / "a.yml").write_text("logging: file\n", encoding="utf-8")
+    (tmp_path / "b.yml").write_text("logger: out\n", encoding="utf-8")
+    low = TraceEntry("a.yml", 1, (9, 13), "file")
+    high = TraceEntry("b.yml", 1, (8, 11), "out")
+    d = Dfd()
+    d.upsert_node(Node("svc"), TraceEntry("a.yml", 1, (0, 7), "logging"))
+    d.traces.epoch = 3
+    for entry in (low, high) if low_first else (high, low):
+        d.annotate("svc", stereotype="local_logging", trace=entry)
+    rec = d.traces.get("svc")
+    assert (rec.sub_items, rec.extras) == ({"local_logging": low}, [high])
+    assert output.verify_traces(d, tmp_path) == (1, [])
+    (tmp_path / "b.yml").write_text("logger: err\n", encoding="utf-8")
+    assert output.verify_traces(d, tmp_path) == (
+        1,
+        ["svc: b.yml:1 span (8:11) holds 'err', recorded 'out'"],
+    )
 
 
 def test_flow_stereotype_evidence_is_the_upserts_own_trace():

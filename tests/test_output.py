@@ -2,9 +2,12 @@
 conformance, and trace re-verification against the source tree."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from dfdscan.analysis import analyze_directory
 from dfdscan.model import Dfd, Flow, Node, TraceEntry
 from dfdscan.output import (
     dfd_to_dot,
@@ -14,6 +17,9 @@ from dfdscan.output import (
     traceability_to_obj,
     verify_traces,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "dfdbench"))
+import gen  # noqa: E402
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -69,6 +75,16 @@ def test_numeric_tag_values_become_ints():
     tags = dfd_to_obj(d)["nodes"][0]["tagged_values"]
     assert tags["Port"] == 8000
     assert tags["Image"] == "mongo:4"
+
+
+def test_only_ascii_integers_become_numbers():
+    too_long = "9" * 5000  # past int()'s digit limit
+    tags = {"Sup": "²", "Arabic": "١٢", "Code": "007", "Offset": "-3", "Long": too_long, "Dash": "-"}
+    d = Dfd()
+    d.upsert_node(Node("a", tagged_values=tags), TraceEntry("f", 1, (0, 1), "a"))
+    expected = {"Arabic": "١٢", "Code": 7, "Dash": "-", "Long": too_long, "Offset": -3, "Sup": "²"}
+    assert dfd_to_obj(d)["nodes"][0]["tagged_values"] == expected
+    assert json.loads(dfd_to_json(d))["nodes"][0]["tagged_values"] == expected
 
 
 def test_multi_valued_tags_sorted_list():
@@ -141,6 +157,88 @@ def test_schema_rejects_bad_node():
     bad = {"nodes": [{"name": "Has Spaces", "type": "service", "stereotypes": [], "tagged_values": {}}], "information_flows": []}
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, schema)
+
+
+# ----------------------------------------------------------------------
+# the JSON writers against json.dumps
+# ----------------------------------------------------------------------
+
+
+def awkward_dfd():
+    """Names, keys and values that exercise every escape and value shape."""
+    d = Dfd()
+    d.upsert_node(
+        Node(
+            'café-ß "quoted" back\\slash',
+            tagged_values={
+                "Port": "007",
+                "Offset": "-3",
+                "Arabic": "١٢",
+                "mixed": ["10", "b", "2", "-1", "x\ty"],
+                "Empty": [],
+                "ключ": "значение 😀",
+            },
+        ),
+        TraceEntry('dir "q"/é\\f.yml', 3, (0, 4), "café"),
+    )
+    d.upsert_node(Node("plain"), TraceEntry("plain.yml", 1, (0, 5), "plain"))  # no sub-items
+    d.upsert_node(
+        Node("store", node_type="database", stereotypes=["plaintext_credentials"]),
+        TraceEntry("s.yml", 2, (1, 6), "store"),
+    )
+    d.upsert_flow(Flow("plain", "store"), TraceEntry("p.yml", 4, (2, 9), "store"))
+    d.upsert_flow(
+        Flow('café-ß "quoted" back\\slash', "plain", stereotypes=["restful_http"]),
+        TraceEntry("c.yml", 5, (0, 1), "c"),
+    )
+    d.annotate("plain -> store", tags={"username": ["zed", "5"]}, trace=TraceEntry("t.yml", 6, (0, 3), "zed"))
+    return d
+
+
+@pytest.fixture(scope="module")
+def generated_dfd(tmp_path_factory):
+    root = tmp_path_factory.mktemp("generated") / "small"
+    gen.write(gen.plan_small(1, 0), str(root))
+    return analyze_directory(root).dfd
+
+
+@pytest.fixture(params=["miniapp", "generated", "awkward", "empty"])
+def any_dfd(request, miniapp_result):
+    if request.param == "miniapp":
+        return miniapp_result.dfd
+    if request.param == "generated":
+        return request.getfixturevalue("generated_dfd")
+    return awkward_dfd() if request.param == "awkward" else Dfd()
+
+
+def test_json_writers_equal_json_dumps(any_dfd):
+    assert dfd_to_json(any_dfd) == json.dumps(dfd_to_obj(any_dfd), indent=4) + "\n"
+    assert traceability_to_json(any_dfd) == json.dumps(traceability_to_obj(any_dfd), indent=4) + "\n"
+
+
+def test_awkward_values_round_trip():
+    d = awkward_dfd()
+    node = json.loads(dfd_to_json(d))["nodes"][0]
+    assert node["name"] == 'café_ß_"quoted"_back\\slash'
+    assert node["stereotypes"] == []
+    assert node["tagged_values"] == {
+        "Arabic": "١٢",
+        "Empty": [],
+        "Offset": -3,
+        "Port": 7,
+        "mixed": [-1, 10, 2, "b", "x\ty"],
+        "ключ": "значение 😀",
+    }
+    traces = json.loads(traceability_to_json(d))
+    assert traces["plain"]["sub_items"] == {}
+    assert traces[node["name"]]["file"] == 'dir "q"/é\\f.yml'
+
+
+@pytest.mark.parametrize("which", ["miniapp", "generated", "empty"])
+def test_written_json_matches_schemas(which, miniapp_result, generated_dfd):
+    d = {"miniapp": miniapp_result.dfd, "generated": generated_dfd, "empty": Dfd()}[which]
+    jsonschema.validate(json.loads(dfd_to_json(d)), load_schema("dfd.schema.json"))
+    jsonschema.validate(json.loads(traceability_to_json(d)), load_schema("traceability.schema.json"))
 
 
 # ----------------------------------------------------------------------
