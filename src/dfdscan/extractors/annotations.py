@@ -6,6 +6,8 @@ from annotations a same-phase peer wrote, so they commute.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from ..model import ModelError, flow_id, normalize_name
 from ..search import iterative_search
 from .base import Context, Extractor, register
@@ -28,7 +30,7 @@ class KeywordAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for rule in ctx.rules.keyword_rules:
-            for owner, hit in ctx.hits(rule.keywords, rule.languages, rule.regex):
+            for owner, hit in ctx.rule_hits(rule):
                 if owner.canonical in ctx.dfd.nodes:
                     _annotate(ctx, owner.canonical, rule.stereotype, hit)
 
@@ -182,18 +184,14 @@ class CredentialAnnotations(Extractor):
 _HTTP_LINK = ("restful_http", "feign_connection")
 
 
-def _owners_with_evidence(ctx: Context, keywords) -> dict[str, object]:
+def _annotate_outgoing(ctx: Context, hits, stereotype: str) -> None:
+    """Mark the outgoing HTTP flows of each owner in a stream of (owner,
+    hit), traced to the owner's first hit."""
     owners: dict[str, object] = {}
-    for owner, hit in ctx.hits(keywords):
+    for owner, hit in hits:
         owners.setdefault(owner.canonical, hit)
-    return owners
-
-
-def _annotate_outgoing(ctx: Context, owners: dict, stereotype: str) -> None:
     for flow in ctx.dfd.sorted_flows():
-        if flow.sender not in owners:
-            continue
-        if any(s in flow.stereotypes for s in _HTTP_LINK):
+        if flow.sender in owners and any(s in flow.stereotypes for s in _HTTP_LINK):
             _annotate(ctx, flow.item_id, stereotype, owners[flow.sender])
 
 
@@ -204,18 +202,8 @@ class CircuitBreakerLinks(Extractor):
     name = "circuit_breaker_links"
     phase = "annotation"
 
-    _KEYWORDS = (
-        "@EnableCircuitBreaker",
-        "@EnableHystrix",
-        "@HystrixCommand",
-        "HystrixFeign",
-        "@CircuitBreaker",
-    )
-
     def run(self, ctx: Context) -> None:
-        _annotate_outgoing(
-            ctx, _owners_with_evidence(ctx, self._KEYWORDS), "circuit_breaker_link"
-        )
+        _annotate_outgoing(ctx, ctx.evidence("circuit_breaker"), "circuit_breaker_link")
 
 
 @register
@@ -225,15 +213,10 @@ class LoadBalancedLinks(Extractor):
     name = "load_balanced_links"
     phase = "annotation"
 
-    _KEYWORDS = ("@LoadBalanced", "@RibbonClient")
-
     def run(self, ctx: Context) -> None:
-        owners = _owners_with_evidence(ctx, self._KEYWORDS)
-        for svc in ctx.services.values():
-            ribbon = svc.properties.find_prefix("ribbon")
-            if ribbon:
-                owners.setdefault(svc.canonical, ribbon[0].trace)
-        _annotate_outgoing(ctx, owners, "load_balanced_link")
+        ribbon = ((svc, svc.properties.find_prefix("ribbon")) for svc in ctx.services.values())
+        hits = chain(ctx.evidence("load_balancer"), ((svc, r[0].trace) for svc, r in ribbon if r))
+        _annotate_outgoing(ctx, hits, "load_balanced_link")
         for key in ctx.lb_flow_hints:
             if key in ctx.dfd.flows:
                 flow = ctx.dfd.flows[key]
@@ -256,6 +239,4 @@ class AuthenticatedRequests(Extractor):
     )
 
     def run(self, ctx: Context) -> None:
-        _annotate_outgoing(
-            ctx, _owners_with_evidence(ctx, self._KEYWORDS), "authenticated_request"
-        )
+        _annotate_outgoing(ctx, ctx.hits(self._KEYWORDS), "authenticated_request")

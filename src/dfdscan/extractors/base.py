@@ -44,7 +44,6 @@ class ServiceRoot:
     canonical: str
     root: str  # repository-relative directory, "" for the repo root
     trace: TraceEntry
-    has_java: bool = False
     properties: PropertyMap = field(default_factory=PropertyMap)
     compose_name: str | None = None
 
@@ -104,9 +103,21 @@ class Context:
                 if owner is not None:
                     yield owner, m
 
-    def sole_owner(self, keyword: str) -> str | None:
-        """The name of the one service holding the keyword, else None."""
-        owners = {owner.name for owner, _ in self.hits((keyword,))}
+    def rule_hits(self, rule):
+        """Yield (owner, trace) for every hit of one keyword rule, searched
+        as the rule says."""
+        return self.hits(rule.keywords, rule.languages, rule.regex)
+
+    def evidence(self, stereotype: str):
+        """Yield (owner, trace) for every hit of the keyword rules evidencing
+        the stereotype."""
+        for rule in self.rules.keyword_rules:
+            if rule.stereotype == stereotype:
+                yield from self.rule_hits(rule)
+
+    def sole_owner(self, stereotype: str) -> str | None:
+        """The name of the one service holding evidence of the stereotype, else None."""
+        owners = {owner.name for owner, _ in self.evidence(stereotype)}
         return owners.pop() if len(owners) == 1 else None
 
     def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
@@ -177,6 +188,7 @@ def run_pipeline(
             ctx.report.timings[ex.name] = time.perf_counter() - started
         if phase == "parse":
             ctx.map_roots()
+    ctx.report.warnings.extend(ctx.dfd.conflicts)
     ctx.report.suppressed_self_flows = list(ctx.dfd.suppressed_self_flows)
     ctx.report.integrity = ctx.dfd.validate()
     return ctx.dfd, ctx.report
@@ -189,9 +201,21 @@ def run_pipeline(
 # ${NAME} or ${NAME:default}, the one placeholder grammar of configuration values
 PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
 
+# Property hops one top-level resolution may follow: a chain whose values
+# each name the next twice would otherwise double the work at every hop.
+MAX_HOPS = 32
+
+
+@dataclass
+class _Walk:
+    """One top-level resolution: the property names being resolved, and the hops left."""
+
+    resolving: set[str] = field(default_factory=set)
+    hops: int = MAX_HOPS
+
 
 def resolve_name(
-    ctx: Context, svc: ServiceRoot | None, name: str, origin_file: str
+    ctx: Context, svc: ServiceRoot | None, name: str, origin_file: str, walk: _Walk | None = None
 ) -> tuple[str | None, tuple[TraceEntry, ...]]:
     """The value of one name used in origin_file, and every entry that gave it.
 
@@ -199,9 +223,13 @@ def resolve_name(
     NAME or Stem.NAME.  A placeholder takes, in order, the owning service's
     property NAME (covers compose environment bindings), the nearest
     non-blank .env line setting NAME, then its default, which has no entry
-    of its own.  An identifier takes the string literal Stem.java assigns
-    NAME, else the one origin_file assigns NAME.  (None, ()) when nothing
-    resolves.
+    of its own.  A property whose value holds placeholders is resolved in
+    turn; each hop is an entry, the one that holds the literal text last.
+    A property whose name is already being resolved counts as unset, so a
+    cycle ends, and so does every property once MAX_HOPS properties were
+    followed in one top-level call.  An identifier takes the
+    string literal Stem.java assigns NAME, else the one origin_file assigns
+    NAME.  (None, ()) when nothing resolves.
     """
     shaped = PLACEHOLDER.fullmatch(name)
     if shaped is None:
@@ -211,11 +239,20 @@ def resolve_name(
             found = search.string_constant(ctx.index.by_path[origin_file], name.rpartition(".")[2])
         return (None, ()) if found is None else (found[1], (found[0],))
     key, default = shaped.group(1).strip(), shaped.group(2)
-    if svc is not None:
-        for dotted in dict.fromkeys((relaxed_key(key), key.lower())):
+    relaxed = relaxed_key(key)
+    walk = walk or _Walk()
+    if svc is not None and relaxed not in walk.resolving:
+        for dotted in dict.fromkeys((relaxed, key.lower())):
             e = svc.properties.get(dotted)
-            if e is not None and "${" not in e.value and e.value.strip():
-                return e.value.strip(), (e.trace,)
+            if e is None or walk.hops == 0:
+                continue
+            walk.hops -= 1
+            walk.resolving.add(relaxed)
+            value, links = resolve_text(ctx, svc, e.value, e.trace.file, walk)
+            walk.resolving.discard(relaxed)
+            if value and "${" not in value:  # a malformed placeholder stays unset
+                whole = PLACEHOLDER.fullmatch(e.value.strip())
+                return value, ((e.trace, *links) if whole else (*links, e.trace))
     found = env_value(ctx.index, key, origin_file)
     if found is not None:
         return found[0], (found[1],)
@@ -223,7 +260,7 @@ def resolve_name(
 
 
 def resolve_text(
-    ctx: Context, svc: ServiceRoot | None, text: str, origin_file: str
+    ctx: Context, svc: ServiceRoot | None, text: str, origin_file: str, walk: _Walk | None = None
 ) -> tuple[str | None, tuple[TraceEntry, ...]]:
     """Substitute every placeholder in a config value through resolve_name.
 
@@ -231,11 +268,12 @@ def resolve_text(
     from, in order; (None, ()) when any placeholder stays unresolved.
     """
     text = text.strip()
+    walk = walk or _Walk()
     out: list[str] = []
     links: list[TraceEntry] = []
     last = 0
     for m in PLACEHOLDER.finditer(text):
-        value, found = resolve_name(ctx, svc, m.group(), origin_file)
+        value, found = resolve_name(ctx, svc, m.group(), origin_file, walk)
         if value is None:
             return None, ()
         out += (text[last : m.start()], value)
@@ -251,10 +289,11 @@ def resolve_entry(
     """Resolve one property entry's value, traced to where it came from.
 
     A value that is one placeholder, resolved from a property or a .env
-    line, is traced to that line, linked to the entry; any other value is
+    line, is traced to the last line of its chain, the one that holds the
+    literal, linked to the entry and the other hops; any other value is
     traced to the entry, linked to the lines its placeholders came from.
     """
     value, links = resolve_text(ctx, svc, entry.value, entry.trace.file)
-    if len(links) == 1 and PLACEHOLDER.fullmatch(entry.value.strip()):
-        return value, links[0].linked([entry.trace])
+    if links and PLACEHOLDER.fullmatch(entry.value.strip()):
+        return value, links[-1].linked([entry.trace, *links[:-1]])
     return value, entry.trace.linked(links)

@@ -27,8 +27,8 @@ def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
     """(target, trace) for a property entry holding a URL.
 
     The target is the URL's host when that is remote, else the sole
-    service holding the fallback keyword, else None.  The trace follows
-    placeholder resolution.
+    service holding evidence of the fallback stereotype, else None.  The
+    trace follows placeholder resolution.
     """
     url, trace = resolve_entry(ctx, svc, entry)
     host = _host(url)
@@ -206,7 +206,8 @@ class _UrlFlows(Extractor):
     """A flow between each service and the host of a URL it configures.
 
     The first of keys that a service configures holds the URL.  When its
-    host is local, the sole service holding the fallback keyword stands in.
+    host is local, the sole service holding evidence of the fallback
+    stereotype stands in.
     With a node_stereotype the peer becomes a service node carrying it.
     The flow runs from the peer to the service when inbound, else the other
     way.  Subclasses set the class attributes; this class is not registered.
@@ -239,7 +240,7 @@ class ConfigClientFlows(_UrlFlows):
 
     name = "config_client_flows"
     keys = ("spring.cloud.config.uri", "spring.cloud.config.discovery.service-id")
-    fallback = "@EnableConfigServer"
+    fallback = "configuration_server"
     inbound = True
 
 
@@ -249,7 +250,7 @@ class DiscoveryFlows(_UrlFlows):
 
     name = "discovery_flows"
     keys = ("eureka.client.serviceurl.defaultzone",)
-    fallback = "@EnableEurekaServer"
+    fallback = "service_discovery"
     node_stereotype = "service_discovery"
 
 
@@ -470,7 +471,7 @@ class OAuthFlows(_UrlFlows):
         "security.oauth2.resource.user-info-uri",
         "spring.security.oauth2.client.provider.token-uri",
     )
-    fallback = "@EnableAuthorizationServer"
+    fallback = "authorization_server"
     stereotypes = ("restful_http", "auth_provider")
 
 

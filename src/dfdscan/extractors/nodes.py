@@ -191,9 +191,6 @@ class DatastoreNodes(Extractor):
         self._add(ctx, svc, name, "elasticsearch", trace, "service", ["search_engine"])
 
 
-_GATEWAY_KEYWORDS = ("@EnableZuulProxy", "@EnableZuulServer")
-
-
 @register
 class GatewayMarker(Extractor):
     """Mark gateway services early so user flows can attach to them."""
@@ -202,7 +199,7 @@ class GatewayMarker(Extractor):
     phase = "node"
 
     def run(self, ctx: Context) -> None:
-        for owner, hit in ctx.hits(_GATEWAY_KEYWORDS):
+        for owner, hit in ctx.evidence("gateway"):
             node = Node(owner.name, "service", ["gateway"])
             ctx.dfd.upsert_node(node, hit)
         for svc in ctx.services.values():

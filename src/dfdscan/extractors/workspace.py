@@ -57,15 +57,10 @@ class Workspace(Extractor):
             for d in enclosing(path):
                 if d in props_by_root:
                     props_by_root[d].add(entries_by_file[path])
-        java_roots = {
-            d for f in ctx.index.of_language("java") for d in enclosing(f.path) if d in roots
-        }
 
         services: list[ServiceRoot] = []
         for root in sorted(roots):
-            svc = self._build_service(
-                ctx, root, props_by_root[root], compose_by_root.get(root), root in java_roots
-            )
+            svc = self._build_service(ctx, root, props_by_root[root], compose_by_root.get(root))
             if svc is not None:
                 services.append(svc)
         for svc in sorted(services, key=lambda s: s.canonical):
@@ -154,7 +149,6 @@ class Workspace(Extractor):
         root: str,
         props: PropertyMap,
         compose_match: ComposeService | None,
-        has_java: bool,
     ) -> ServiceRoot | None:
         index = ctx.index
         if compose_match is not None:
@@ -187,7 +181,6 @@ class Workspace(Extractor):
             canonical=canonical,
             root=root,
             trace=trace,
-            has_java=has_java,
             properties=props,
             compose_name=compose_match.name if compose_match else None,
         )

@@ -95,9 +95,6 @@ class TraceRecord:
     sub_items: dict[str, TraceEntry] = field(default_factory=dict)
     extras: list[TraceEntry] = field(default_factory=list)
 
-    def all_entries(self) -> list[TraceEntry]:
-        return [self.primary, *self.sub_items.values(), *self.extras]
-
 
 def _entry_key(entry: TraceEntry) -> tuple:
     return (entry.file, entry.line, entry.span, entry.snippet)
@@ -160,12 +157,13 @@ class TraceStore:
 
     def record(self, item_id: str, entry: TraceEntry) -> None:
         rec = self._open(item_id, entry)
-        if entry != rec.primary and entry not in rec.sub_items.values():
-            loser = entry
+        if entry != rec.primary:
             if self._wins(item_id, entry, rec.primary):
                 self._promote(item_id, rec, entry)
-                rec.primary, loser = entry, rec.primary
-            self._keep(item_id, rec, loser)
+                self._keep(item_id, rec, rec.primary)
+                rec.primary = entry
+            elif entry not in rec.sub_items.values():
+                self._keep(item_id, rec, entry)
         self._link(item_id, rec, entry)
 
     def record_sub(self, item_id: str, key: str, entry: TraceEntry) -> None:
@@ -319,32 +317,41 @@ class Dfd:
     # mutation operations (commutative merges)
     # ------------------------------------------------------------------
 
-    def _record(self, item_id: str, incoming: Node | Flow, trace: TraceEntry | None) -> None:
+    def _record(self, item_id: str, stereotypes, tags: dict, trace: TraceEntry | None) -> None:
         """Record trace for the item and for each stereotype and tag key the
-        incoming upsert brought."""
+        upsert merged."""
         if trace is None:
             return
         self.traces.record(item_id, trace)
-        for key in (*incoming.stereotypes, *incoming.tagged_values):
+        for key in (*stereotypes, *tags):
             self.traces.record_sub(item_id, key, trace)
 
     def upsert_node(self, node: Node, trace: TraceEntry | None = None) -> Node:
         base = self.nodes.setdefault(node.name, node)
+        stereotypes = node.stereotypes
         if base is not node:
             if base.node_type != node.node_type:
                 upgraded = _UPGRADES.get((base.node_type, node.node_type))
                 if upgraded is None:
-                    self.conflicts.append(
-                        "node %s: type %s conflicts with %s (keeping %s)"
-                        % (base.name, node.node_type, base.node_type, base.node_type)
+                    conflict = "node %s: type %s conflicts with %s (keeping %s)" % (
+                        base.name, node.node_type, base.node_type, base.node_type
                     )
+                    if conflict not in self.conflicts:
+                        self.conflicts.append(conflict)
+                    # the kept type is of another kind: drop the known
+                    # stereotypes of the other kind, still reject unknown ones
+                    stereotypes = {
+                        s
+                        for s in stereotypes
+                        if not catalog.is_known(s) or base.kind in catalog.kinds_for(s)
+                    }
                 else:
                     base.node_type = upgraded
                     if upgraded == "database":
                         base.stereotypes.add("database")
-            base.stereotypes |= _check_stereotypes(node.stereotypes, base.kind)
+            base.stereotypes |= _check_stereotypes(stereotypes, base.kind)
             _merge_tags(base.tagged_values, node.tagged_values)
-        self._record(base.name, node, trace)
+        self._record(base.name, stereotypes, node.tagged_values, trace)
         return base
 
     def ensure_node(self, name: str, trace: TraceEntry | None = None) -> Node:
@@ -362,7 +369,7 @@ class Dfd:
         self.ensure_node(flow.receiver, trace)
         base = self.flows.setdefault(flow.key, flow)
         base.stereotypes |= flow.stereotypes
-        self._record(base.item_id, flow, trace)
+        self._record(base.item_id, flow.stereotypes, flow.tagged_values, trace)
         return base
 
     def annotate(

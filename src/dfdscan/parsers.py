@@ -109,10 +109,6 @@ class PropertyMap:
                 return (unprofiled or found)[0]
         return None
 
-    def value(self, dotted: str, default: str | None = None) -> str | None:
-        e = self.get(dotted)
-        return e.value if e is not None else default
-
     def find_prefix(self, prefix: str) -> list[PropertyEntry]:
         prefix = prefix.lower()
         return [
@@ -267,8 +263,6 @@ class ComposeService:
     build_context: str | None = None
     ports: list[tuple[int, TraceEntry]] = field(default_factory=list)
     environment: list[tuple[str, str, TraceEntry]] = field(default_factory=list)
-    depends_on: list[str] = field(default_factory=list)
-    links: list[str] = field(default_factory=list)
 
 
 def _mapping_get(node: yaml.MappingNode, key: str):
@@ -361,18 +355,6 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 evalue = _scalar(ev)
                 if ekey and evalue is not None:
                     svc.environment.append((ekey, evalue.strip(), _trace(ev, file.path, lines)))
-        dep = _mapping_get(v, "depends_on")
-        if isinstance(dep, yaml.SequenceNode):
-            svc.depends_on = [str(d.value) for d in dep.value if isinstance(d, yaml.ScalarNode)]
-        elif isinstance(dep, yaml.MappingNode):
-            svc.depends_on = [str(getattr(dk, "value", "")) for dk, _ in dep.value]
-        links = _mapping_get(v, "links")
-        if isinstance(links, yaml.SequenceNode):
-            svc.links = [
-                str(l.value).partition(":")[0]
-                for l in links.value
-                if isinstance(l, yaml.ScalarNode)
-            ]
         services.append(svc)
     return services
 

@@ -1,6 +1,7 @@
 """Extraction pipeline behavior: per-technology extractors on small
 synthetic codebases, order independence, and fault isolation."""
 
+import ast
 import json
 import random
 import shutil
@@ -10,6 +11,7 @@ import pytest
 
 from dfdscan.analysis import analyze_directory
 from dfdscan.extractors.base import (
+    MAX_HOPS,
     Context,
     Extractor,
     ServiceRoot,
@@ -200,7 +202,7 @@ def test_parent_root_holds_nested_module_entries_in_path_order(tmp_path):
     ctx = Context(build_index(tmp_path), load_rules())
     Workspace().run(ctx)
     assert sorted(ctx.services) == ["core", "platform", "tools"]
-    parent, child, tools = (ctx.services[n] for n in ("platform", "core", "tools"))
+    parent, child = (ctx.services[n] for n in ("platform", "core"))
     # sorted by path, not grouped by format: the .properties file comes first
     assert [e.trace.file for e in parent.properties.entries] == [
         "platform/a.properties",
@@ -210,8 +212,7 @@ def test_parent_root_holds_nested_module_entries_in_path_order(tmp_path):
     assert [e.trace.file for e in child.properties.entries] == [
         "platform/core/src/main/resources/application.yml"
     ]
-    assert parent.properties.value("spring.application.name") == "platform"
-    assert (parent.has_java, child.has_java, tools.has_java) == (True, True, False)
+    assert parent.properties.get("spring.application.name").value == "platform"
 
 
 def test_project_top_below_the_repository_root_is_no_service(tmp_path):
@@ -516,6 +517,33 @@ def test_rest_template_to_known_service(tmp_path):
     )
     assert dfd.has_flow("a", "b")
     assert dfd.node("b").node_type == "service"
+
+
+def test_a_node_type_conflict_is_reported_and_keeps_the_other_flows(tmp_path):
+    call = 'class C { String s = restTemplate.getForObject("%s", String.class); }\n'
+    jdbc = "spring:\n  datasource:\n    url: jdbc:mysql://db.example.com:3306/x\n"
+    # billing's URL names its own database host, and is searched before shop's
+    files = service_files("billing", jdbc, call % "http://db.example.com/x")
+    files.update(service_files("shop", java=call % "https://api.payments.com/charge"))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert dfd.has_flow("shop", "api.payments.com")
+    assert dfd.node("db.example.com").stereotypes == {"database"}
+    conflict = "node db_example_com: type external_entity conflicts with database (keeping database)"
+    assert report.warnings == [conflict]
+
+
+def test_a_conflict_met_at_two_calls_is_one_warning(tmp_path):
+    calls = (
+        'class C { String s = restTemplate.getForObject("http://db.example.com/a", String.class); }\n'
+        'class D { String s = restTemplate.getForObject("http://db.example.com/b", String.class); }\n'
+    )
+    jdbc = "spring:\n  datasource:\n    url: jdbc:mysql://db.example.com:3306/x\n"
+    dfd, report = analyze(tmp_path, service_files("billing", jdbc, calls))
+    assert report.failures == []
+    conflict = "node db_example_com: type external_entity conflicts with database (keeping database)"
+    assert report.warnings == [conflict]
+    assert dfd.conflicts == [conflict]
 
 
 def test_plain_url_without_client_marker_ignored(tmp_path):
@@ -908,6 +936,37 @@ def test_local_config_service_id_flows_from_the_one_config_server(tmp_path):
     assert "localhost" not in dfd.nodes
 
 
+def rule_keywords(stereotype):
+    """The keywords of the built-in rules evidencing the stereotype."""
+    return [kw for r in load_rules().keyword_rules if r.stereotype == stereotype for kw in r.keywords]
+
+
+# rule stereotype -> a local URL naming its holder, and the flow it gives
+FALLBACK_URLS = {
+    "configuration_server": (CONFIG_CLIENT_YML, ("server", "svc")),
+    "service_discovery": (
+        "eureka:\n  client:\n    serviceUrl:\n      defaultZone: http://localhost:8761/eureka/\n",
+        ("svc", "server"),
+    ),
+    "authorization_server": (
+        "security:\n  oauth2:\n    client:\n      access-token-uri: http://127.0.0.1:5000/oauth/token\n",
+        ("svc", "server"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stereotype, keyword", [(s, kw) for s in FALLBACK_URLS for kw in rule_keywords(s)]
+)
+def test_a_local_url_falls_back_to_the_sole_holder_of_the_rule(tmp_path, stereotype, keyword):
+    yml, ends = FALLBACK_URLS[stereotype]
+    files = service_files("server", java="%s\nclass S {}\n" % keyword)
+    files.update(service_files("svc", yml))
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {ends}
+
+
 def test_local_config_service_id_without_a_config_server_has_no_flow(tmp_path):
     dfd, report = analyze(tmp_path, service_files("svc", CONFIG_DISCOVERY_YML % "localhost"))
     assert report.failures == []
@@ -1037,6 +1096,85 @@ def test_resolve_name_tries_each_source_in_order(tmp_path):
     assert resolve_name(ctx, svc, "TARGET", origin)[0] == "same-file"
     assert resolve_name(ctx, svc, "Names.NAME", origin) == ("", (TraceEntry(origin, 3, (11, 15), "NAME"),))
     assert resolve_name(ctx, svc, "Names.OTHER", origin) == (None, ())
+
+
+def test_a_property_holding_a_placeholder_is_followed_and_a_cycle_ends(tmp_path):
+    origin = "svc/app.properties"
+    lines = [
+        "a=${B}",
+        "b=${A}",
+        "c=${C}",
+        "d=${E}",
+        "e=http://${HOST}:9411",
+        "host=zipkin",
+        "f=${UNSET}",
+    ]
+    entries = {}
+    for n, line in enumerate(lines, 1):
+        key, _, value = line.partition("=")
+        entries[key] = PropertyEntry(key, value, TraceEntry(origin, n, (2, len(line)), value))
+    env = {"svc/.env": "B=from-env\n", origin: "\n".join(lines) + "\n"}
+    ctx, svc = resolver_context(tmp_path, env, entries.values())
+    env_line = TraceEntry("svc/.env", 1, (2, 10), "from-env")
+    trace = {key: e.trace for key, e in entries.items()}
+    # each hop is a link, the line holding the literal last
+    assert resolve_name(ctx, svc, "${D}", origin) == (
+        "http://zipkin:9411",
+        (trace["d"], trace["host"], trace["e"]),
+    )
+    # a name being resolved counts as unset: .env, then the default
+    assert resolve_name(ctx, svc, "${A}", origin) == ("from-env", (trace["a"], env_line))
+    assert resolve_name(ctx, svc, "${B}", origin) == ("from-env", (trace["b"], trace["a"], env_line))
+    assert resolve_name(ctx, svc, "${C:fallback}", origin) == ("fallback", ())
+    assert resolve_name(ctx, svc, "${C}", origin) == (None, ())
+    assert resolve_name(ctx, svc, "${F:fallback}", origin) == ("fallback", ())
+
+
+def test_a_doubling_placeholder_chain_stops_at_the_hop_budget(tmp_path):
+    # a0=${A1}${A1}, a1=${A2}${A2}, ..., a39=x: 2**40 lookups unbounded
+    origin = "svc/app.properties"
+    lines = ["a%d=${A%d}${A%d}" % (n, n + 1, n + 1) for n in range(39)] + ["a39=x"]
+    entries = []
+    for n, line in enumerate(lines, 1):
+        key, _, value = line.partition("=")
+        entries.append(PropertyEntry(key, value, TraceEntry(origin, n, (len(key) + 1, len(line)), value)))
+    ctx, svc = resolver_context(tmp_path, {origin: "\n".join(lines) + "\n"}, entries)
+    lookups = []
+    get = svc.properties.get
+    svc.properties.get = lambda dotted: lookups.append(dotted) or get(dotted)
+    # the budget is spent before the literal is reached, so A0 counts as unset
+    assert resolve_name(ctx, svc, "${A0}", origin) == (None, ())
+    assert resolve_name(ctx, svc, "${A0:fallback}", origin) == ("fallback", ())
+    assert len(lookups) <= 2 * (MAX_HOPS + 1)
+    # a short doubling chain is within the budget and resolves
+    assert resolve_name(ctx, svc, "${A36}", origin)[0] == "x" * 8
+
+
+def test_a_doubling_placeholder_chain_leaves_the_pipeline_running(tmp_path):
+    chain = "".join("a%d=${A%d}${A%d}\n" % (n, n + 1, n + 1) for n in range(39))
+    files = service_files("svc", "x: 1\n")
+    files["svc/src/main/resources/application.properties"] = (
+        "spring.zipkin.base-url=${A0}\n" + chain + "a39=http://zipkin:9411\n"
+    )
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert not dfd.has_flow("svc", "zipkin")
+
+
+def test_a_compose_binding_to_a_placeholder_is_followed_to_its_default(tmp_path):
+    files = service_files("svc", "spring:\n  zipkin:\n    base-url: ${ZIPKIN}\n")
+    files["docker-compose.yml"] = (
+        "services:\n  svc:\n    build: ./svc\n    environment:\n"
+        "      ZIPKIN: ${ZIPKIN_URL:http://zipkin:9411}\n"
+    )
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert dfd.has_flow("svc", "zipkin")
+    rec = dfd.traces.get("svc -> zipkin")
+    # traced to the binding that holds the literal, linked to the placeholder
+    assert (rec.primary.file, rec.primary.line) == ("docker-compose.yml", 5)
+    assert ("svc/src/main/resources/application.yml", 6) in {(e.file, e.line) for e in rec.extras}
+    assert verify_traces(dfd, tmp_path)[1] == []
 
 
 def test_whole_placeholder_from_env_is_traced_to_the_env_line(tmp_path):
@@ -1246,6 +1384,80 @@ def test_load_balanced_annotation(tmp_path):
     assert "load_balanced_link" in dfd.flows[("caller", "callee")].stereotypes
 
 
+def feign_caller(code):
+    """A caller holding code and a Feign client of callee."""
+    files = service_files("caller", java='%s\n@FeignClient(name = "callee")\ninterface C {}\n' % code)
+    files.update(service_files("callee"))
+    return files
+
+
+LINK_OF = {"circuit_breaker": "circuit_breaker_link", "load_balancer": "load_balanced_link"}
+# usages whose node stereotype and link once disagreed
+DRIFTED = [
+    ("circuit_breaker", "HystrixFeign.builder()"),
+    ("circuit_breaker", "Resilience4j"),
+    ("circuit_breaker", "Resilience4JCircuitBreakerFactory"),
+    ("load_balancer", "@EnableLoadBalancerClient"),
+]
+
+
+@pytest.mark.parametrize(
+    "stereotype, code",
+    list(dict.fromkeys([(s, kw) for s in LINK_OF for kw in rule_keywords(s)] + DRIFTED)),
+)
+def test_each_keyword_gives_its_stereotype_and_its_link(tmp_path, stereotype, code):
+    dfd, report = analyze(tmp_path, feign_caller(code))
+    assert report.failures == []
+    assert stereotype in dfd.node("caller").stereotypes
+    assert LINK_OF[stereotype] in dfd.flows[("caller", "callee")].stereotypes
+
+
+@pytest.mark.parametrize("keyword", rule_keywords("gateway"))
+def test_each_gateway_keyword_marks_a_gateway_with_user_flows(tmp_path, keyword):
+    dfd, _ = analyze(tmp_path, service_files("edge", java="%s\nclass E {}\n" % keyword))
+    assert "gateway" in dfd.node("edge").stereotypes
+    assert dfd.has_flow("user", "edge") and dfd.has_flow("edge", "user")
+
+
+def write_rules(path, edit):
+    """A keyword rules file: the built-in rules as edited in place by edit."""
+    data = json.loads((ROOT / "src/dfdscan/rules/keyword_rules.json").read_text(encoding="utf-8"))
+    edit(data["rules"])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_a_rules_file_drives_the_links_and_the_gateway_marker(tmp_path):
+    code = "@EnableCircuitBreaker\n@EnableEdgeProxy"
+    make_tree(tmp_path / "code", feign_caller(code))
+
+    def without_circuit_breakers(rules):
+        rules[:] = [r for r in rules if r.get("stereotype") != "circuit_breaker"]
+
+    dfd = analyze_directory(tmp_path / "code", write_rules(tmp_path / "a.json", without_circuit_breakers)).dfd
+    assert "circuit_breaker" not in dfd.node("caller").stereotypes
+    assert "circuit_breaker_link" not in dfd.flows[("caller", "callee")].stereotypes
+    assert not dfd.has_flow("user", "caller")
+
+    def with_edge_proxy(rules):
+        next(r for r in rules if r.get("stereotype") == "gateway")["keywords"].append("@EnableEdgeProxy")
+
+    dfd = analyze_directory(tmp_path / "code", write_rules(tmp_path / "b.json", with_edge_proxy)).dfd
+    assert "gateway" in dfd.node("caller").stereotypes
+    assert dfd.has_flow("user", "caller") and dfd.has_flow("caller", "user")
+
+
+def test_no_extractor_repeats_a_keyword_of_the_rules():
+    # the rules are the one table: a copy in code would drift from a --rules file
+    keywords = {kw for r in load_rules().keyword_rules for kw in r.keywords}
+    repeated = []
+    for path in sorted((ROOT / "src/dfdscan/extractors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keywords:
+                repeated.append("%s:%d %s" % (path.name, node.lineno, node.value))
+    assert repeated == []
+
+
 def test_authenticated_request_annotation(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -1312,7 +1524,8 @@ def test_every_link_of_a_resolved_value_is_kept_and_verified(miniapp_path, tmp_p
         for item, (path, line) in links.items():
             rec = dfd.traces.get(item)
             assert rec is not None, item
-            assert (path, line) in {(e.file, e.line) for e in rec.all_entries()}, item
+            entries = [rec.primary, *rec.sub_items.values(), *rec.extras]
+            assert (path, line) in {(e.file, e.line) for e in entries}, item
             assert (path, line) != (rec.primary.file, rec.primary.line), item
             # the link is evidence like any other: editing its line is caught
             edited = tmp_path / "edited"

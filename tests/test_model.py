@@ -132,9 +132,25 @@ def test_service_upgrades_to_external_entity_either_order():
 def test_database_external_conflict_keeps_first_and_records():
     d = Dfd()
     d.upsert_node(Node("x", node_type="database"), t())
-    d.upsert_node(Node("x", node_type="external_entity"), t(line=2))
-    assert d.node("x").node_type == "database"
+    # only the stereotypes that apply to the kept type are merged
+    incoming = Node("x", "external_entity", ["external_website", "plaintext_credentials"])
+    node = d.upsert_node(incoming, t(line=2))
+    assert (node.node_type, node.stereotypes) == ("database", {"database", "plaintext_credentials"})
+    assert d.conflicts == ["node x: type external_entity conflicts with database (keeping database)"]
+    assert set(d.traces.get("x").sub_items) == {"database", "plaintext_credentials"}
+    assert d.validate() == []
+    # the same conflict again is recorded once
+    d.upsert_node(Node("x", "external_entity"), t(line=3))
     assert len(d.conflicts) == 1
+
+
+def test_a_conflict_still_rejects_an_unknown_stereotype():
+    d = Dfd()
+    d.upsert_node(Node("x", node_type="database"), t())
+    incoming = Node("x", "external_entity")
+    incoming.stereotypes.add("no_such_stereotype")
+    with pytest.raises(StereotypeError):
+        d.upsert_node(incoming, t(line=2))
 
 
 def test_upsert_flow_creates_endpoints():
@@ -293,6 +309,23 @@ def test_links_join_the_extras_without_competing():
     d.annotate("svc", stereotype="local_logging", trace=t(file="c.yml").linked([t(file="d.yml")]))
     assert rec.sub_items["local_logging"] == t(file="c.yml")
     assert rec.extras == [evidence, t(file="d.yml")]
+
+
+@pytest.mark.parametrize("annotate_first", [True, False], ids=["annotate-first", "upsert-first"])
+@pytest.mark.parametrize("file, wins", [("a.yml", True), ("c.yml", False)], ids=["sorts-first", "sorts-last"])
+def test_an_entry_holding_a_sub_item_competes_for_the_primary(annotate_first, file, wins):
+    d = Dfd()
+    first, entry = t(file="b.yml"), t(file=file)
+    d.upsert_node(Node("svc"), first)
+    ops = [
+        lambda: d.annotate("svc", stereotype="local_logging", trace=entry),
+        lambda: d.upsert_node(Node("svc"), entry),
+    ]
+    for op in ops if annotate_first else reversed(ops):
+        op()
+    rec = d.traces.get("svc")
+    assert rec.sub_items == {"local_logging": entry}
+    assert (rec.primary, rec.extras) == ((entry, [first]) if wins else (first, []))
 
 
 @pytest.mark.parametrize("low_first", [True, False], ids=["low-first", "high-first"])

@@ -263,7 +263,7 @@ def test_yaml_loaders_agree_on_fixtures_and_edge_corpus(tmp_path, monkeypatch):
     api, db = parse_compose(corpus.by_path["resources/docker-compose.yml"])
     assert [p for p, _ in api.ports] == [8080, 9090]
     assert api.environment[0][:2] == ("PASSWORD", "s3cret more")
-    assert (api.build_context, db.image, db.links) == ("./api", "postgres:15", ["api"])
+    assert (api.build_context, db.image) == ("./api", "postgres:15")
 
 
 @needs_libyaml
@@ -328,10 +328,10 @@ def test_relaxed_key():
 def test_property_map_relaxed_and_suffix_lookup():
     f = yaml_file("server:\n  ssl:\n    key-store: classpath:ks\n")
     pm = PropertyMap(parse_yaml_properties(f))
-    assert pm.value("server.ssl.keystore") == "classpath:ks"
-    assert pm.value("ssl.key-store") == "classpath:ks"
-    assert pm.value("server.ssl.key-store") == "classpath:ks"
-    assert pm.value("missing.key") is None
+    assert pm.get("server.ssl.keystore").value == "classpath:ks"
+    assert pm.get("ssl.key-store").value == "classpath:ks"
+    assert pm.get("server.ssl.key-store").value == "classpath:ks"
+    assert pm.get("missing.key") is None
 
 
 def test_property_map_prefers_unprofiled_entry():
@@ -449,10 +449,8 @@ def test_parse_compose_services():
     assert gw.build_context == "./gateway"
     assert gw.ports[0][0] == 4000
     assert gw.environment == [("CONFIG_PASSWORD", "secret", gw.environment[0][2])]
-    assert gw.depends_on == ["config"]
     assert services["rabbitmq"].image == "rabbitmq:3-management"
     assert services["db"].environment[0][:2] == ("MONGO_INITDB_DATABASE", "main")
-    assert services["db"].links == ["gateway"]
 
 
 def test_parse_compose_v1_top_level():
