@@ -178,6 +178,16 @@ class TraceStore:
                 self._keep(item_id, rec, loser)
         self._link(item_id, rec, entry)
 
+    def drop_sub(self, item_id: str, key: str) -> None:
+        """Remove a sub-item the item no longer carries; its entry stays as
+        an extra unless it fills another slot."""
+        rec = self._records.get(item_id)
+        entry = rec.sub_items.pop(key, None) if rec is not None else None
+        if entry is not None:
+            del self._epochs[(item_id, key)]
+            if entry != rec.primary and entry not in rec.sub_items.values():
+                self._keep(item_id, rec, entry)
+
     def _link(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
         for link in entry.via:
             if link != rec.primary and link not in rec.sub_items.values():
@@ -326,6 +336,10 @@ class Dfd:
         for key in (*stereotypes, *tags):
             self.traces.record_sub(item_id, key, trace)
 
+    def _conflict(self, message: str) -> None:
+        if message not in self.conflicts:
+            self.conflicts.append(message)
+
     def upsert_node(self, node: Node, trace: TraceEntry | None = None) -> Node:
         base = self.nodes.setdefault(node.name, node)
         stereotypes = node.stereotypes
@@ -333,22 +347,28 @@ class Dfd:
             if base.node_type != node.node_type:
                 upgraded = _UPGRADES.get((base.node_type, node.node_type))
                 if upgraded is None:
-                    conflict = "node %s: type %s conflicts with %s (keeping %s)" % (
+                    self._conflict("node %s: type %s conflicts with %s (keeping %s)" % (
                         base.name, node.node_type, base.node_type, base.node_type
-                    )
-                    if conflict not in self.conflicts:
-                        self.conflicts.append(conflict)
-                    # the kept type is of another kind: drop the known
-                    # stereotypes of the other kind, still reject unknown ones
-                    stereotypes = {
-                        s
-                        for s in stereotypes
-                        if not catalog.is_known(s) or base.kind in catalog.kinds_for(s)
-                    }
+                    ))
                 else:
                     base.node_type = upgraded
                     if upgraded == "database":
                         base.stereotypes.add("database")
+                # one rule for either merge: the known stereotypes of another
+                # kind than the resulting one are dropped, whichever side
+                # brought them; unknown ones are still rejected below
+                dropped = {
+                    s for s in base.stereotypes | stereotypes
+                    if catalog.is_known(s) and base.kind not in catalog.kinds_for(s)
+                }
+                if dropped and upgraded is not None:
+                    self._conflict("node %s: type %s drops %s" % (
+                        base.name, base.node_type, ", ".join(sorted(dropped))
+                    ))
+                base.stereotypes -= dropped
+                stereotypes = stereotypes - dropped
+                for s in dropped:
+                    self.traces.drop_sub(base.name, s)
             base.stereotypes |= _check_stereotypes(stereotypes, base.kind)
             _merge_tags(base.tagged_values, node.tagged_values)
         self._record(base.name, stereotypes, node.tagged_values, trace)

@@ -2,14 +2,32 @@
 
 POST /analyze with {"path": "..."} (or {"repo_url": "...", "ref": "..."})
 returns the diagram and its traceability as JSON.  GET /health reports
-liveness.  Requests are handled in separate threads and share nothing, so
-concurrent analyses stay isolated.
+liveness.
+
+The server forks one child process per connection: the child parses the
+request, analyzes, answers and exits, taking its index and caches with it,
+so concurrent analyses share neither an interpreter lock nor memory, and an
+analysis that dies cannot take the server down.  The parent only accepts
+and forks; it starts no thread, because forking is safe only in a
+single-threaded process, and it holds no index.  At most
+``ForkingMixIn.max_children`` (40) children run at once; further
+connections wait in the listen backlog.  A child gives up on a client
+that sends or reads nothing for ``_Handler.timeout`` seconds, so an idle
+connection neither holds a slot nor delays shutdown for longer.  POSIX
+only, since it needs ``os.fork``.  SIGTERM stops the server like Ctrl-C:
+it stops accepting, waits for the children still answering, and returns.
+In-flight answers finish only when the parent alone is signalled; a
+signal sent to the whole process group (Ctrl-C in a terminal, a
+control-group stop) interrupts the children too, and they exit without
+answering.
 """
 from __future__ import annotations
 
 import json
 import shutil
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import signal
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from socketserver import ForkingMixIn
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
 from .output import dfd_to_obj, traceability_to_obj
@@ -23,6 +41,8 @@ _FIELD_TYPES = {"path": str, "repo_url": str, "ref": str, "paper_parity": bool}
 
 class _Handler(BaseHTTPRequestHandler):
     verbose = False
+    # seconds one socket read or write may wait; the analysis is not limited
+    timeout = 60
 
     def _send(self, status: int, obj: dict) -> None:
         body = json.dumps(obj).encode("utf-8")
@@ -100,15 +120,22 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
 
+class _ForkingHTTPServer(ForkingMixIn, HTTPServer):
+    """An HTTP server answering each connection in a forked child.
+
+    server_close waits for the children still running (block_on_close)."""
+
+
 def make_server(host: str = "127.0.0.1", port: int = 0, verbose: bool = False):
     handler = type("Handler", (_Handler,), {"verbose": verbose})
-    return ThreadingHTTPServer((host, port), handler)
+    return _ForkingHTTPServer((host, port), handler)
 
 
 def serve(host: str, port: int, verbose: bool = False) -> None:
     server = make_server(host, port, verbose=verbose)
-    print("dfdscan service on http://%s:%d (POST /analyze)" % server.server_address[:2])
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print("dfdscan service on http://%s:%d (POST /analyze)" % server.server_address[:2], flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -546,6 +546,31 @@ def test_a_conflict_met_at_two_calls_is_one_warning(tmp_path):
     assert dfd.conflicts == [conflict]
 
 
+def test_an_external_upgrade_gives_one_diagram_in_either_extractor_order(tmp_path):
+    # the tracing server is configured and called by URL: tracing_flows makes a
+    # service carrying tracing_server, rest_client_flows an external entity
+    yml = "  zipkin:\n    base-url: https://zipkin.example.com\n"
+    call = 'class C { String s = restTemplate.getForObject("https://zipkin.example.com/api", String.class); }\n'
+    index = build_index(make_tree(tmp_path, service_files("svc", yml, call)))
+    conflict = "node zipkin_example_com: type external_entity drops tracing_server"
+    outputs = []
+    for tracing_first in (False, True):
+        extractors = default_extractors()
+        extractors.sort(key=lambda ex: not tracing_first or ex.name != "tracing_flows")
+        dfd, report = run_pipeline(index, extractors=extractors)
+        assert report.failures == []
+        assert report.integrity == []
+        node = dfd.node("zipkin.example.com")
+        assert (node.node_type, node.stereotypes) == ("external_entity", {"exitpoint", "external_website"})
+        assert dfd.has_flow("svc", "zipkin.example.com")
+        assert dfd.conflicts == [conflict]
+        assert report.warnings == [conflict]
+        assert verify_traces(dfd, tmp_path)[1] == []
+        outputs.append(dfd_to_json(dfd) + traceability_to_json(dfd))
+    assert outputs[0] == outputs[1]
+    assert '"tracing_server"' not in outputs[0]
+
+
 def test_plain_url_without_client_marker_ignored(tmp_path):
     dfd, _ = analyze(
         tmp_path,

@@ -144,6 +144,36 @@ def test_database_external_conflict_keeps_first_and_records():
     assert len(d.conflicts) == 1
 
 
+@pytest.mark.parametrize("service_first", [True, False])
+def test_an_external_upgrade_drops_node_stereotypes_in_either_order(service_first):
+    d = Dfd()
+    upserts = [
+        (Node("x", "service", ["tracing_server", "local_logging"]), t(line=1)),
+        (Node("x", "external_entity", ["external_website"]), t(line=2)),
+    ]
+    for node, entry in upserts if service_first else upserts[::-1]:
+        d.upsert_node(node, entry)
+    node = d.node("x")
+    assert (node.node_type, node.stereotypes) == ("external_entity", {"external_website"})
+    assert d.conflicts == ["node x: type external_entity drops local_logging, tracing_server"]
+    rec = d.traces.get("x")
+    assert (rec.primary, rec.sub_items) == (t(line=1), {"external_website": t(line=2)})
+    assert d.validate() == []
+    # the same drop again is recorded once
+    d.upsert_node(Node("x", "service", ["tracing_server", "local_logging"]), t(line=3))
+    assert len(d.conflicts) == 1
+
+
+def test_a_dropped_sub_item_keeps_its_entry_as_an_extra():
+    d = Dfd()
+    d.upsert_node(Node("x"), t(line=1))
+    d.annotate("x", "tracing_server", trace=t(line=3))
+    d.upsert_node(Node("x", "external_entity"), t(line=2))
+    rec = d.traces.get("x")
+    assert rec.sub_items == {}
+    assert t(line=3) in rec.extras
+
+
 def test_a_conflict_still_rejects_an_unknown_stereotype():
     d = Dfd()
     d.upsert_node(Node("x", node_type="database"), t())

@@ -1,25 +1,85 @@
 """Tests for the embedded HTTP analysis service."""
+import contextlib
 import json
+import os
+import re
+import selectors
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
-from dfdscan.service import MAX_BODY_BYTES, make_server
+from dfdscan.analysis import analyze_directory
+from dfdscan.output import dfd_to_obj, traceability_to_obj
+from dfdscan.service import MAX_BODY_BYTES, _Handler
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def read_line(stream, timeout):
+    """The first line of a pipe, or b"" when none arrives within timeout."""
+    with selectors.DefaultSelector() as sel:
+        sel.register(stream, selectors.EVENT_READ)
+        return stream.readline() if sel.select(timeout) else b""
+
+
+@contextlib.contextmanager
+def shipped_server(tmpdir, handler_timeout=None):
+    """Run ``dfdscan serve --port 0`` in its own session; yield (proc, base URL).
+
+    The server forks a child per request, and forking is safe only in a
+    single-threaded process, so it runs apart from pytest.  Its temporary
+    checkouts go to tmpdir.  handler_timeout, when given, replaces the
+    handler's socket timeout before the server starts."""
+    env = dict(os.environ, TMPDIR=str(tmpdir))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # the banner must be flushed by the server
+    argv = ["serve", "--port", "0"]
+    if handler_timeout is None:
+        cmd = [sys.executable, "-m", "dfdscan.cli", *argv]
+    else:
+        cmd = [
+            sys.executable,
+            "-c",
+            "import sys; from dfdscan import cli, service; service._Handler.timeout = %r; "
+            "sys.exit(cli.main(%r))" % (handler_timeout, argv),
+        ]
+    with subprocess.Popen(
+        cmd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,  # a start-up traceback shows in the banner assertion
+        env=env,
+        start_new_session=True,
+    ) as proc:
+        try:
+            banner = read_line(proc.stdout, 10).decode("utf-8")
+            port = re.fullmatch(r"dfdscan service on http://127\.0\.0\.1:(\d+) \(POST /analyze\)\n", banner)
+            assert port, banner
+            yield proc, "http://127.0.0.1:%s" % port.group(1)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
 
 
 @pytest.fixture(scope="module")
-def server_url():
-    server = make_server("127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield "http://%s:%d" % (host, port)
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+def server_tmp(tmp_path_factory):
+    """The temporary directory of the shared server (TMPDIR of the process)."""
+    return tmp_path_factory.mktemp("server_tmp")
+
+
+@pytest.fixture(scope="module")
+def server_url(server_tmp):
+    with shipped_server(server_tmp) as (proc, url):
+        yield url
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
 
 
 def get(url):
@@ -216,7 +276,54 @@ def test_concurrent_requests_stay_isolated(server_url, miniapp_path, tmp_path):
     assert [n["name"] for n in body["dfd"]["nodes"]] == ["solo"]
 
 
-def test_analyze_repo_url_removes_its_checkout(server_url, git_repo, tmp_path, temp_root):
+@pytest.mark.parametrize("parity", [False, True])
+def test_an_answer_equals_an_in_process_analysis(server_url, miniapp_path, parity):
+    status, body = post(server_url + "/analyze", {"path": str(miniapp_path), "paper_parity": parity})
+    assert status == 200
+    result = analyze_directory(miniapp_path, raw=parity)
+    assert body["dfd"] == dfd_to_obj(result.dfd)
+    assert body["traceability"] == traceability_to_obj(result.dfd)
+    assert body["warnings"] == result.report.warnings
+
+
+def test_the_shipped_server_answers_concurrently_and_stops_on_sigterm(miniapp_path, tmp_path):
+    with shipped_server(tmp_path) as (proc, url):
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(post(url + "/analyze", {"path": str(miniapp_path)})))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert [status for status, _ in results] == [200, 200]
+        assert results[0][1]["dfd"] == results[1][1]["dfd"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no forked child outlived the server
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["parent", "process-group"])
+def test_an_idle_connection_delays_sigterm_by_at_most_the_socket_timeout(tmp_path, group):
+    assert _Handler.timeout is not None  # the shipped server bounds idle clients too
+    with shipped_server(tmp_path, handler_timeout=2) as (proc, url):
+        host, port = url.rsplit("/", 1)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as idle:
+            # the child is forked and waits for a request line that never comes
+            assert get(url + "/health") == (200, {"status": "ok"})
+            if group:
+                os.killpg(proc.pid, signal.SIGTERM)
+            else:
+                proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=2 + 5) == 0
+            assert idle.recv(1) == b""  # the child closed the connection unanswered
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+def test_analyze_repo_url_removes_its_checkout(server_url, git_repo, tmp_path, server_tmp):
     status, body = post(server_url + "/analyze", {"repo_url": "file://%s" % git_repo})
     assert status == 200
     assert len(body["commit"]) == 40
@@ -224,11 +331,11 @@ def test_analyze_repo_url_removes_its_checkout(server_url, git_repo, tmp_path, t
     status, body = post(server_url + "/analyze", {"repo_url": "file://%s/gone.git" % tmp_path})
     assert status == 400
     assert "git clone failed" in body["error"]
-    assert list(temp_root.iterdir()) == []
+    assert list(server_tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize("field", ["ref", "repo_url"])
-def test_analyze_refuses_option_like_git_values(server_url, git_repo, tmp_path, temp_root, field):
+def test_analyze_refuses_option_like_git_values(server_url, git_repo, tmp_path, server_tmp, field):
     marker = tmp_path / "ran"
     body = {"repo_url": "file://%s" % git_repo, "ref": "main"}
     body[field] = "--upload-pack=touch %s;git-upload-pack" % marker
@@ -236,4 +343,4 @@ def test_analyze_refuses_option_like_git_values(server_url, git_repo, tmp_path, 
     assert status == 400
     assert "must not start with '-'" in resp["error"]
     assert not marker.exists()  # git never ran the injected command
-    assert list(temp_root.iterdir()) == []
+    assert list(server_tmp.iterdir()) == []
