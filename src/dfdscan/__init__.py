@@ -9,7 +9,7 @@ ground truth by precision and recall.
 from .analysis import AnalysisError, AnalysisResult, analyze_directory, fetch_repository
 from .model import Dfd, Flow, Node, TraceEntry, normalize_name
 from .output import dfd_to_dot, dfd_to_json, traceability_to_json, verify_traces
-from .search import build_index, find_keyword, iterative_search
+from .search import build_index, find_keyword
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "dfd_to_json",
     "fetch_repository",
     "find_keyword",
-    "iterative_search",
     "normalize_name",
     "traceability_to_json",
     "verify_traces",

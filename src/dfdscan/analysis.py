@@ -32,14 +32,17 @@ def analyze_directory(
     image_catalog_path: str | None = None,
     raw: bool = False,
 ) -> AnalysisResult:
-    """Index a directory, run the pipeline, and time the analysis."""
+    """Index a directory, run the pipeline, and time the analysis.
+
+    raw indexes Java comments as code (see build_index).
+    """
     path = Path(path)
     if not path.is_dir():
         raise AnalysisError("not a directory: %s" % path)
     rules = load_rules(keyword_path=keyword_rules_path, image_path=image_catalog_path)
     started = time.perf_counter()
-    index = build_index(path)
-    dfd, report = run_pipeline(index, rules=rules, raw=raw)
+    index = build_index(path, raw=raw)
+    dfd, report = run_pipeline(index, rules=rules)
     elapsed = time.perf_counter() - started
     return AnalysisResult(dfd=dfd, report=report, index=index, elapsed=elapsed)
 

@@ -104,7 +104,6 @@ EXTERNAL_SECURITY = frozenset(
 )
 
 SECURITY = NODE_SECURITY | FLOW_SECURITY | EXTERNAL_SECURITY
-ARCHITECTURAL = NODE_ARCH | FLOW_ARCH | EXTERNAL_ARCH
 
 # Element kinds a stereotype may be attached to.  Most stereotypes apply to
 # exactly one kind; a couple apply to both nodes and external entities

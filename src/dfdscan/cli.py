@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--paper-parity",
         action="store_true",
-        help="search raw text (keep comments), matching originally published behavior",
+        help="read Java comments as code, matching originally published behavior",
     )
     analyze.add_argument("--verbose", action="store_true", help="print warnings and timings")
 

@@ -6,10 +6,11 @@ from annotations a same-phase peer wrote, so they commute.
 """
 from __future__ import annotations
 
+import re
 from itertools import chain
 
+from .. import search
 from ..model import ModelError, flow_id, normalize_name
-from ..search import iterative_search
 from .base import Context, Extractor, register
 
 
@@ -40,6 +41,9 @@ _ENCODER_CLASSES = (
     "SCryptPasswordEncoder",
     "Pbkdf2PasswordEncoder",
 )
+# the declaration of an encoder instance, per encoder class
+_ENCODER_DECLARES = {cls: re.compile(r"%s\s+(\w+)\s*=" % cls) for cls in _ENCODER_CLASSES}
+_ENCODER_USES = ("encode", "matches", "upgradeEncoding")
 
 
 @register
@@ -47,29 +51,24 @@ class EncryptionAnnotations(Extractor):
     """Password hashing detected in two steps: declaration, then usage.
 
     The declaration names the encoder instance; the service is only marked
-    when that instance is actually used (encode/matches), confirmed via a
-    follow-up search on instance.member.
+    when that instance is used in the declaring file (encode, matches or
+    upgradeEncoding), and the use is traced, linked to the declaration.
     """
 
     name = "encryption_annotations"
     phase = "annotation"
 
     def run(self, ctx: Context) -> None:
-        for cls in _ENCODER_CLASSES:
-            chains = iterative_search(
-                ctx.index,
-                cls,
-                r"%s\s+(\w+)\s*=" % cls,
-                follow=["encode", "matches", "upgradeEncoding"],
-                languages=("java",),
-                raw=ctx.raw,
-            )
-            for chain in chains:
-                if not chain.resolved:
-                    continue
-                owner = ctx.owner_of(chain.seed.file)
-                if owner is not None and owner.canonical in ctx.dfd.nodes:
-                    _annotate(ctx, owner.canonical, "encryption", chain.last.linked([chain.seed]))
+        for owner, seed in ctx.hits(_ENCODER_CLASSES):
+            if owner.canonical not in ctx.dfd.nodes:
+                continue
+            file = ctx.index.by_path[seed.file]
+            declares = _ENCODER_DECLARES[seed.snippet]
+            for ident in declares.findall(file.line(seed.line - 1, masked=True)):
+                for member in _ENCODER_USES:
+                    # looked up on the module, so a wrapper installed there sees each call
+                    for use in search.scan_files([file], "%s.%s" % (ident, member)):
+                        _annotate(ctx, owner.canonical, "encryption", use.linked([seed]))
 
 
 @register

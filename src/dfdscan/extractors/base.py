@@ -56,17 +56,13 @@ class Report:
     integrity: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def ok(self) -> bool:
-        return not self.failures and not self.integrity
-
 
 class Context:
     """Shared state flowing through the pipeline."""
 
-    def __init__(self, index: FileIndex, rules: RuleSet, raw: bool = False) -> None:
+    def __init__(self, index: FileIndex, rules: RuleSet) -> None:
         self.index = index
         self.rules = rules
-        self.raw = raw  # search original text even where comments are masked
         self.dfd = Dfd()
         self.report = Report()
         # filled by the parse phase
@@ -93,12 +89,12 @@ class Context:
     def hits(self, keywords, languages=("java",), regex=False):
         """Yield (owner, trace) for every hit of the keywords inside a service.
 
-        Searches masked text unless the context is raw; hits outside every
+        Comments are skipped where the index masks them; hits outside every
         service directory are dropped.
         """
         for kw in keywords:
             # looked up on the module, so a wrapper installed there sees each call
-            for m in search.find_keyword(self.index, kw, languages=languages, regex=regex, raw=self.raw):
+            for m in search.find_keyword(self.index, kw, languages=languages, regex=regex):
                 owner = self.owner_of(m.file)
                 if owner is not None:
                     yield owner, m
@@ -164,7 +160,6 @@ def run_pipeline(
     index: FileIndex,
     rules: RuleSet | None = None,
     extractors: list[Extractor] | None = None,
-    raw: bool = False,
 ) -> tuple[Dfd, Report]:
     """Run the extraction pipeline over an index and return (dfd, report).
 
@@ -175,7 +170,7 @@ def run_pipeline(
         rules = load_rules()
     if extractors is None:
         extractors = default_extractors()
-    ctx = Context(index, rules, raw=raw)
+    ctx = Context(index, rules)
     ctx.report.warnings.extend(index.warnings)
     for epoch, phase in enumerate(PHASES):
         ctx.dfd.traces.epoch = epoch

@@ -40,8 +40,9 @@ def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
 def _joined_lines(file, start_line: int, stop: int | None) -> str:
     """A statement that may wrap across lines, re-joined for regexes.
 
-    The window is the masked text from start_line to the text offset stop,
-    or four lines long when there is no stop.
+    The window is the text from start_line to the text offset stop, or
+    four lines long when there is no stop, with comments blanked where the
+    index masks them.
     """
     starts = file.line_starts
     if stop is None:
@@ -62,7 +63,7 @@ def _annotation_end(file, hit) -> int | None:
     when it has none.  None when the arguments are never closed.
     """
     pos = file.line_starts[hit.line - 1] + hit.span[1]
-    rest = file.search_text(start=pos)  # masked, from the end of the name on
+    rest = file.search_text(start=pos)  # from the end of the name on
     args = _ARGS_OPEN.match(rest)
     if args is None:
         return pos
@@ -156,7 +157,7 @@ class RestClientFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        for hit in find_keyword(ctx.index, "http", languages=("java",), raw=ctx.raw):
+        for hit in find_keyword(ctx.index, "http", languages=("java",)):
             file = ctx.index.by_path[hit.file]
             line = file.line(hit.line - 1)
             s = hit.span[0]
@@ -166,11 +167,10 @@ class RestClientFlows(Extractor):
                 continue
             if not any(marker in line for marker in _CLIENT_MARKERS):
                 continue
-            if not ctx.raw:
-                # a client named only in a comment does not count
-                line = file.line(hit.line - 1, masked=True)
-                if not any(marker in line for marker in _CLIENT_MARKERS):
-                    continue
+            # a client named only in a comment does not count
+            line = file.line(hit.line - 1, masked=True)
+            if not any(marker in line for marker in _CLIENT_MARKERS):
+                continue
             owner = ctx.owner_of(hit.file)
             if owner is None:
                 continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -70,7 +71,22 @@ def load_rules(
     keyword_path: str | Path | None = None,
     image_path: str | Path | None = None,
 ) -> RuleSet:
-    """Build a RuleSet from the given files, defaulting to package data."""
+    """Build a RuleSet from the given files, defaulting to package data.
+
+    Given files are read on every call.  The default RuleSet is built once
+    per process and shared by every caller, so no caller may change it.
+    """
+    if keyword_path is None and image_path is None:
+        return _default_rules()
+    return _build_rules(keyword_path, image_path)
+
+
+@cache
+def _default_rules() -> RuleSet:
+    return _build_rules(None, None)
+
+
+def _build_rules(keyword_path: str | Path | None, image_path: str | Path | None) -> RuleSet:
     if keyword_path is not None:
         keyword_text = Path(keyword_path).read_text(encoding="utf-8")
     else:

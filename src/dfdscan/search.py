@@ -3,13 +3,15 @@
 The index reads every text file once, classifies it by filename, and keeps
 one text per file, the offset of every line start and, for Java, the
 [start, end) offsets of every comment, so searches do not hit
-commented-out code.  Masked text is never stored: a literal search scans
-the text and skips hits that touch a comment, and every other reader
-blanks the slice it needs on demand.  Literal searches run through
-_kernel.scan unless the index's token vocabulary shows the keyword cannot
-occur, small results are cached on the index, and every search returns its
-hits as TraceEntry evidence ordered by (path, line, span), each snippet
-the original text at the span.
+commented-out code.  An index built raw keeps no comment offsets, so every
+reader of it sees the original text: masking is decided once, when the
+index is built.  Masked text is never stored: a literal search scans the
+text and skips hits that touch a comment, and every other reader blanks
+the slice it needs on demand.  Literal searches run through _kernel.scan
+unless the index's token vocabulary shows the keyword cannot occur, small
+results are cached on the index, and every search returns its hits as
+TraceEntry evidence ordered by (path, line, span), each snippet the
+original text at the span.
 """
 from __future__ import annotations
 
@@ -133,10 +135,10 @@ _NO_COMMENTS = array("I")
 class IndexedFile:
     """One file of the snapshot.
 
-    comments is the comment mask of a Java file (see mask_java_comments)
-    and empty otherwise; the masked text is not stored.  line_starts holds
-    the offset of every line start; files are capped at MAX_FILE_BYTES, so
-    32-bit offsets are enough.
+    comments is the comment mask of a Java file in a masked index (see
+    mask_java_comments), and empty otherwise; the masked text is not
+    stored.  line_starts holds the offset of every line start; files are
+    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.
     """
 
     path: str
@@ -145,21 +147,20 @@ class IndexedFile:
     line_starts: array = field(repr=False)
     comments: array = field(repr=False)
 
-    def search_text(self, raw: bool = False, start: int = 0, end: int | None = None) -> str:
-        """text[start:end], with comments blanked unless raw.
+    def search_text(self, start: int = 0, end: int | None = None) -> str:
+        """text[start:end], with the comments of the mask blanked.
 
         This is how every reader gets masked text: it is built on demand
-        and only for the slice asked for.
+        and only for the slice asked for.  Without a mask it is the text.
         """
-        if raw:
-            return self.text[start:end]
         return blank_comments(self.text, self.comments, start, end)
 
     def line(self, index: int, masked: bool = False) -> str:
-        """The 0-based line index of the text, without its newline."""
+        """The 0-based line index of the text, without its newline;
+        its comments blanked when masked."""
         starts = self.line_starts
         end = starts[index + 1] - 1 if index + 1 < len(starts) else len(self.text)
-        return self.search_text(not masked, starts[index], end)
+        return self.search_text(starts[index], end) if masked else self.text[starts[index] : end]
 
 
 def normalize_newlines(text: str) -> str:
@@ -171,10 +172,10 @@ def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _index_file(rel_path: str, content: str) -> IndexedFile:
+def _index_file(rel_path: str, content: str, raw: bool = False) -> IndexedFile:
     text = normalize_newlines(content)
     language = classify_path(rel_path)
-    comments = mask_java_comments(text) if language == "java" else _NO_COMMENTS
+    comments = mask_java_comments(text) if language == "java" and not raw else _NO_COMMENTS
     lengths = list(map(len, text.split("\n")))
     # line i starts after the i previous lines and their newlines
     starts = array("I", map(add, accumulate(lengths, initial=0), range(len(lengths))))
@@ -191,10 +192,11 @@ _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 class FileIndex:
     """The indexed files plus what literal searches learn about them.
 
-    Each (languages, raw) pair searched gets its file list and, built on
-    first use, its vocabulary: the distinct whitespace-separated tokens of
-    the searched texts, joined by newlines.  Literal results of at most
-    _CACHED_MATCHES matches are cached per (keyword, languages, raw); the
+    Each set of languages searched gets its file list and, built on first
+    use, its vocabulary: the distinct whitespace-separated tokens of the
+    searched texts outside their comment masks, joined by newlines.
+    Literal results of at most _CACHED_MATCHES matches are cached per
+    (keyword, languages); the
     counters say how searches were served.  Java files are also listed by
     file name for cross-file resolution.
     """
@@ -227,20 +229,20 @@ class FileIndex:
             self._lists[wanted] = files
         return files
 
-    def _vocabulary(self, wanted: frozenset | None, raw: bool) -> str:
-        vocab = self._vocabularies.get((wanted, raw))
+    def _vocabulary(self, wanted: frozenset | None) -> str:
+        vocab = self._vocabularies.get(wanted)
         if vocab is None:
             tokens: set[str] = set()
             for f in self._files(wanted):
                 # the tokens between comments are those of the masked text
                 text = f.text
-                bounds = iter(() if raw else f.comments)
+                bounds = iter(f.comments)
                 start = 0
                 for stop, after in zip(bounds, bounds):
                     _add_tokens(tokens, text, start, stop)
                     start = after
                 _add_tokens(tokens, text, start, len(text))
-            vocab = self._vocabularies[(wanted, raw)] = "\n".join(tokens)
+            vocab = self._vocabularies[wanted] = "\n".join(tokens)
         return vocab
 
 
@@ -259,13 +261,16 @@ def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
 def build_index(
     root: str | Path,
     max_bytes: int = MAX_FILE_BYTES,
+    raw: bool = False,
 ) -> FileIndex:
     """Walk a directory tree and index every readable text file.
 
-    Ignored directories are pruned; oversized and binary files, special
-    files (FIFOs, devices, sockets), and symlinks whose target lies
-    outside the root, are skipped; anything unreadable produces a warning
-    instead of an error.
+    Java comments are masked unless raw: a raw index keeps no masks, so
+    its searches and readers see comments as code, as the originally
+    published tool did.  Ignored directories are pruned; oversized and
+    binary files, special files (FIFOs, devices, sockets), and symlinks
+    whose target lies outside the root, are skipped; anything unreadable
+    produces a warning instead of an error.
     """
     root = Path(root).resolve()
     inside = os.path.join(root, "")
@@ -305,7 +310,7 @@ def build_index(
             if b"\x00" in data[:8192]:
                 warnings.append("skipped %s: binary" % rel)
                 continue
-            files.append(_index_file(rel, data.decode("utf-8", errors="replace")))
+            files.append(_index_file(rel, data.decode("utf-8", errors="replace"), raw))
     files.sort(key=lambda f: f.path)
     return FileIndex(root=root, files=files, warnings=warnings)
 
@@ -327,7 +332,7 @@ def snapshot_lines(root: str | Path, rel_path: str) -> list[str] | None:
 # ============================================================================
 
 
-def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> list[TraceEntry]:
+def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
     """Every literal occurrence of keyword in the files, as trace entries.
 
     Masking turns comments into spaces and newlines, and a keyword holds no
@@ -340,8 +345,8 @@ def _scan_files(files: list[IndexedFile], keyword: str, raw: bool = False) -> li
     spaced = " " in keyword
     out: list[TraceEntry] = []
     for f in files:
-        if spaced or raw:
-            text, skip = f.search_text(raw), _NO_COMMENTS
+        if spaced:
+            text, skip = f.search_text(), _NO_COMMENTS
         else:
             text, skip = f.text, f.comments
         # called through the module so a tracer that wraps _kernel.scan sees it
@@ -363,21 +368,21 @@ def _trace(f: IndexedFile, li: int, start: int, end: int) -> TraceEntry:
 _CACHED_MATCHES = 64
 
 
-def _find_literal(index: FileIndex, keyword: str, wanted, raw: bool) -> list[TraceEntry]:
+def _find_literal(index: FileIndex, keyword: str, wanted) -> list[TraceEntry]:
     """The matches of keyword in the wanted languages' files, cached on the
     index when few; the caller copies the list it returns."""
     index.literal_searches += 1
-    key = (keyword, wanted, raw)
+    key = (keyword, wanted)
     found = index._results.get(key)
     if found is not None:
         index.cache_hits += 1
         return found
     # a keyword without whitespace can only occur inside one token
-    if keyword.split() == [keyword] and keyword not in index._vocabulary(wanted, raw):
+    if keyword.split() == [keyword] and keyword not in index._vocabulary(wanted):
         index.vocabulary_skips += 1
         found = []
     else:
-        found = _scan_files(index._files(wanted), keyword, raw)
+        found = scan_files(index._files(wanted), keyword)
     if len(found) <= _CACHED_MATCHES:
         index._results[key] = found
     return found
@@ -388,57 +393,27 @@ def find_keyword(
     pattern: str,
     languages=None,
     regex: bool = False,
-    raw: bool = False,
 ) -> list[TraceEntry]:
     """Search the index for a literal keyword or a regular expression.
 
     Literal search is case-sensitive and may return overlapping matches;
     a keyword absent from the index's vocabulary is not scanned at all, and
     a repeated literal search with few matches is served from the index's
-    cache.
-    raw=True searches original text even where comments are masked.
+    cache.  Hits in comments are skipped where the index masks them.
     A malformed pattern with regex=True raises re.error.
     """
     wanted = None if languages is None else frozenset(languages)
     if not regex:
-        return list(_find_literal(index, pattern, wanted, raw))
+        return list(_find_literal(index, pattern, wanted))
     rx = re.compile(pattern)
     out: list[TraceEntry] = []
     for f in index._files(wanted):
-        for li, line in enumerate(f.search_text(raw).split("\n")):
+        for li, line in enumerate(f.search_text().split("\n")):
             for m in rx.finditer(line):
                 if m.start() == m.end():
                     continue
                 out.append(_trace(f, li, *m.span()))
     return out
-
-
-# ============================================================================
-# Iterative (snowballing) search
-# ============================================================================
-
-
-@dataclass
-class EvidenceChain:
-    """A seed hit and, when the identifier it declares is used, that use."""
-
-    matches: list[TraceEntry]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.matches) <= 2:
-            raise ValueError("evidence chain must hold 1 or 2 matches")
-
-    @property
-    def seed(self) -> TraceEntry:
-        return self.matches[0]
-
-    @property
-    def last(self) -> TraceEntry:
-        return self.matches[-1]
-
-    @property
-    def resolved(self) -> bool:
-        return len(self.matches) == 2
 
 
 _STRING_ASSIGNMENT = re.compile(r"\s*=\s*\"([^\"]*)\"")
@@ -448,10 +423,10 @@ def string_constant(file: IndexedFile, name: str) -> tuple[TraceEntry, str] | No
     """The first line of a Java file that assigns a string literal to name.
 
     Returns the trace of name on that line and the literal; None when no
-    line does outside comments.  name must be a whole identifier there, so
+    line does outside the comments the index masks.  name must be a whole identifier there, so
     OLD_NAME = "x" does not assign NAME.
     """
-    for hit in _scan_files([file], name):
+    for hit in scan_files([file], name):
         line = file.line(hit.line - 1, masked=True)
         start, end = hit.span
         if start and (line[start - 1].isalnum() or line[start - 1] in "_$"):
@@ -509,39 +484,3 @@ def env_value(index: FileIndex, name: str, origin_path: str) -> tuple[str, Trace
             return None
         d = posixpath.dirname(d)
 
-
-def iterative_search(
-    index: FileIndex,
-    seed: str,
-    extract: str,
-    follow: list[str],
-    languages=("java",),
-    raw: bool = False,
-) -> list[EvidenceChain]:
-    """Snowballing search: seed keyword, extract identifier, find its use.
-
-    seed is a literal keyword.  extract is a regex applied to each matched
-    line, comments blanked unless raw; its non-empty capture groups are the
-    identifiers.  Each use of identifier.member in the seed's file, for
-    every member in follow, makes a resolved chain [seed, use].  A seed
-    with no identifier, or an identifier with no use, comes back alone as
-    an unresolved chain, so no evidence is silently dropped.  Resolving a
-    name to a value (a constant, a property, a .env line) is the
-    extractors' resolver's job, not this search's.
-    """
-    chains: list[EvidenceChain] = []
-    for hit in find_keyword(index, seed, languages=languages, raw=raw):
-        f = index.by_path[hit.file]
-        line = f.line(hit.line - 1, masked=not raw)
-        idents = [g for m in re.finditer(extract, line) for g in m.groups() if g]
-        if not idents:
-            chains.append(EvidenceChain([hit]))
-        for ident in idents:
-            uses = [
-                use
-                for member in follow
-                for use in _scan_files([f], "%s.%s" % (ident, member), raw)
-                if use != hit
-            ]
-            chains.extend([EvidenceChain([hit, use]) for use in uses] or [EvidenceChain([hit])])
-    return chains

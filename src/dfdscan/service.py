@@ -7,8 +7,9 @@ liveness.
 The server forks one child process per connection: the child parses the
 request, analyzes, answers and exits, taking its index and caches with it,
 so concurrent analyses share neither an interpreter lock nor memory, and an
-analysis that dies cannot take the server down.  The parent only accepts
-and forks; it starts no thread, because forking is safe only in a
+analysis that dies cannot take the server down.  The parent loads the
+default rules once, which every child inherits, then only accepts and
+forks; it starts no thread, because forking is safe only in a
 single-threaded process, and it holds no index.  At most
 ``ForkingMixIn.max_children`` (40) children run at once; further
 connections wait in the listen backlog.  A child gives up on a client
@@ -31,6 +32,7 @@ from socketserver import ForkingMixIn
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
 from .output import dfd_to_obj, traceability_to_obj
+from .rules import load_rules
 
 # A request carries only a path, or a repository URL and ref.
 MAX_BODY_BYTES = 1024 * 1024
@@ -134,6 +136,7 @@ def make_server(host: str = "127.0.0.1", port: int = 0, verbose: bool = False):
 def serve(host: str, port: int, verbose: bool = False) -> None:
     server = make_server(host, port, verbose=verbose)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    load_rules()  # read once here, so every forked child inherits the default rules
     try:
         print("dfdscan service on http://%s:%d (POST /analyze)" % server.server_address[:2], flush=True)
         server.serve_forever()

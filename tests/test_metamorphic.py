@@ -40,7 +40,7 @@ import gen  # noqa: E402
 def keywords(miniapp_path):
     """The rule keywords plus every literal the pipeline searches in miniapp."""
     found = {kw for rule in load_rules().keyword_rules if not rule.regex for kw in rule.keywords}
-    find_literal, scan_files = search._find_literal, search._scan_files
+    find_literal, scan_files = search._find_literal, search.scan_files
 
     def record_find(index, keyword, *args):
         found.add(keyword)
@@ -50,12 +50,12 @@ def keywords(miniapp_path):
         found.add(keyword)
         return scan_files(files, keyword, *args)
 
-    search._find_literal, search._scan_files = record_find, record_scan
+    search._find_literal, search.scan_files = record_find, record_scan
     try:
         for raw in (False, True):
             analyze_directory(miniapp_path, raw=raw)
     finally:
-        search._find_literal, search._scan_files = find_literal, scan_files
+        search._find_literal, search.scan_files = find_literal, scan_files
     assert {"@FeignClient", "http", "@EnableZuulProxy", "LoggerFactory.getLogger"} <= found
     return sorted(found)
 

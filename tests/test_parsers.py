@@ -1,5 +1,6 @@
 """Configuration parsers: YAML flattening, .properties files, compose
-files, Dockerfiles, build files, and container image classification."""
+files, Dockerfiles, build files, container image classification, and the
+loading of rule files."""
 
 import os
 import random
@@ -7,7 +8,7 @@ import random
 import pytest
 import yaml
 
-from dfdscan import parsers
+from dfdscan import parsers, rules
 from dfdscan.parsers import (
     ParserError,
     PropertyEntry,
@@ -607,3 +608,30 @@ def test_load_image_catalog_skips_comments():
     rules = load_image_catalog(["# comment", "", "mongo database database"])
     assert len(rules) == 1
     assert rules[0].pattern == "mongo"
+
+
+# ----------------------------------------------------------------------
+# rule files
+# ----------------------------------------------------------------------
+
+
+def test_default_rules_are_read_once_per_process(monkeypatch):
+    first = load_rules()
+
+    def unread(name):
+        raise AssertionError("package data read again: %s" % name)
+
+    monkeypatch.setattr(rules, "_default_text", unread)
+    assert load_rules() is first
+
+
+def test_a_rules_file_is_read_on_every_call(tmp_path):
+    path = tmp_path / "rules.json"
+    rule = '{"rules": [{"stereotype": "gateway", "keywords": ["%s"]}]}'
+    path.write_text(rule % "@EnableZuulProxy", encoding="utf-8")
+    first = load_rules(keyword_path=path)
+    path.write_text(rule % "@EnableGateway", encoding="utf-8")
+    second = load_rules(keyword_path=path)
+    assert [r.keywords for r in first.keyword_rules] == [["@EnableZuulProxy"]]
+    assert [r.keywords for r in second.keyword_rules] == [["@EnableGateway"]]
+    assert second is not first and second is not load_rules()

@@ -1,5 +1,5 @@
-"""File indexing, comment masking, keyword search, and the iterative
-identifier-chasing search."""
+"""File indexing, comment masking, keyword search, and the lookups of
+constants and .env values."""
 
 import os
 import random
@@ -19,7 +19,6 @@ from dfdscan.search import (
     build_index,
     classify_path,
     find_keyword,
-    iterative_search,
     mask_java_comments,
     env_value,
     resolve_cross_file,
@@ -350,6 +349,9 @@ def test_index_keeps_one_text_per_file(tmp_path):
     assert list(java.line_starts) == [0, 15, 22]
     assert [java.line(i) for i in range(3)] == ["int a; // note", "int b;", ""]
     assert java.line(0, masked=True) == "int a;        "
+    raw = build_index(tmp_path, raw=True).by_path["App.java"]
+    assert len(raw.comments) == 0 and raw.search_text() == java.text
+    assert raw.line(0, masked=True) == "int a; // note"
 
 
 def test_masked_lines_are_lines_of_the_masked_text(tmp_path):
@@ -516,7 +518,7 @@ def test_find_keyword_respects_masking(tmp_path):
     idx = build_index(tmp_path)
     java_hits = find_keyword(idx, "@EnableZuulProxy", languages=("java",))
     assert [m.line for m in java_hits] == [2]
-    raw_hits = find_keyword(idx, "@EnableZuulProxy", languages=("java",), raw=True)
+    raw_hits = find_keyword(build_index(tmp_path, raw=True), "@EnableZuulProxy", languages=("java",))
     assert [m.line for m in raw_hits] == [1, 2]
 
 
@@ -557,14 +559,14 @@ def test_find_keyword_language_filter(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def oracle_find_keyword(index, keyword, languages=None, raw=False):
+def oracle_find_keyword(index, keyword, languages=None):
     """Literal find_keyword without the vocabulary gate or the cache."""
     wanted = None if languages is None else set(languages)
     out = []
     for f in index.files:
         if wanted is not None and f.language not in wanted:
             continue
-        for li, s, e in _kernel.scan(f.search_text(raw), keyword, f.line_starts):
+        for li, s, e in _kernel.scan(f.search_text(), keyword, f.line_starts):
             out.append(TraceEntry(f.path, li + 1, (s, e), f.line(li)[s:e]))
     return out
 
@@ -572,16 +574,24 @@ def oracle_find_keyword(index, keyword, languages=None, raw=False):
 LANGUAGE_SETS = [None, ("java",), ("yaml", "properties"), ("java", "other", "env"), ("compose",)]
 
 
-def assert_like_oracle(idx, keywords):
-    for keyword in keywords:
-        for languages in LANGUAGE_SETS:
-            for raw in (False, True):
-                expected = oracle_find_keyword(idx, keyword, languages, raw)
-                first = find_keyword(idx, keyword, languages=languages, raw=raw)
+def both_indexes(root):
+    """The masked and the raw index of a tree."""
+    return build_index(root), build_index(root, raw=True)
+
+
+def assert_like_oracle(root, keywords):
+    """Compare both indexes of a tree with the oracle; return them."""
+    indexes = both_indexes(root)
+    for raw, idx in zip((False, True), indexes):
+        for keyword in keywords:
+            for languages in LANGUAGE_SETS:
+                expected = oracle_find_keyword(idx, keyword, languages)
+                first = find_keyword(idx, keyword, languages=languages)
                 assert first == expected, (keyword, languages, raw)
                 first.append(None)  # a caller's edit must not reach the cache
-                again = find_keyword(idx, keyword, languages=list(languages or ()) or None, raw=raw)
+                again = find_keyword(idx, keyword, languages=list(languages or ()) or None)
                 assert again == expected, (keyword, languages, raw)
+    return indexes
 
 
 def test_space_pattern_is_what_str_split_splits_at():
@@ -590,16 +600,15 @@ def test_space_pattern_is_what_str_split_splits_at():
 
 
 def test_gated_search_matches_the_oracle_on_miniapp(miniapp_path):
-    idx = build_index(miniapp_path)
     rng = random.Random(5)
     keywords = {"@EnableZuulProxy", "@FeignClient", "http", "spring.", "notHere", "@", ":", "a b"}
-    for f in idx.files:
+    for f in build_index(miniapp_path).files:
         tokens = f.text.split()
         keywords.update(rng.sample(tokens, min(3, len(tokens))))
         start = rng.randrange(max(1, len(f.text) - 12))
         keywords.add(f.text[start : start + rng.randint(1, 12)].partition("\n")[0] or "x")
-    assert_like_oracle(idx, sorted(keywords))
-    assert idx.vocabulary_skips > 0 and idx.cache_hits > 0
+    for idx in assert_like_oracle(miniapp_path, sorted(keywords)):
+        assert idx.vocabulary_skips > 0 and idx.cache_hits > 0
 
 
 def test_gate_keeps_comment_only_and_edge_keywords(tmp_path):
@@ -611,18 +620,18 @@ def test_gate_keeps_comment_only_and_edge_keywords(tmp_path):
             "c.properties": b"onlyInComment=1\n",
         },
     )
-    idx = build_index(tmp_path)
+    idx, raw = both_indexes(tmp_path)
     java = ("java",)
     assert find_keyword(idx, "onlyInComment", java) == []
-    assert [m.file for m in find_keyword(idx, "onlyInComment", java, raw=True)] == ["A.java"]
+    assert [m.file for m in find_keyword(raw, "onlyInComment", java)] == ["A.java"]
     assert [m.file for m in find_keyword(idx, "onlyInComment")] == ["c.properties"]
-    assert find_keyword(idx, "x/*y", java) == [] and find_keyword(idx, "x/*y", java, raw=True)
+    assert find_keyword(idx, "x/*y", java) == [] and find_keyword(raw, "x/*y", java)
     assert [(m.line, m.span) for m in find_keyword(idx, "a\xa0b")] == [(2, (13, 16))]
     assert [m.span for m in find_keyword(idx, "first")] == [(0, 5)]
     assert [(m.line, m.span) for m in find_keyword(idx, "last")] == [(3, (0, 4))]
     assert [m.span for m in find_keyword(idx, "kw\u2028kw")] == [(16, 21)]
     assert [m.span for m in find_keyword(idx, "kw\x1ckw")] == [(19, 24)]
-    assert_like_oracle(idx, ["onlyInComment", "blockOnly", "x/*y", "y*/z", "a\xa0b", "first", "last", "kw"])
+    assert_like_oracle(tmp_path, ["onlyInComment", "blockOnly", "x/*y", "y*/z", "a\xa0b", "first", "last", "kw"])
 
 
 PIECES = [
@@ -640,7 +649,8 @@ def test_gated_search_matches_the_oracle_on_random_trees(tmp_path):
             files["t%d/%s" % (seed, name)] = "".join(
                 rng.choice(PIECES) for _ in range(rng.randrange(60))
             ).encode("utf-8")
-        idx = build_index(make_tree(tmp_path, files) / ("t%d" % seed))
+        root = make_tree(tmp_path, files) / ("t%d" % seed)
+        idx = build_index(root)
         keywords = {"kw", "Zuul", "@EnableZuul", "x//", "*/x", "kw\xa0x", "\u2028", "\x1c", "é="}
         for text in (f.text for f in idx.files if f.text):
             # the first and last token, and random substrings, which may span
@@ -652,21 +662,20 @@ def test_gated_search_matches_the_oracle_on_random_trees(tmp_path):
                 piece = text[start : start + rng.randint(1, 8)].partition("\n")[0]
                 if piece:
                     keywords.add(piece)
-        assert_like_oracle(idx, sorted(keywords))
+        assert_like_oracle(root, sorted(keywords))
 
 
 def test_vocabulary_is_the_tokens_of_the_searched_texts(tmp_path, miniapp_path):
-    trees = [build_index(miniapp_path), build_index(comment_heavy_tree(tmp_path / "heavy", 3))]
     text = "a /* b */c// d\n" * 30000 + "e/**/f"
-    trees.append(build_index(make_tree(tmp_path / "big", {"Big.java": text})))
-    for idx in trees:
+    roots = [miniapp_path, comment_heavy_tree(tmp_path / "heavy", 3)]
+    roots.append(make_tree(tmp_path / "big", {"Big.java": text}))
+    for idx in (idx for root in roots for idx in both_indexes(root)):
         for languages in LANGUAGE_SETS:
             wanted = None if languages is None else frozenset(languages)
-            for raw in (False, True):
-                expected = set()
-                for f in idx._files(wanted):
-                    expected.update(f.search_text(raw).split())
-                assert set(idx._vocabulary(wanted, raw).split("\n")) - {""} == expected
+            expected = set()
+            for f in idx._files(wanted):
+                expected.update(f.search_text().split())
+            assert set(idx._vocabulary(wanted).split("\n")) - {""} == expected
 
 
 def test_gate_sees_tokens_across_vocabulary_slices(tmp_path):
@@ -704,52 +713,8 @@ def test_vocabulary_memory_is_bounded(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# iterative search
+# constants and .env values
 # ----------------------------------------------------------------------
-
-ENCODER_JAVA = """\
-class UserService {
-    private final BCryptPasswordEncoder encoder = new BCryptPasswordEncoder();
-
-    void create(User user) {
-        user.setPassword(encoder.encode(user.getPassword()));
-    }
-}
-"""
-
-
-def test_iterative_search_same_file_member(tmp_path):
-    make_tree(tmp_path, {"svc/UserService.java": ENCODER_JAVA})
-    idx = build_index(tmp_path)
-    chains = iterative_search(
-        idx,
-        "BCryptPasswordEncoder",
-        extract=r"BCryptPasswordEncoder\s+(\w+)\s*=",
-        follow=["encode", "matches"],
-    )
-    resolved = [c for c in chains if c.resolved]
-    # the type name appears twice on the declaration line, so two seeds
-    # both resolve to the same usage site
-    assert resolved
-    assert {(c.last.line, c.last.snippet) for c in resolved} == {(5, "encoder.encode")}
-    assert all(c.seed.line == 2 for c in resolved)
-    # the declaration-line seed with no extractable identifier shows up
-    # unresolved rather than disappearing
-    assert all(1 <= len(c.matches) <= 2 for c in chains)
-
-
-def test_iterative_search_unresolved_chain_kept(tmp_path):
-    make_tree(tmp_path, {"A.java": "BCryptPasswordEncoder unused = null;\n"})
-    idx = build_index(tmp_path)
-    chains = iterative_search(
-        idx,
-        "BCryptPasswordEncoder",
-        extract=r"BCryptPasswordEncoder\s+(\w+)\s*=",
-        follow=["encode"],
-    )
-    assert len(chains) == 1
-    assert not chains[0].resolved
-    assert chains[0].matches == [TraceEntry("A.java", 1, (0, 21), "BCryptPasswordEncoder")]
 
 
 def test_cross_file_resolution_prefers_origin_directory(tmp_path):
