@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
-from .evaluation import compare, comparison_to_obj, load_document, load_document_file, report_lines
 from .output import dfd_to_dot, dfd_to_json, dfd_to_obj, traceability_to_json
 
 
@@ -142,6 +141,15 @@ def run_analyze(args) -> int:
         print("  %d extractor failure(s); use --verbose for details" % len(report.failures))
 
     if args.eval_truth:
+        # imported here: neither a plain analysis nor the service needs it
+        from .evaluation import (  # noqa: PLC0415
+            compare,
+            comparison_to_obj,
+            load_document,
+            load_document_file,
+            report_lines,
+        )
+
         truth = load_document_file(args.eval_truth)
         extracted = load_document(dfd_to_obj(dfd))
         comp = compare(extracted, truth)

@@ -4,17 +4,20 @@ import json
 import os
 import re
 import selectors
+import shutil
 import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from dfdscan import service
 from dfdscan.analysis import analyze_directory
 from dfdscan.output import dfd_to_obj, traceability_to_obj
 from dfdscan.service import MAX_BODY_BYTES, _Handler
@@ -30,25 +33,31 @@ def read_line(stream, timeout):
 
 
 @contextlib.contextmanager
-def shipped_server(tmpdir, handler_timeout=None):
+def shipped_server(tmpdir, handler_timeout=None, idle_seconds=None):
     """Run ``dfdscan serve --port 0`` in its own session; yield (proc, base URL).
 
-    The server forks a child per request, and forking is safe only in a
+    The server forks its worker processes, and forking is safe only in a
     single-threaded process, so it runs apart from pytest.  Its temporary
-    checkouts go to tmpdir.  handler_timeout, when given, replaces the
-    handler's socket timeout before the server starts."""
+    checkouts go to tmpdir.  handler_timeout and idle_seconds, when given,
+    replace the handler's socket timeout and the workers' idle time before
+    the server starts."""
     env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)  # the banner must be flushed by the server
     argv = ["serve", "--port", "0"]
-    if handler_timeout is None:
+    patches = []
+    if handler_timeout is not None:
+        patches.append("service._Handler.timeout = %r" % handler_timeout)
+    if idle_seconds is not None:
+        patches.append("service.IDLE_SECONDS = %r" % idle_seconds)
+    if not patches:
         cmd = [sys.executable, "-m", "dfdscan.cli", *argv]
     else:
         cmd = [
             sys.executable,
             "-c",
-            "import sys; from dfdscan import cli, service; service._Handler.timeout = %r; "
-            "sys.exit(cli.main(%r))" % (handler_timeout, argv),
+            "import sys; from dfdscan import cli, service; %s; "
+            "sys.exit(cli.main(%r))" % ("; ".join(patches), argv),
         ]
     with subprocess.Popen(
         cmd,
@@ -344,3 +353,148 @@ def test_analyze_refuses_option_like_git_values(server_url, git_repo, tmp_path, 
     assert "must not start with '-'" in resp["error"]
     assert not marker.exists()  # git never ran the injected command
     assert list(server_tmp.iterdir()) == []
+
+
+def children(pid):
+    """The process ids of the children of pid, exited ones not yet reaped included."""
+    with open("/proc/%d/task/%d/children" % (pid, pid), encoding="ascii") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def eventually(check, seconds=5):
+    """Whether check() turns true within seconds."""
+    deadline = time.monotonic() + seconds
+    while not check():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def test_a_reused_worker_neither_leaks_nor_serves_stale_state(miniapp_path, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(miniapp_path, copy)
+    client = copy / "notification-service/src/main/java/com/acme/notification/client/AccountServiceClient.java"
+    source = client.read_text(encoding="utf-8")
+    workers = set()
+    with shipped_server(tmp_path) as (proc, url):
+        for visit in range(8):
+            tree = Path(miniapp_path)
+            if visit % 2:
+                target = ("account-service", "auth-service")[visit // 2 % 2]
+                client.write_text(source.replace('"account-service"', '"%s"' % target), encoding="utf-8")
+                tree = copy
+            status, body = post(url + "/analyze", {"path": str(tree)})
+            assert status == 200
+            del body["elapsed_seconds"]
+            result = analyze_directory(tree)
+            assert body == {
+                "dfd": dfd_to_obj(result.dfd),
+                "traceability": traceability_to_obj(result.dfd),
+                "commit": None,
+                "warnings": result.report.warnings,
+                "extractor_failures": [],
+            }
+            alive = children(proc.pid)
+            assert 1 <= len(alive) <= 3
+            workers.update(alive)
+        assert len(workers) <= 3  # eight answers came from at most three processes
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+
+
+def hold_connections(stack, url, count):
+    """Open count connections that send nothing; each holds a worker."""
+    host, port = url.rsplit("/", 1)[1].split(":")
+    return [stack.enter_context(socket.create_connection((host, int(port)), timeout=5)) for _ in range(count)]
+
+
+def test_idle_connections_do_not_stall_the_server(tmp_path):
+    with shipped_server(tmp_path) as (proc, url):
+        with contextlib.ExitStack() as stack:
+            hold_connections(stack, url, 3)
+            assert get(url + "/health") == (200, {"status": "ok"})
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+def test_killed_workers_are_replaced(miniapp_path, tmp_path):
+    with shipped_server(tmp_path) as (proc, url):
+        with contextlib.ExitStack() as stack:
+            hold_connections(stack, url, 2)
+            assert get(url + "/health") == (200, {"status": "ok"})
+            killed = children(proc.pid)
+            assert len(killed) >= 3
+            for pid in killed:
+                os.kill(pid, signal.SIGKILL)
+        status, body = post(url + "/analyze", {"path": str(miniapp_path)})
+        assert status == 200
+        assert len(body["dfd"]["nodes"]) == 6
+        assert eventually(lambda: not set(killed) & set(children(proc.pid)))  # all reaped
+
+
+def test_surplus_workers_retire_after_a_burst(miniapp_path, tmp_path):
+    with shipped_server(tmp_path, idle_seconds=0.5) as (proc, url):
+        request = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+        with contextlib.ExitStack() as stack:
+            burst = hold_connections(stack, url, 3)
+            for sock in burst:  # each worker waits for its body, so all three are busy at once
+                sock.sendall(b"POST /analyze HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(request))
+            assert eventually(lambda: len(children(proc.pid)) == 4)  # three busy and one spare
+            for sock in burst:
+                sock.sendall(request)
+            for sock in burst:
+                with sock.makefile("rb") as answer:
+                    assert answer.readline().startswith(b"HTTP/1.0 200 ")
+        assert eventually(lambda: len(children(proc.pid)) == 1)
+        assert get(url + "/health") == (200, {"status": "ok"})
+
+
+def test_sigterm_lets_a_busy_worker_answer(miniapp_path, tmp_path):
+    request = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+    with shipped_server(tmp_path) as (proc, url):
+        with contextlib.ExitStack() as stack:
+            (busy,) = hold_connections(stack, url, 1)
+            busy.sendall(b"POST /analyze HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(request))
+            assert get(url + "/health") == (200, {"status": "ok"})  # the busy worker has its connection
+            proc.send_signal(signal.SIGTERM)
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.5)  # the server waits for the answer
+            busy.sendall(request)
+            with busy.makefile("rb") as answer:
+                assert answer.readline().startswith(b"HTTP/1.0 200 ")
+        assert proc.wait(timeout=10) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+def test_one_connection_gets_one_answer(server_url):
+    host, port = server_url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n" * 2)
+        data = b""
+        while chunk := sock.recv(65536):  # the server closes after its answer
+            data += chunk
+    assert data.count(b"HTTP/1.") == 1
+    assert data.startswith(b"HTTP/1.0 200 ")
+    assert json.loads(data.partition(b"\r\n\r\n")[2]) == {"status": "ok"}
+
+
+def test_a_worker_takes_no_connection_after_a_500(monkeypatch, miniapp_path):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(service, "analyze_directory", fail)
+    payload = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+    for request, status, more in (
+        (b"GET /health HTTP/1.0\r\n\r\n", b"200", True),
+        (b"POST /analyze HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(payload), payload), b"500", False),
+    ):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.sendall(request)
+            assert service._answer(_Handler, theirs, ("local", 0)) is more
+            with ours.makefile("rb") as answer:
+                assert answer.readline().split()[1] == status
