@@ -11,11 +11,7 @@ from pathlib import Path
 from .extractors import Report, run_pipeline
 from .model import Dfd
 from .rules import load_rules
-from .search import FileIndex, build_index
-
-
-class AnalysisError(Exception):
-    pass
+from .search import AnalysisError, FileIndex, build_index
 
 
 @dataclass

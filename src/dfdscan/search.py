@@ -12,6 +12,14 @@ unless the index's token vocabulary shows the keyword cannot occur, small
 results are cached on the index, and every search returns its hits as
 TraceEntry evidence ordered by (path, line, span), each snippet the
 original text at the span.
+
+A process keeps a bounded memo of the roots it indexed last.  When it
+indexes such a root again, as a service worker does for a tree sent back
+with a few files changed, every file is still walked, checked and read,
+and the memoized entry of a file (its mask and line table included) is
+reused only when its text equals the text just read.  A reused entry also
+keeps the literal hits found in it, so an unchanged file is neither
+masked nor scanned again for a keyword.
 """
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ import re
 import stat
 from array import array
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add
@@ -33,6 +42,21 @@ from .model import TraceEntry
 # build output) and the size cap for individual files.
 IGNORED_DIRS = frozenset({".git", ".hg", ".svn", "target", "build", "node_modules"})
 MAX_FILE_BYTES = 2 * 1024 * 1024
+
+# The budget of one tree: the files its walk reaches and the bytes of the
+# files it reads.  A tree over either is refused, never indexed in part.
+MAX_TREE_FILES = 100_000
+MAX_TREE_BYTES = 256 * 1024 * 1024
+
+# Characters of text the memo of recently indexed roots holds in all; the
+# least recently indexed root goes first, and a larger root is not kept.
+_MEMO_CHARS = 1 << 21
+# (root, raw) -> ({path: IndexedFile}, characters), least recently indexed first
+_memo: OrderedDict = OrderedDict()
+
+
+class AnalysisError(Exception):
+    """An input that cannot be analyzed, such as a tree over its budget."""
 
 _COMPOSE_RE = re.compile(r"^(docker-compose[^/]*|compose)\.ya?ml$")
 _BUILD_NAMES = frozenset({"pom.xml", "build.gradle", "settings.gradle"})
@@ -138,7 +162,11 @@ class IndexedFile:
     comments is the comment mask of a Java file in a masked index (see
     mask_java_comments), and empty otherwise; the masked text is not
     stored.  line_starts holds the offset of every line start; files are
-    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.
+    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.  An entry may
+    outlive its index in the process's memo of recent roots, which hands
+    it to a later index of the same root while its text is unchanged.
+    hits stays None until then; from that reuse on, scan_files keeps in it
+    the kernel's hits of every literal keyword searched in the file.
     """
 
     path: str
@@ -146,6 +174,7 @@ class IndexedFile:
     text: str = field(repr=False)
     line_starts: array = field(repr=False)
     comments: array = field(repr=False)
+    hits: dict | None = field(default=None, repr=False, compare=False)
 
     def search_text(self, start: int = 0, end: int | None = None) -> str:
         """text[start:end], with the comments of the mask blanked.
@@ -173,7 +202,10 @@ def normalize_newlines(text: str) -> str:
 
 
 def _index_file(rel_path: str, content: str, raw: bool = False) -> IndexedFile:
-    text = normalize_newlines(content)
+    return _index_text(rel_path, normalize_newlines(content), raw)
+
+
+def _index_text(rel_path: str, text: str, raw: bool) -> IndexedFile:
     language = classify_path(rel_path)
     comments = mask_java_comments(text) if language == "java" and not raw else _NO_COMMENTS
     lengths = list(map(len, text.split("\n")))
@@ -196,14 +228,15 @@ class FileIndex:
     use, its vocabulary: the distinct whitespace-separated tokens of the
     searched texts outside their comment masks, joined by newlines.
     Literal results of at most _CACHED_MATCHES matches are cached per
-    (keyword, languages); the
-    counters say how searches were served.  Java files are also listed by
-    file name for cross-file resolution.
+    (keyword, languages); the counters say how searches were served, and
+    reused how many files came unchanged from the memo of recent roots.
+    Java files are also listed by file name for cross-file resolution.
     """
 
     root: Path
     files: list[IndexedFile]
     warnings: list[str] = field(default_factory=list)
+    reused: int = 0
     by_path: dict[str, IndexedFile] = field(default_factory=dict)
     literal_searches: int = field(default=0, init=False)
     vocabulary_skips: int = field(default=0, init=False)
@@ -270,13 +303,22 @@ def build_index(
     published tool did.  Ignored directories are pruned; oversized and
     binary files, special files (FIFOs, devices, sockets), and symlinks
     whose target lies outside the root, are skipped; anything unreadable
-    produces a warning instead of an error.
+    produces a warning instead of an error.  A tree whose walk reaches
+    more than MAX_TREE_FILES files, or whose files to read hold more than
+    MAX_TREE_BYTES, raises AnalysisError.  A file whose text equals that of
+    the memo's last index of (root, raw) keeps that index's entry.
     """
     root = Path(root).resolve()
     inside = os.path.join(root, "")
+    key = (root, raw)
+    previous = _memo.get(key, ({},))[0]
     files: list[IndexedFile] = []
     warnings: list[str] = []
+    reached = total = reused = chars = 0
     for dirpath, dirnames, filenames in os.walk(inside):
+        reached += len(filenames)
+        if reached > MAX_TREE_FILES:
+            raise AnalysisError("%s holds more than %d files; not indexed" % (root, MAX_TREE_FILES))
         dirnames[:] = sorted(d for d in dirnames if d not in IGNORED_DIRS)
         # dirpath is inside joined with the relative directory
         rel_dir = os.path.join(dirpath, "")[len(inside) :].replace(os.sep, "/")
@@ -301,6 +343,9 @@ def build_index(
             if size > max_bytes:
                 warnings.append("skipped %s: %d bytes over limit" % (rel, size))
                 continue
+            total += size
+            if total > MAX_TREE_BYTES:
+                raise AnalysisError("%s holds more than %d bytes of files; not indexed" % (root, MAX_TREE_BYTES))
             try:
                 with open(p, "rb") as fh:
                     data = fh.read()
@@ -310,9 +355,31 @@ def build_index(
             if b"\x00" in data[:8192]:
                 warnings.append("skipped %s: binary" % rel)
                 continue
-            files.append(_index_file(rel, data.decode("utf-8", errors="replace"), raw))
+            text = normalize_newlines(data.decode("utf-8", errors="replace"))
+            chars += len(text)
+            f = previous.get(rel)
+            if f is not None and f.text == text:
+                if f.hits is None:
+                    f.hits = {}
+                reused += 1
+            else:
+                f = _index_text(rel, text, raw)
+            files.append(f)
     files.sort(key=lambda f: f.path)
-    return FileIndex(root=root, files=files, warnings=warnings)
+    index = FileIndex(root=root, files=files, warnings=warnings, reused=reused)
+    _remember(key, index.by_path, chars)
+    return index
+
+
+def _remember(key: tuple, by_path: dict[str, IndexedFile], chars: int) -> None:
+    """Keep the files as the memo's index of key, within _MEMO_CHARS."""
+    _memo.pop(key, None)
+    if chars > _MEMO_CHARS:
+        return
+    _memo[key] = (by_path, chars)
+    held = sum(n for _, n in _memo.values())
+    while held > _MEMO_CHARS:
+        held -= _memo.popitem(last=False)[1][1]
 
 
 def snapshot_lines(root: str | Path, rel_path: str) -> list[str] | None:
@@ -340,17 +407,23 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
     text exactly where it occurs in the text without touching a comment:
     the kernel scans the text and skips the comments.  A keyword with a
     space could match blanks and is scanned in the masked text, built for
-    the file.
+    the file.  A file reused from the memo of recent roots keeps its hits
+    per keyword, so it is scanned once for each.
     """
     spaced = " " in keyword
     out: list[TraceEntry] = []
     for f in files:
-        if spaced:
-            text, skip = f.search_text(), _NO_COMMENTS
-        else:
-            text, skip = f.text, f.comments
-        # called through the module so a tracer that wraps _kernel.scan sees it
-        for li, s, e in _kernel.scan(text, keyword, f.line_starts, skip):
+        hits = None if f.hits is None else f.hits.get(keyword)
+        if hits is None:
+            if spaced:
+                text, skip = f.search_text(), _NO_COMMENTS
+            else:
+                text, skip = f.text, f.comments
+            # called through the module so a tracer that wraps _kernel.scan sees it
+            hits = _kernel.scan(text, keyword, f.line_starts, skip)
+            if f.hits is not None:
+                f.hits[keyword] = hits or ()
+        for li, s, e in hits:
             out.append(_trace(f, li, s, e))
     return out
 

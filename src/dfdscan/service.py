@@ -10,10 +10,16 @@ the shared listening socket, answer its one request, accept the next.  So
 from its second connection on a worker answers without a fork and with its
 memos warm, while concurrent analyses still share neither an interpreter
 lock nor memory.  Between requests a worker keeps only what its process
-holds for every caller, the default ``RuleSet`` and the bounded
-``lru_cache`` memos of ``model`` and ``parsers``; each analysis builds and
-drops its own index.  A worker exits after answering a 500, or when
-answering raises, so no state from a failed analysis survives it.
+holds for every caller: the default ``RuleSet``, the bounded
+``lru_cache`` memos of ``model`` and ``parsers``, and the bounded index
+memo of ``search`` (at most ``search._MEMO_CHARS`` characters of the
+trees it indexed last).  Each analysis builds its own index, but a file
+whose text equals that of the worker's last index of the same tree keeps
+its entry, comment mask, line table and literal hits; every file is still
+walked, checked and read, so a change, a deletion or an escaping symlink
+is seen.  With ``--verbose`` a worker logs how many files each analysis
+indexed and how many it reused.  A worker exits after answering a 500, or
+when answering raises, so no state from a failed analysis survives it.
 
 The parent never accepts, holds no index and starts no thread, because
 forking is safe only in a single-threaded process.  It keeps one idle
@@ -155,6 +161,9 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             if checkout is not None:
                 shutil.rmtree(checkout, ignore_errors=True)
+        self.log_message(
+            "indexed %d files, %d reused from an earlier request", len(result.index.files), result.index.reused
+        )
         self._send(
             200,
             {

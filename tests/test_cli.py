@@ -4,9 +4,11 @@ import re
 import shutil
 import subprocess
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from dfdscan import search
 from dfdscan.analysis import AnalysisError, _fetch, analyze_directory, fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
 from dfdscan.extractors.base import PHASES, default_extractors
@@ -89,6 +91,15 @@ def test_unknown_format_is_an_error(miniapp_path, tmp_path, capsys):
     )
     assert code == 2
     assert "unknown format" in stderr
+
+
+def test_a_tree_over_its_budget_is_an_error(miniapp_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(search, "MAX_TREE_BYTES", 1000)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(["analyze", "--path", str(miniapp_path), "--out", str(out)], capsys)
+    assert code == 2
+    assert stderr == "error: %s holds more than 1000 bytes of files; not indexed\n" % Path(miniapp_path).resolve()
+    assert not out.exists()
 
 
 def test_missing_directory_is_an_error(tmp_path, capsys):

@@ -9,12 +9,13 @@ import tracemalloc
 
 import pytest
 
-from dfdscan import _kernel
+from dfdscan import _kernel, search
 from dfdscan.extractors.base import Context, resolve_text
 from dfdscan.model import TraceEntry
 from dfdscan.rules import load_rules
 from dfdscan.search import (
     _SPACE,
+    AnalysisError,
     blank_comments,
     build_index,
     classify_path,
@@ -379,6 +380,7 @@ def comment_heavy_tree(root, files=40):
 def test_index_holds_each_java_text_once(tmp_path):
     root = comment_heavy_tree(tmp_path)
     build_index(root)  # warm up caches that outlive the index
+    search._memo.clear()  # or the index would reuse every entry of the last one
     tracemalloc.start()
     try:
         idx = build_index(root)
@@ -486,6 +488,128 @@ def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
         "skipped a/blob.bin: binary",
         "skipped a/b/escape.yml: symlink outside root",
     ]
+
+
+def test_tree_over_its_file_budget_is_refused(tmp_path, monkeypatch):
+    root = make_tree(tmp_path, {"a.yml": "a: 1\n", "b/B.java": "class B {}\n", "b/target/T.java": "x"})
+    monkeypatch.setattr(search, "MAX_TREE_FILES", 2)
+    assert [f.path for f in build_index(root).files] == ["a.yml", "b/B.java"]
+    make_tree(root, {"b/c.yml": "c: 1\n"})
+    with pytest.raises(AnalysisError, match="more than 2 files"):
+        build_index(root)
+
+
+def test_tree_over_its_byte_budget_is_refused(tmp_path, monkeypatch):
+    root = make_tree(tmp_path, {"a.yml": "a: 1\n", "B.java": "class B {}\n", "big.java": "x" * 100})
+    monkeypatch.setattr(search, "MAX_TREE_BYTES", 16)
+    # a file skipped over the per-file cap is not read, so it does not count
+    assert [f.path for f in build_index(root, max_bytes=50).files] == ["B.java", "a.yml"]
+    (root / "a.yml").write_text("a: 12\n", encoding="utf-8")
+    with pytest.raises(AnalysisError, match="more than 16 bytes"):
+        build_index(root, max_bytes=50)
+
+
+# ----------------------------------------------------------------------
+# the memo of recently indexed roots
+# ----------------------------------------------------------------------
+
+
+def test_an_unchanged_entry_is_reused_and_a_changed_one_is_not(tmp_path):
+    root = make_tree(tmp_path, {"A.java": "int a; // x\n", "b.yml": "b: 1\n", "C.java": "int c;\n"})
+    first = build_index(root)
+    assert first.reused == 0 and all(f.hits is None for f in first.files)
+    assert find_keyword(first, "int") and all(f.hits is None for f in first.files)
+    make_tree(root, {"C.java": "int d;\n"})
+    second = build_index(root)
+    old, new = first.by_path, second.by_path
+    assert new["A.java"] is old["A.java"] and new["b.yml"] is old["b.yml"]
+    assert new["C.java"] is not old["C.java"] and new["C.java"].text == "int d;\n"
+    assert second.reused == 2
+    assert new["A.java"].hits == {} and new["C.java"].hits is None
+    assert [m.snippet for m in find_keyword(second, "int d")] == ["int d"]
+
+
+def test_a_rewrite_that_keeps_size_and_mtime_is_reindexed(tmp_path):
+    root = make_tree(tmp_path, {"A.java": "String u = \"http://a\";\n"})
+    path = root / "A.java"
+    before = os.stat(path)
+    build_index(root)
+    path.write_text("String u = \"http://b\";\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    idx = build_index(root)
+    assert idx.reused == 0 and idx.by_path["A.java"].text == "String u = \"http://b\";\n"
+    assert [m.line for m in find_keyword(idx, "http://b")] == [1]
+
+
+def test_deleted_files_leave_and_new_files_join_the_next_index(tmp_path):
+    root = make_tree(tmp_path, {"A.java": "class A {}\n", "b/B.java": "class B {}\n"})
+    build_index(root)
+    (root / "b" / "B.java").unlink()
+    make_tree(root, {"b/N.java": "class N {}\n"})
+    idx = build_index(root)
+    assert [f.path for f in idx.files] == ["A.java", "b/N.java"] and idx.reused == 1
+    assert [m.file for m in find_keyword(idx, "class")] == ["A.java", "b/N.java"]
+
+
+def test_a_memoized_file_swapped_for_an_escaping_symlink_is_skipped(tmp_path):
+    outside = make_tree(tmp_path / "outside", {"App.java": "class Secret {}\n"})
+    root = make_tree(tmp_path / "repo", {"App.java": "class App {}\n", "b.yml": "b: 1\n"})
+    build_index(root)
+    build_index(root)  # the entry now also holds hits
+    (root / "App.java").unlink()
+    (root / "App.java").symlink_to(outside / "App.java")
+    idx = build_index(root)
+    assert [f.path for f in idx.files] == ["b.yml"]
+    assert idx.warnings == ["skipped App.java: symlink outside root"]
+
+
+def test_raw_and_masked_indexes_of_a_root_share_no_entry(tmp_path):
+    root = make_tree(tmp_path, {"A.java": "int a; // note\n", "b.yml": "b: 1\n"})
+    masked, raw = build_index(root), build_index(root, raw=True)
+    again, raw_again = build_index(root), build_index(root, raw=True)
+    assert again.reused == raw_again.reused == 2
+    entries = {id(f) for f in masked.files} | {id(f) for f in again.files}
+    assert entries.isdisjoint(id(f) for f in raw.files + raw_again.files)
+    assert find_keyword(again, "note") == [] and len(find_keyword(raw_again, "note")) == 1
+
+
+def test_the_memo_keeps_at_most_its_bound_least_recently_indexed_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_memo", search.OrderedDict())
+    monkeypatch.setattr(search, "_MEMO_CHARS", 25)
+    roots = [make_tree(tmp_path / n, {"A.java": "class %s {}\n" % n}) for n in ("p", "q", "r")]
+    big = make_tree(tmp_path / "big", {"A.java": "x" * 26})
+    p, q, r = roots  # 11 characters each: two fit
+    for root in (p, q, p, r):
+        build_index(root)
+    assert list(search._memo) == [(p.resolve(), False), (r.resolve(), False)]
+    assert build_index(q).reused == 0 and build_index(p).reused == 0
+    assert build_index(big).reused == 0 and build_index(big).reused == 0
+    assert (big.resolve(), False) not in search._memo
+    assert build_index(p).reused == 1
+
+
+def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path):
+    rng = random.Random(19)
+    root = tmp_path / "t"
+    keywords = {"kw", "Zuul", "@EnableZuul", "x//", "*/x", "kw x", "\u2028", "é="}
+    for step in range(4):
+        # every step rewrites one file, so later steps search entries
+        # whose hits were kept by earlier ones
+        names = NAMES if step == 0 else [NAMES[step]]
+        files = {
+            name: "".join(rng.choice(PIECES) for _ in range(rng.randrange(80))).encode("utf-8")
+            for name in names
+        }
+        make_tree(root, files)
+        for text in files.values():
+            keywords.update(text.decode("utf-8").split()[:2])
+        masked, raw = assert_like_oracle(root, sorted(keywords))
+        if step:
+            assert masked.reused == raw.reused == len(NAMES) - 1
+            assert masked.vocabulary_skips > 0 and raw.vocabulary_skips > 0
+            assert any(f.hits for f in masked.files) and any(f.hits for f in raw.files)
 
 
 def test_snapshot_line_round_trip(tmp_path):

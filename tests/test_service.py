@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dfdscan import service
+from dfdscan import search, service
 from dfdscan.analysis import analyze_directory
 from dfdscan.output import dfd_to_obj, traceability_to_obj
 from dfdscan.service import MAX_BODY_BYTES, _Handler
@@ -33,18 +33,19 @@ def read_line(stream, timeout):
 
 
 @contextlib.contextmanager
-def shipped_server(tmpdir, handler_timeout=None, idle_seconds=None):
+def shipped_server(tmpdir, handler_timeout=None, idle_seconds=None, verbose=False):
     """Run ``dfdscan serve --port 0`` in its own session; yield (proc, base URL).
 
     The server forks its worker processes, and forking is safe only in a
     single-threaded process, so it runs apart from pytest.  Its temporary
     checkouts go to tmpdir.  handler_timeout and idle_seconds, when given,
     replace the handler's socket timeout and the workers' idle time before
-    the server starts."""
+    the server starts; verbose adds ``--verbose``, whose log goes to the
+    process's standard output after the banner."""
     env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)  # the banner must be flushed by the server
-    argv = ["serve", "--port", "0"]
+    argv = ["serve", "--port", "0"] + ["--verbose"] * verbose
     patches = []
     if handler_timeout is not None:
         patches.append("service._Handler.timeout = %r" % handler_timeout)
@@ -403,6 +404,62 @@ def test_a_reused_worker_neither_leaks_nor_serves_stale_state(miniapp_path, tmp_
         assert proc.wait(timeout=10) == 0
 
 
+def test_a_reused_worker_sees_rewrites_deletions_and_escaping_symlinks(miniapp_path, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(miniapp_path, copy)
+    secret = tmp_path / "outside" / "Secret.java"
+    secret.parent.mkdir()
+    secret.write_text("@EnableZuulProxy\nclass Secret {}\n", encoding="utf-8")
+    client = copy / "notification-service/src/main/java/com/acme/notification/client/AccountServiceClient.java"
+    app = copy / "auth-service/src/main/java/com/acme/auth/AuthApplication.java"
+
+    def rewrite_keeping_size_and_mtime():
+        before = os.stat(client)
+        client.write_text(client.read_text(encoding="utf-8").replace("@FeignClient(", "//eignClient("), encoding="utf-8")
+        os.utime(client, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(client).st_size == before.st_size
+
+    def swap_for_escaping_symlink():
+        app.unlink()
+        app.symlink_to(secret)
+
+    changes = [
+        rewrite_keeping_size_and_mtime,
+        (copy / "auth-service/src/main/java/com/acme/auth/UserService.java").unlink,
+        swap_for_escaping_symlink,
+    ]
+    bodies = []
+    with shipped_server(tmp_path, verbose=True) as (proc, url):
+        for change in [None, *changes]:
+            if change is not None:
+                change()
+            search._memo.clear()  # the answer of a cold index
+            result = analyze_directory(copy)
+            expected = {
+                "dfd": dfd_to_obj(result.dfd),
+                "traceability": traceability_to_obj(result.dfd),
+                "commit": None,
+                "warnings": result.report.warnings,
+                "extractor_failures": [],
+            }
+            assert expected not in bodies
+            for _ in range(3):  # so that a worker that saw the last state answers
+                status, body = post(url + "/analyze", {"path": str(copy)})
+                assert status == 200
+                del body["elapsed_seconds"]
+                assert body == expected
+            bodies.append(expected)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        log = proc.stdout.read().decode("utf-8")
+    assert bodies[-1]["warnings"] == ["skipped auth-service/src/main/java/com/acme/auth/AuthApplication.java: symlink outside root"]
+    counts = [tuple(map(int, m)) for m in re.findall(r"indexed (\d+) files, (\d+) reused", log)]
+    assert [n for n, _ in counts] == [18] * 3 + [18] * 3 + [17] * 3 + [16] * 3
+    # after each change, a worker that had indexed the tree before answered
+    # from its memo at least once
+    assert all(any(reused for _, reused in counts[i : i + 3]) for i in (3, 6, 9))
+
+
 def hold_connections(stack, url, count):
     """Open count connections that send nothing; each holds a worker."""
     host, port = url.rsplit("/", 1)[1].split(":")
@@ -498,3 +555,16 @@ def test_a_worker_takes_no_connection_after_a_500(monkeypatch, miniapp_path):
             assert service._answer(_Handler, theirs, ("local", 0)) is more
             with ours.makefile("rb") as answer:
                 assert answer.readline().split()[1] == status
+
+
+def test_a_tree_over_its_budget_is_a_bad_request(monkeypatch, miniapp_path):
+    monkeypatch.setattr(search, "MAX_TREE_FILES", 17)
+    payload = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.sendall(b"POST /analyze HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(payload), payload))
+        assert service._answer(_Handler, theirs, ("local", 0)) is True
+        with ours.makefile("rb") as answer:
+            assert answer.readline().split()[1] == b"400"
+            body = json.loads(answer.read().partition(b"\r\n\r\n")[2])
+    assert body == {"error": "%s holds more than 17 files; not indexed" % Path(miniapp_path).resolve()}
