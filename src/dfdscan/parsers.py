@@ -4,6 +4,11 @@ Everything here parses one indexed file into plain data plus TraceEntry
 locations so extracted facts stay traceable to a file, line, and span.
 YAML goes through the composer (not the loader) to keep line/column marks,
 libyaml's when PyYAML was built with it.
+
+Each file parser is memoized on the file's entry (search.memoized): a file
+that a service worker's index reuses unchanged is parsed once, and every
+later analysis shares the result, so no caller may change it.  A parse
+that raises is not kept, so its warning repeats on every analysis.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .model import TraceEntry
-from .search import IndexedFile
+from .search import IndexedFile, memoized
 
 # libyaml's composer gives the same nodes and marks about eight times faster.
 # The base loader leaves implicit tags unresolved: only values and marks are read.
@@ -172,6 +177,7 @@ def _flatten_yaml(node, prefix: str, scalars: list[tuple[str, yaml.ScalarNode]])
 _PROFILE_KEYS = ("spring.profiles", "spring.config.activate.on-profile")
 
 
+@memoized
 def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
     """Flatten a (possibly multi-document) YAML file into dotted entries.
 
@@ -202,6 +208,7 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
 # ----------------------------------------------------------------------------
 
 
+@memoized
 def parse_properties_file(file: IndexedFile) -> list[PropertyEntry]:
     """Parse key=value (or key:value) lines, honoring \\ continuations."""
     entries: list[PropertyEntry] = []
@@ -289,6 +296,7 @@ def _container_port(spec: str) -> int | None:
         return None
 
 
+@memoized
 def parse_compose(file: IndexedFile) -> list[ComposeService]:
     """Parse a docker-compose file into service declarations."""
     try:
@@ -372,6 +380,7 @@ class DockerfileInfo:
     exposed_ports: list[tuple[int, TraceEntry]] = field(default_factory=list)
 
 
+@memoized
 def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
     info = DockerfileInfo(path=file.path)
     for i, raw in enumerate(file.text.split("\n")):
@@ -407,6 +416,7 @@ def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
 # ============================================================================
 
 
+@memoized
 def parse_maven_modules(file: IndexedFile) -> list[str]:
     """Module directories declared by a pom.xml (namespace-agnostic)."""
     try:
@@ -420,6 +430,7 @@ def parse_maven_modules(file: IndexedFile) -> list[str]:
     return [m for m in modules if m]
 
 
+@memoized
 def parse_maven_artifact_id(file: IndexedFile) -> str | None:
     try:
         root = ET.fromstring(file.text)
@@ -435,6 +446,7 @@ _GRADLE_INCLUDE = re.compile(r"include\s*\(?\s*((?:['\"]:?[^'\"]+['\"]\s*,?\s*)+
 _GRADLE_PATH = re.compile(r"['\"](:?[^'\"]+)['\"]")
 
 
+@memoized
 def parse_gradle_settings(file: IndexedFile) -> list[str]:
     """Project directories from settings.gradle include statements."""
     modules = []

@@ -18,11 +18,13 @@ indexes such a root again, as a service worker does for a tree sent back
 with a few files changed, every file is still walked, checked and read,
 and the memoized entry of a file (its mask and line table included) is
 reused only when its text equals the text just read.  A reused entry also
-keeps the literal hits found in it, so an unchanged file is neither
-masked nor scanned again for a keyword.
+keeps what later analyses derive from its text alone: its literal hits,
+its token set and its parses (see memoized).  So an unchanged file is
+neither masked, tokenized, parsed nor scanned again for a keyword.
 """
 from __future__ import annotations
 
+import functools
 import os
 import posixpath
 import re
@@ -32,7 +34,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
 
 from . import _kernel
@@ -165,8 +167,11 @@ class IndexedFile:
     capped at MAX_FILE_BYTES, so 32-bit offsets are enough.  An entry may
     outlive its index in the process's memo of recent roots, which hands
     it to a later index of the same root while its text is unchanged.
-    hits stays None until then; from that reuse on, scan_files keeps in it
-    the kernel's hits of every literal keyword searched in the file.
+    memo stays None until then.  From that reuse on it keeps what is
+    derived from the text and the mask alone: the hits of every literal
+    keyword searched in the file, as trace entries (() for none), under
+    the keyword; the file's token set; and each parse of it, under the
+    parser (see memoized).
     """
 
     path: str
@@ -174,7 +179,7 @@ class IndexedFile:
     text: str = field(repr=False)
     line_starts: array = field(repr=False)
     comments: array = field(repr=False)
-    hits: dict | None = field(default=None, repr=False, compare=False)
+    memo: dict | None = field(default=None, repr=False, compare=False)
 
     def search_text(self, start: int = 0, end: int | None = None) -> str:
         """text[start:end], with the comments of the mask blanked.
@@ -192,13 +197,36 @@ class IndexedFile:
         return self.search_text(starts[index], end) if masked else self.text[starts[index] : end]
 
 
+def memoized(derive):
+    """derive(file), kept in the file's memo from the file's first reuse on.
+
+    Until a later index reuses an entry its memo is None, so a one-shot run
+    derives every value afresh and keeps none.  A result, None included, is
+    kept under derive; an exception is not, so it is raised again on the
+    next call.  Callers must not change what they get.
+    """
+
+    @functools.wraps(derive)
+    def kept(file: IndexedFile):
+        memo = file.memo
+        if memo is None:
+            return derive(file)
+        try:
+            return memo[derive]
+        except KeyError:
+            value = memo[derive] = derive(file)
+            return value
+
+    return kept
+
+
 def normalize_newlines(text: str) -> str:
     """Map CRLF and lone CR line ends to LF.
 
     Java source, properties and YAML all end a line at a lone CR, so line
     numbers and line-bound parsing agree with theirs.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _index_file(rel_path: str, content: str, raw: bool = False) -> IndexedFile:
@@ -226,7 +254,8 @@ class FileIndex:
 
     Each set of languages searched gets its file list and, built on first
     use, its vocabulary: the distinct whitespace-separated tokens of the
-    searched texts outside their comment masks, joined by newlines.
+    searched texts outside their comment masks, joined by newlines; a
+    file reused from the memo of recent roots gives its kept token set.
     Literal results of at most _CACHED_MATCHES matches are cached per
     (keyword, languages); the counters say how searches were served, and
     reused how many files came unchanged from the memo of recent roots.
@@ -267,16 +296,31 @@ class FileIndex:
         if vocab is None:
             tokens: set[str] = set()
             for f in self._files(wanted):
-                # the tokens between comments are those of the masked text
-                text = f.text
-                bounds = iter(f.comments)
-                start = 0
-                for stop, after in zip(bounds, bounds):
-                    _add_tokens(tokens, text, start, stop)
-                    start = after
-                _add_tokens(tokens, text, start, len(text))
+                if f.memo is None:
+                    _add_file_tokens(tokens, f)
+                else:
+                    tokens |= _file_tokens(f)
             vocab = self._vocabularies[wanted] = "\n".join(tokens)
         return vocab
+
+
+@memoized
+def _file_tokens(f: IndexedFile) -> frozenset[str]:
+    """The tokens of the file's masked text."""
+    tokens: set[str] = set()
+    _add_file_tokens(tokens, f)
+    return frozenset(tokens)
+
+
+def _add_file_tokens(tokens: set[str], f: IndexedFile) -> None:
+    """Add the tokens of the file's masked text: those between its comments."""
+    text = f.text
+    bounds = iter(f.comments)
+    start = 0
+    for stop, after in zip(bounds, bounds):
+        _add_tokens(tokens, text, start, stop)
+        start = after
+    _add_tokens(tokens, text, start, len(text))
 
 
 def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
@@ -289,6 +333,35 @@ def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
                 end = cut.start()
         tokens.update(text[start:end].split())
         start = end
+
+
+class _Skip(Exception):
+    """A file the index does not read, and why."""
+
+
+def _read(entry: os.DirEntry, inside: str, max_bytes: int) -> bytes:
+    """The bytes of a listed file, or _Skip with the reason it is not read.
+
+    A symlink is read only when its target lies inside the root.  The
+    listing tells a regular file from a special one without a stat, and
+    the opened file's own stat gives its size.  OSError when the file
+    cannot be read.
+    """
+    p = entry.path
+    if entry.is_symlink():
+        if not os.path.realpath(p).startswith(inside):
+            raise _Skip("symlink outside root")
+        regular = stat.S_ISREG(os.stat(p).st_mode)
+    else:
+        regular = entry.is_file(follow_symlinks=False)
+    if not regular:
+        # reading a FIFO or a device can block or never end
+        raise _Skip("not a regular file")
+    with open(p, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > max_bytes:
+            raise _Skip("%d bytes over limit" % size)
+        return fh.read()
 
 
 def build_index(
@@ -305,8 +378,10 @@ def build_index(
     whose target lies outside the root, are skipped; anything unreadable
     produces a warning instead of an error.  A tree whose walk reaches
     more than MAX_TREE_FILES files, or whose files to read hold more than
-    MAX_TREE_BYTES, raises AnalysisError.  A file whose text equals that of
-    the memo's last index of (root, raw) keeps that index's entry.
+    MAX_TREE_BYTES, raises AnalysisError.  A directory that cannot be
+    listed is skipped with a warning, as an unreadable file is; a symlink
+    to a directory is not followed.  A file whose text equals that of the
+    memo's last index of (root, raw) keeps that index's entry.
     """
     root = Path(root).resolve()
     inside = os.path.join(root, "")
@@ -315,43 +390,43 @@ def build_index(
     files: list[IndexedFile] = []
     warnings: list[str] = []
     reached = total = reused = chars = 0
-    for dirpath, dirnames, filenames in os.walk(inside):
-        reached += len(filenames)
+    # (directory, its path relative to root with a trailing slash) still
+    # to list, the next one last: a directory's own files come before its
+    # subdirectories', which are listed in name order
+    pending = [(inside, "")]
+    while pending:
+        path, rel_dir = pending.pop()
+        try:
+            with os.scandir(path) as listing:
+                entries = sorted(listing, key=attrgetter("name"))
+        except OSError as exc:
+            warnings.append("skipped %s: %s" % (rel_dir[:-1] or ".", exc))
+            continue
+        file_entries = []
+        subdirs = []
+        for entry in entries:
+            try:
+                is_dir = entry.is_dir()  # a symlink to a directory is neither walked nor read
+            except OSError:
+                is_dir = False
+            if not is_dir:
+                file_entries.append(entry)
+            elif entry.name not in IGNORED_DIRS and entry.is_dir(follow_symlinks=False):
+                subdirs.append(entry)
+        reached += len(file_entries)
         if reached > MAX_TREE_FILES:
             raise AnalysisError("%s holds more than %d files; not indexed" % (root, MAX_TREE_FILES))
-        dirnames[:] = sorted(d for d in dirnames if d not in IGNORED_DIRS)
-        # dirpath is inside joined with the relative directory
-        rel_dir = os.path.join(dirpath, "")[len(inside) :].replace(os.sep, "/")
-        for fn in sorted(filenames):
-            p = os.path.join(dirpath, fn)
-            rel = rel_dir + fn
+        pending += [(d.path, rel_dir + d.name + "/") for d in reversed(subdirs)]
+        for entry in file_entries:
+            rel = rel_dir + entry.name
             try:
-                st = os.lstat(p)
-                if stat.S_ISLNK(st.st_mode):
-                    if not os.path.realpath(p).startswith(inside):
-                        warnings.append("skipped %s: symlink outside root" % rel)
-                        continue
-                    st = os.stat(p)
-                size = st.st_size
-            except OSError as exc:
+                data = _read(entry, inside, max_bytes)
+            except (OSError, _Skip) as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
                 continue
-            if not stat.S_ISREG(st.st_mode):
-                # reading a FIFO or a device can block or never end
-                warnings.append("skipped %s: not a regular file" % rel)
-                continue
-            if size > max_bytes:
-                warnings.append("skipped %s: %d bytes over limit" % (rel, size))
-                continue
-            total += size
+            total += len(data)
             if total > MAX_TREE_BYTES:
                 raise AnalysisError("%s holds more than %d bytes of files; not indexed" % (root, MAX_TREE_BYTES))
-            try:
-                with open(p, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                warnings.append("skipped %s: %s" % (rel, exc))
-                continue
             if b"\x00" in data[:8192]:
                 warnings.append("skipped %s: binary" % rel)
                 continue
@@ -359,8 +434,8 @@ def build_index(
             chars += len(text)
             f = previous.get(rel)
             if f is not None and f.text == text:
-                if f.hits is None:
-                    f.hits = {}
+                if f.memo is None:
+                    f.memo = {}
                 reused += 1
             else:
                 f = _index_text(rel, text, raw)
@@ -413,18 +488,19 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
     spaced = " " in keyword
     out: list[TraceEntry] = []
     for f in files:
-        hits = None if f.hits is None else f.hits.get(keyword)
-        if hits is None:
+        memo = f.memo
+        found = None if memo is None else memo.get(keyword)
+        if found is None:
             if spaced:
                 text, skip = f.search_text(), _NO_COMMENTS
             else:
                 text, skip = f.text, f.comments
             # called through the module so a tracer that wraps _kernel.scan sees it
             hits = _kernel.scan(text, keyword, f.line_starts, skip)
-            if f.hits is not None:
-                f.hits[keyword] = hits or ()
-        for li, s, e in hits:
-            out.append(_trace(f, li, s, e))
+            found = [_trace(f, li, s, e) for li, s, e in hits] if hits else ()
+            if memo is not None:
+                found = memo[keyword] = tuple(found)
+        out += found
     return out
 
 

@@ -15,11 +15,12 @@ holds for every caller: the default ``RuleSet``, the bounded
 memo of ``search`` (at most ``search._MEMO_CHARS`` characters of the
 trees it indexed last).  Each analysis builds its own index, but a file
 whose text equals that of the worker's last index of the same tree keeps
-its entry, comment mask, line table and literal hits; every file is still
-walked, checked and read, so a change, a deletion or an escaping symlink
-is seen.  With ``--verbose`` a worker logs how many files each analysis
-indexed and how many it reused.  A worker exits after answering a 500, or
-when answering raises, so no state from a failed analysis survives it.
+its entry: comment mask, line table, literal hits, token set and parses
+(see ``search.IndexedFile``).  Every file is still walked, checked and
+read, so a change, a deletion or an escaping symlink is seen.  With
+``--verbose`` a worker logs how many files each analysis indexed and how
+many it reused.  A worker exits after answering a 500, or when answering
+raises, so no state from a failed analysis survives it.
 
 The parent never accepts, holds no index and starts no thread, because
 forking is safe only in a single-threaded process.  It keeps one idle

@@ -2,7 +2,9 @@
 synthetic codebases, order independence, and fault isolation."""
 
 import ast
+import copy
 import json
+import os
 import random
 import shutil
 from pathlib import Path
@@ -24,7 +26,13 @@ from dfdscan.extractors.flows import _UrlFlows
 from dfdscan.extractors.workspace import Workspace
 from dfdscan.model import TraceEntry
 from dfdscan.output import dfd_to_json, traceability_to_json, traceability_to_obj, verify_traces
-from dfdscan.parsers import PropertyEntry, PropertyMap
+from dfdscan.parsers import (
+    ParserError,
+    PropertyEntry,
+    PropertyMap,
+    parse_maven_artifact_id,
+    parse_yaml_properties,
+)
 from dfdscan.rules import load_rules
 from dfdscan.search import build_index
 
@@ -1808,3 +1816,97 @@ def test_empty_directory_yields_empty_diagram(tmp_path):
     assert dfd.flows == {}
     assert report.failures == []
     assert report.integrity == []
+
+
+# ----------------------------------------------------------------------
+# parses kept on the entries a later index reuses
+# ----------------------------------------------------------------------
+
+
+def rewrite_keeping_size_and_mtime(path, old, new):
+    before = os.stat(path)
+    text = path.read_text(encoding="utf-8")
+    assert len(old) == len(new) and old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def test_a_rewritten_config_is_parsed_again(tmp_path):
+    root = make_tree(
+        tmp_path,
+        {
+            "docker-compose.yml": compose_of({"alpha": {"build": "./alpha", "ports": '["8081:8081"]'}}),
+            "alpha/pom.xml": "<project><artifactId>alpha-app</artifactId></project>\n",
+            "alpha/src/main/resources/application.yml": APP_YML % "alpha-svc",
+            "gamma/pom.xml": "<project><artifactId>gamma-app</artifactId></project>\n",
+        },
+    )
+
+    def services():
+        result = analyze_directory(root)
+        return {n.name: n.tagged_values.get("Port") for n in result.dfd.nodes.values()}, result.index
+
+    assert services()[0] == {"alpha_svc": ["8081"], "gamma_app": None}
+    again, index = services()  # the entries' parses are kept now
+    assert again == {"alpha_svc": ["8081"], "gamma_app": None} and index.reused == len(index.files)
+    rewrite_keeping_size_and_mtime(root / "docker-compose.yml", "8081:8081", "8082:8082")
+    rewrite_keeping_size_and_mtime(root / "alpha/src/main/resources/application.yml", "alpha-svc", "alpha-new")
+    rewrite_keeping_size_and_mtime(root / "gamma/pom.xml", "gamma-app", "gamma-new")
+    assert services()[0] == {"alpha_new": ["8082"], "gamma_new": None}
+
+
+def test_a_parse_error_warns_on_every_analysis(tmp_path):
+    root = make_tree(
+        tmp_path,
+        {"svc/pom.xml": "<project/>\n", "svc/src/main/resources/application.yml": "a: [\n"},
+    )
+    seen = []
+    for n in range(3):
+        result = analyze_directory(root)
+        assert result.index.reused == (2 if n else 0)
+        seen.append(result.report.warnings)
+    assert seen[0] == seen[1] == seen[2]
+    assert [w.partition(" yaml: ")[0] for w in seen[0]] == ["svc/src/main/resources/application.yml:"]
+
+
+def test_kept_parses_are_not_changed_by_the_pipeline(tmp_path, miniapp_path):
+    root = shutil.copytree(miniapp_path, tmp_path / "app")
+    analyze_directory(root)
+    warm = analyze_directory(root)  # fills the memos of the reused entries
+    kept = {f.path: dict(f.memo) for f in warm.index.files}
+    parsed = {
+        (path, parse.__name__)
+        for path, memo in kept.items()
+        for parse in memo
+        if callable(parse) and parse.__module__ == "dfdscan.parsers"
+    }
+    # compose, Dockerfiles, poms, YAML and .properties are all kept
+    assert {name for _, name in parsed} >= {
+        "parse_compose",
+        "parse_dockerfile",
+        "parse_maven_modules",
+        "parse_yaml_properties",
+        "parse_properties_file",
+    }
+    before = copy.deepcopy(kept)
+    again = analyze_directory(root)
+    assert again.index.reused == len(again.index.files)
+    assert dfd_to_json(again.dfd) == dfd_to_json(warm.dfd)
+    for f in again.index.files:
+        assert {key: f.memo[key] for key in before[f.path]} == before[f.path], f.path
+
+
+def test_a_none_parse_is_kept_and_a_failed_one_is_not(tmp_path):
+    make_tree(tmp_path, {"pom.xml": "<project/>\n", "application.yml": "a: [\n"})
+    build_index(tmp_path)
+    index = build_index(tmp_path)
+    pom, yml = index.by_path["pom.xml"], index.by_path["application.yml"]
+    assert pom.memo == {} and yml.memo == {}
+    assert parse_maven_artifact_id(pom) is None
+    assert pom.memo == {parse_maven_artifact_id.__wrapped__: None}
+    for _ in range(2):
+        with pytest.raises(ParserError):
+            parse_yaml_properties(yml)
+    assert yml.memo == {}

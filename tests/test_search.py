@@ -4,12 +4,14 @@ constants and .env values."""
 import os
 import random
 import re
+import shutil
 import threading
 import tracemalloc
 
 import pytest
 
 from dfdscan import _kernel, search
+from dfdscan.analysis import analyze_directory
 from dfdscan.extractors.base import Context, resolve_text
 from dfdscan.model import TraceEntry
 from dfdscan.rules import load_rules
@@ -490,6 +492,35 @@ def test_build_index_walk_keeps_paths_order_and_warnings(tmp_path):
     ]
 
 
+def test_an_unreadable_directory_is_skipped_with_a_warning(tmp_path, monkeypatch):
+    # running as root, chmod 000 would not stop the listing: the listing
+    # of chosen directories fails instead
+    root = make_tree(
+        tmp_path.resolve(),
+        {"b.yml": "b: 1\n", "a/A.java": "class A {}\n", "a/blob.bin": b"\x00", "a/locked/L.java": "class L {}\n"},
+    )
+    refused = set()
+    scandir = os.scandir
+
+    def listing(path="."):
+        if os.path.normpath(path) in refused:
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", listing)
+    locked = os.path.join(root, "a", "locked")
+    refused.add(locked)
+    idx = build_index(root)
+    assert [f.path for f in idx.files] == ["a/A.java", "b.yml"]
+    assert idx.warnings == [
+        "skipped a/blob.bin: binary",
+        "skipped a/locked: [Errno 13] Permission denied: '%s'" % locked,
+    ]
+    refused.add(str(root))
+    idx = build_index(root)
+    assert idx.files == [] and idx.warnings == ["skipped .: [Errno 13] Permission denied: '%s/'" % root]
+
+
 def test_tree_over_its_file_budget_is_refused(tmp_path, monkeypatch):
     root = make_tree(tmp_path, {"a.yml": "a: 1\n", "b/B.java": "class B {}\n", "b/target/T.java": "x"})
     monkeypatch.setattr(search, "MAX_TREE_FILES", 2)
@@ -517,15 +548,15 @@ def test_tree_over_its_byte_budget_is_refused(tmp_path, monkeypatch):
 def test_an_unchanged_entry_is_reused_and_a_changed_one_is_not(tmp_path):
     root = make_tree(tmp_path, {"A.java": "int a; // x\n", "b.yml": "b: 1\n", "C.java": "int c;\n"})
     first = build_index(root)
-    assert first.reused == 0 and all(f.hits is None for f in first.files)
-    assert find_keyword(first, "int") and all(f.hits is None for f in first.files)
+    assert first.reused == 0 and all(f.memo is None for f in first.files)
+    assert find_keyword(first, "int") and all(f.memo is None for f in first.files)
     make_tree(root, {"C.java": "int d;\n"})
     second = build_index(root)
     old, new = first.by_path, second.by_path
     assert new["A.java"] is old["A.java"] and new["b.yml"] is old["b.yml"]
     assert new["C.java"] is not old["C.java"] and new["C.java"].text == "int d;\n"
     assert second.reused == 2
-    assert new["A.java"].hits == {} and new["C.java"].hits is None
+    assert new["A.java"].memo == {} and new["C.java"].memo is None
     assert [m.snippet for m in find_keyword(second, "int d")] == ["int d"]
 
 
@@ -557,7 +588,7 @@ def test_a_memoized_file_swapped_for_an_escaping_symlink_is_skipped(tmp_path):
     outside = make_tree(tmp_path / "outside", {"App.java": "class Secret {}\n"})
     root = make_tree(tmp_path / "repo", {"App.java": "class App {}\n", "b.yml": "b: 1\n"})
     build_index(root)
-    build_index(root)  # the entry now also holds hits
+    build_index(root)  # the entry now also holds a memo
     (root / "App.java").unlink()
     (root / "App.java").symlink_to(outside / "App.java")
     idx = build_index(root)
@@ -590,13 +621,13 @@ def test_the_memo_keeps_at_most_its_bound_least_recently_indexed_first(tmp_path,
     assert build_index(p).reused == 1
 
 
-def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path):
+def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path, monkeypatch):
     rng = random.Random(19)
     root = tmp_path / "t"
     keywords = {"kw", "Zuul", "@EnableZuul", "x//", "*/x", "kw x", "\u2028", "é="}
     for step in range(4):
         # every step rewrites one file, so later steps search entries
-        # whose hits were kept by earlier ones
+        # whose hits and tokens were kept by earlier ones
         names = NAMES if step == 0 else [NAMES[step]]
         files = {
             name: "".join(rng.choice(PIECES) for _ in range(rng.randrange(80))).encode("utf-8")
@@ -605,11 +636,34 @@ def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path):
         make_tree(root, files)
         for text in files.values():
             keywords.update(text.decode("utf-8").split()[:2])
-        masked, raw = assert_like_oracle(root, sorted(keywords))
+        warm = assert_like_oracle(root, sorted(keywords))
+        with monkeypatch.context() as m:
+            m.setattr(search, "_memo", search.OrderedDict())  # a cold index; the warm memo stays
+            cold = assert_like_oracle(root, sorted(keywords))
+        for idx, cold_idx in zip(warm, cold):
+            assert cold_idx.reused == 0 and all(f.memo is None for f in cold_idx.files)
+            counters = (idx.literal_searches, idx.vocabulary_skips, idx.cache_hits)
+            assert counters == (cold_idx.literal_searches, cold_idx.vocabulary_skips, cold_idx.cache_hits)
+            for languages in LANGUAGE_SETS:
+                wanted = None if languages is None else frozenset(languages)
+                assert set(idx._vocabulary(wanted).split("\n")) == set(cold_idx._vocabulary(wanted).split("\n"))
         if step:
+            masked, raw = warm
             assert masked.reused == raw.reused == len(NAMES) - 1
             assert masked.vocabulary_skips > 0 and raw.vocabulary_skips > 0
-            assert any(f.hits for f in masked.files) and any(f.hits for f in raw.files)
+            assert any(f.memo for f in masked.files) and any(f.memo for f in raw.files)
+        if step > 1:
+            # the entries reused from the last step kept their token sets
+            assert any(search._file_tokens.__wrapped__ in f.memo for f in masked.files if f.memo)
+
+
+def test_a_one_shot_analysis_keeps_no_memo(tmp_path, miniapp_path):
+    # a CLI run indexes a root once: its entries must not hold hits,
+    # tokens or parses, which would only cost memory
+    root = shutil.copytree(miniapp_path, tmp_path / "app")
+    result = analyze_directory(root)
+    assert result.index.reused == 0 and result.index.files
+    assert all(f.memo is None for f in result.index.files)
 
 
 def test_snapshot_line_round_trip(tmp_path):
