@@ -15,12 +15,15 @@ from .base import Context, Extractor, is_remote, register, resolve_entry, resolv
 
 
 def _host(url: str | None) -> str | None:
-    """The host a configured URL names; a bare host:port counts as http."""
+    """The host a configured URL names, or None.  A bare host:port counts
+    as http, and so does a scheme urlparse cannot read, such as the
+    SASL_SSL:// of a Kafka listener."""
     if not url:
         return None
-    if "://" not in url:
-        url = "http://" + url
-    return urlparse(url).hostname
+    try:
+        return urlparse("http://" + url.split("://", 1)[-1]).hostname
+    except ValueError:  # such as an unclosed [ of an IPv6 address
+        return None
 
 
 def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
@@ -324,7 +327,7 @@ class BrokerFlows(Extractor):
         )
         if entry is not None:
             value, trace = resolve_entry(ctx, svc, entry)
-            host = (value or "").split(",")[0].split(":")[0].strip()
+            host = _host((value or "").split(",")[0].strip())
             name = host if is_remote(host) else self._default_broker(ctx, "kafka")
             return "kafka", name, trace
         return None, None, None

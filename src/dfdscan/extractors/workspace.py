@@ -3,7 +3,8 @@
 Runs as a single extractor because everything later depends on its output:
 compose declarations, Dockerfiles, build-module layout, service roots, and
 one merged property map per service (file config plus compose environment
-via relaxed key binding).
+via relaxed key binding).  Every parser is called through _parsed, so a
+file a parser refuses, for any reason, is one warning and is left out.
 """
 from __future__ import annotations
 
@@ -25,6 +26,17 @@ from ..parsers import (
     relaxed_key,
 )
 from .base import Context, Extractor, ServiceRoot, enclosing, register
+
+
+def _parsed(ctx: Context, parse, file):
+    """parse(file), or None after the file's one warning if it raises: no
+    file can fail the extractor.  A ParserError names its file itself."""
+    try:
+        return parse(file)
+    except Exception as exc:  # noqa: BLE001
+        warning = str(exc) if isinstance(exc, ParserError) else "%s: %s" % (file.path, exc)
+        ctx.report.warnings.append(warning)
+        return None
 
 
 def _norm_dir(context_dir: str) -> str:
@@ -85,19 +97,13 @@ class Workspace(Extractor):
             ctx.report.warnings.append(
                 "multiple compose files; using %s" % chosen.path
             )
-        try:
-            ctx.compose_services = parse_compose(chosen)
-        except ParserError as exc:
-            ctx.report.warnings.append(str(exc))
+        ctx.compose_services = _parsed(ctx, parse_compose, chosen) or []
 
     def _collect_dockerfiles(self, ctx: Context) -> None:
         for f in ctx.index.of_language("dockerfile"):
-            try:
-                info = parse_dockerfile(f)
-            except Exception as exc:  # noqa: BLE001
-                ctx.report.warnings.append("%s: %s" % (f.path, exc))
-                continue
-            ctx.dockerfiles[posixpath.dirname(f.path)] = info
+            info = _parsed(ctx, parse_dockerfile, f)
+            if info is not None:
+                ctx.dockerfiles[posixpath.dirname(f.path)] = info
 
     def _discover_roots(
         self, ctx: Context, compose_by_root: dict[str, ComposeService]
@@ -107,16 +113,14 @@ class Workspace(Extractor):
         module_dirs: set[str] = set()
         for f in ctx.index.of_language("build"):
             base = posixpath.basename(f.path)
+            if base == "pom.xml":
+                modules = _parsed(ctx, parse_maven_modules, f)
+            elif base == "settings.gradle":
+                modules = _parsed(ctx, parse_gradle_settings, f)
+            else:
+                continue
             d = posixpath.dirname(f.path)
-            try:
-                if base == "pom.xml":
-                    for m in parse_maven_modules(f):
-                        module_dirs.add(posixpath.normpath(posixpath.join(d, m)))
-                elif base == "settings.gradle":
-                    for m in parse_gradle_settings(f):
-                        module_dirs.add(posixpath.normpath(posixpath.join(d, m)))
-            except ParserError as exc:
-                ctx.report.warnings.append(str(exc))
+            module_dirs.update(posixpath.normpath(posixpath.join(d, m)) for m in modules or ())
         roots |= {m for m in module_dirs if m in build_dirs}
         # any directory with its own build file is a candidate, except the
         # project's top, the one enclosing every build file and the compose
@@ -132,15 +136,13 @@ class Workspace(Extractor):
     def _collect_properties(self, ctx: Context) -> dict[str, list]:
         out: dict[str, list] = {}
         for f in ctx.index.of_language("yaml"):
-            try:
-                out[f.path] = parse_yaml_properties(f)
-            except ParserError as exc:
-                ctx.report.warnings.append(str(exc))
+            entries = _parsed(ctx, parse_yaml_properties, f)
+            if entries is not None:
+                out[f.path] = entries
         for f in ctx.index.of_language("properties"):
-            try:
-                out[f.path] = parse_properties_file(f)
-            except Exception as exc:  # noqa: BLE001
-                ctx.report.warnings.append("%s: %s" % (f.path, exc))
+            entries = _parsed(ctx, parse_properties_file, f)
+            if entries is not None:
+                out[f.path] = entries
         return out
 
     def _build_service(
@@ -186,27 +188,23 @@ class Workspace(Extractor):
         )
 
     def _maven_name(self, ctx: Context, root: str) -> str | None:
-        pom = ctx.index.by_path.get(posixpath.join(root, "pom.xml") if root else "pom.xml")
+        pom = ctx.index.by_path.get(posixpath.join(root, "pom.xml"))
         if pom is None:
             return None
-        return parse_maven_artifact_id(pom)
+        return _parsed(ctx, parse_maven_artifact_id, pom)
 
     def _build_file_trace(self, ctx: Context, root: str, name: str) -> TraceEntry | None:
         """Anchor a service without a named config to its build file."""
         for base in ("pom.xml", "build.gradle", "settings.gradle"):
-            path = posixpath.join(root, base) if root else base
-            f = ctx.index.by_path.get(path)
+            f = ctx.index.by_path.get(posixpath.join(root, base))
             if f is None:
                 continue
+            # a name may hold a newline, so it is looked for line by line
             lines = f.text.split("\n")
             for li, line in enumerate(lines):
                 col = line.find(name)
                 if col != -1:
-                    return TraceEntry(
-                        f.path, li + 1, (col, col + len(name)), name
-                    )
-            first = lines[0]
-            end = max(len(first.rstrip()), 1)
-            return TraceEntry(f.path, 1, (0, end), first[:end])
+                    return f.trace(li, col, col + len(name))
+            return f.trace(0, 0, max(len(lines[0].rstrip()), 1))
         return None
 

@@ -1,9 +1,11 @@
 """Structured-file parsers with per-value source locations.
 
 Everything here parses one indexed file into plain data plus TraceEntry
-locations so extracted facts stay traceable to a file, line, and span.
-YAML goes through the composer (not the loader) to keep line/column marks,
-libyaml's when PyYAML was built with it.
+locations, each made by the file's IndexedFile.trace, so extracted facts
+stay traceable to a file, line, and span.  YAML goes through the composer
+(not the loader) to keep line/column marks, libyaml's when PyYAML was
+built with it.  A file that cannot be parsed, or a YAML file past one of
+the bounds below, raises ParserError for that file.
 
 Each file parser is memoized on the file's entry (search.memoized): a file
 that a service worker's index reuses unchanged is parsed once, and every
@@ -142,36 +144,98 @@ def _query(dotted: str) -> tuple[str, tuple[str, ...]]:
 # ----------------------------------------------------------------------------
 
 
-def _trace(node, path: str, lines: list[str]) -> TraceEntry:
+# Flattening refuses a path deeper than MAX_YAML_DEPTH collections (SnakeYAML's
+# default nesting limit is also 50), and a document whose aliases give it more
+# than MAX_YAML_EXPANSION entries (mapping pairs and sequence items) per
+# character of its text.  Without aliases a document has at most about one;
+# a few hundred characters of nested aliases would give millions.
+MAX_YAML_DEPTH = 50
+MAX_YAML_EXPANSION = 10
+# libyaml's composer recurses on the C stack, and about 23,000 nested
+# collections overflow an 8 MiB stack and kill the process.  Each level needs
+# one of the _NESTING characters, so only a text with more than _COMPOSE_DEPTH
+# of them has its parse events counted, and one nested deeper is refused
+# before it is composed.
+_COMPOSE_DEPTH = 10_000
+_NESTING = "[{-?:"
+
+
+def _compose(file: IndexedFile, documents: bool = False):
+    """The root node of a YAML file, or the roots of its documents.
+
+    ParserError when it is no YAML or nests deeper than _COMPOSE_DEPTH.
+    """
+    text = file.text
+    try:
+        if sum(map(text.count, _NESTING)) > _COMPOSE_DEPTH:
+            depth = 0
+            for event in yaml.parse(text, Loader=_Loader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > _COMPOSE_DEPTH:
+                        raise ParserError(file.path, "yaml: nested deeper than %d collections" % _COMPOSE_DEPTH)
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
+        return list(yaml.compose_all(text, Loader=_Loader)) if documents else yaml.compose(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ParserError(file.path, "yaml: %s" % exc) from exc
+
+
+def _trace(node, file: IndexedFile) -> TraceEntry:
     """Location of a YAML node; a value spanning lines is cut at its first line's end."""
-    line = node.start_mark.line + 1
-    start = node.start_mark.column
-    if node.end_mark.line == node.start_mark.line:
+    index, start = node.start_mark.line, node.start_mark.column
+    if node.end_mark.line == index:
         end = node.end_mark.column
-    else:
-        end = len(lines[line - 1].rstrip()) if line - 1 < len(lines) else start
-    if end <= start:
-        end = start + 1
-    raw = lines[line - 1] if line - 1 < len(lines) else ""
-    return TraceEntry(path, line, (start, end), raw[start:end])
+    else:  # the first line's end; a line past the last one has no text
+        end = len(file.line(index).rstrip()) if index < len(file.line_starts) else 0
+    return file.trace(index, start, max(end, start + 1))
 
 
-def _flatten_yaml(node, prefix: str, scalars: list[tuple[str, yaml.ScalarNode]]) -> None:
-    """Collect (dotted key, scalar node) pairs below node, in document order."""
-    if isinstance(node, yaml.MappingNode):
-        for k, v in node.value:
-            key_text = str(getattr(k, "value", ""))
-            if key_text == "<<":
-                _flatten_yaml(v, prefix, scalars)
+def _flatten_yaml(root, path: str) -> list[tuple[str, yaml.ScalarNode]]:
+    """The (dotted key, scalar node) pairs below root, in document order.
+
+    The walk keeps its own stack, so no depth makes it recurse.  It raises
+    ParserError for path past MAX_YAML_DEPTH or MAX_YAML_EXPANSION, and on a
+    mapping key that is a collection, whose text would expand every alias
+    inside it.
+    """
+    scalars: list[tuple[str, yaml.ScalarNode]] = []
+    budget = MAX_YAML_EXPANSION * (root.end_mark.index - root.start_mark.index)
+    entries = 0
+    # the dotted key and the (key node or index, value node) pairs left of
+    # each open collection, below one pair that holds the root
+    stack = [("", iter([(None, root)]))]
+    while stack:
+        prefix, pairs = stack[-1]
+        for k, v in pairs:
+            if isinstance(k, int):
+                key = "%s[%d]" % (prefix, k)
+            elif isinstance(k, yaml.ScalarNode):
+                key = k.value.lower()
+                if key == "<<":  # a merge key's entries join those of its mapping
+                    key = prefix
+                elif prefix:
+                    key = "%s.%s" % (prefix, key)
+            elif k is None:  # the root
+                key = ""
+            else:
+                raise ParserError(path, "yaml: a mapping key that is a collection")
+            if isinstance(v, yaml.ScalarNode):
+                if key:
+                    scalars.append((key, v))
                 continue
-            dotted = "%s.%s" % (prefix, key_text.lower()) if prefix else key_text.lower()
-            _flatten_yaml(v, dotted, scalars)
-    elif isinstance(node, yaml.SequenceNode):
-        for i, v in enumerate(node.value):
-            _flatten_yaml(v, "%s[%d]" % (prefix, i), scalars)
-    elif isinstance(node, yaml.ScalarNode):
-        if prefix:
-            scalars.append((prefix, node))
+            if len(stack) > MAX_YAML_DEPTH:
+                raise ParserError(path, "yaml: nested deeper than %d collections" % MAX_YAML_DEPTH)
+            entries += len(v.value)
+            if entries > budget:
+                raise ParserError(
+                    path, "yaml: aliases expand to more than %d entries per character" % MAX_YAML_EXPANSION
+                )
+            stack.append((key, enumerate(v.value) if isinstance(v, yaml.SequenceNode) else iter(v.value)))
+            break
+        else:
+            stack.pop()
+    return scalars
 
 
 _PROFILE_KEYS = ("spring.profiles", "spring.config.activate.on-profile")
@@ -185,27 +249,19 @@ def parse_yaml_properties(file: IndexedFile) -> list[PropertyEntry]:
     with that profile name.
     """
     entries: list[PropertyEntry] = []
-    try:
-        docs = list(yaml.compose_all(file.text, Loader=_Loader))
-    except yaml.YAMLError as exc:
-        raise ParserError(file.path, "yaml: %s" % exc) from exc
-    lines = file.text.split("\n")
-    for doc in docs:
-        if doc is None:
-            continue
-        scalars: list[tuple[str, yaml.ScalarNode]] = []
-        _flatten_yaml(doc, "", scalars)
+    for doc in _compose(file, documents=True):
+        scalars = _flatten_yaml(doc, file.path)
         profile = next((str(n.value) for key, n in scalars if key in _PROFILE_KEYS), None)
-        entries += (
-            PropertyEntry(key, str(n.value), _trace(n, file.path, lines), profile)
-            for key, n in scalars
-        )
+        entries += (PropertyEntry(key, str(n.value), _trace(n, file), profile) for key, n in scalars)
     return entries
 
 
 # ----------------------------------------------------------------------------
 # .properties
 # ----------------------------------------------------------------------------
+
+
+_SEPARATOR = re.compile("[=:]")
 
 
 @memoized
@@ -220,14 +276,11 @@ def parse_properties_file(file: IndexedFile) -> list[PropertyEntry]:
         if not stripped or stripped[0] in "#!":
             i += 1
             continue
-        sep = len(stripped)
-        for ch in "=:":
-            idx = stripped.find(ch)
-            if idx != -1 and idx < sep:
-                sep = idx
-        if sep == len(stripped):
+        found = _SEPARATOR.search(stripped)
+        if found is None:
             i += 1
             continue
+        sep = found.start()
         key = stripped[:sep].strip().lower()
         value = stripped[sep + 1 :].strip()
         # locate the value inside the original line for the span
@@ -237,16 +290,13 @@ def parse_properties_file(file: IndexedFile) -> list[PropertyEntry]:
         vend = len(raw.rstrip())
         if vend <= vstart:
             vstart, vend = 0, max(len(raw.rstrip()), 1)
-        line_no = i + 1
-        snippet = raw[vstart:vend]
+        first = i
         while value.endswith("\\") and i + 1 < len(lines):
             value = value[:-1].strip()
             i += 1
             value += lines[i].strip()
         if key:
-            entries.append(
-                PropertyEntry(key, value, TraceEntry(file.path, line_no, (vstart, vend), snippet))
-            )
+            entries.append(PropertyEntry(key, value, file.trace(first, vstart, vend)))
         i += 1
     return entries
 
@@ -272,16 +322,17 @@ class ComposeService:
     environment: list[tuple[str, str, TraceEntry]] = field(default_factory=list)
 
 
-def _mapping_get(node: yaml.MappingNode, key: str):
-    for k, v in node.value:
-        if str(getattr(k, "value", "")) == key:
-            return v
+def _scalar(node) -> str | None:
+    """A scalar's text; None for a collection, whose text is never built."""
+    if isinstance(node, yaml.ScalarNode):
+        return str(node.value)
     return None
 
 
-def _scalar(node) -> str | None:
-    if isinstance(node, yaml.ScalarNode):
-        return str(node.value)
+def _mapping_get(node: yaml.MappingNode, key: str):
+    for k, v in node.value:
+        if isinstance(k, yaml.ScalarNode) and k.value == key:
+            return v
     return None
 
 
@@ -298,11 +349,12 @@ def _container_port(spec: str) -> int | None:
 
 @memoized
 def parse_compose(file: IndexedFile) -> list[ComposeService]:
-    """Parse a docker-compose file into service declarations."""
-    try:
-        root = yaml.compose(file.text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ParserError(file.path, "yaml: %s" % exc) from exc
+    """Parse a docker-compose file into service declarations.
+
+    It reads a fixed set of keys, each at a fixed depth, so it expands no
+    alias below that depth and names no key that is a collection.
+    """
+    root = _compose(file)
     if not isinstance(root, yaml.MappingNode):
         return []
     services_node = _mapping_get(root, "services")
@@ -314,55 +366,45 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
                 (k, v)
                 for k, v in root.value
                 if isinstance(v, yaml.MappingNode)
-                and str(getattr(k, "value", "")) not in ("networks", "volumes", "version")
+                and _scalar(k) not in ("networks", "volumes", "version")
             ],
         )
     services: list[ComposeService] = []
-    lines = file.text.split("\n")
     for k, v in services_node.value:
-        name = str(getattr(k, "value", "")).strip()
+        name = (_scalar(k) or "").strip()
         if not name or not isinstance(v, yaml.MappingNode):
             continue
-        svc = ComposeService(name=name, trace=_trace(k, file.path, lines))
+        svc = ComposeService(name=name, trace=_trace(k, file))
         img = _mapping_get(v, "image")
         if isinstance(img, yaml.ScalarNode):
             svc.image = str(img.value).strip()
-            svc.image_trace = _trace(img, file.path, lines)
+            svc.image_trace = _trace(img, file)
         build = _mapping_get(v, "build")
+        if isinstance(build, yaml.MappingNode):
+            build = _mapping_get(build, "context")
         if isinstance(build, yaml.ScalarNode):
             svc.build_context = str(build.value).strip()
-        elif isinstance(build, yaml.MappingNode):
-            ctx = _mapping_get(build, "context")
-            if isinstance(ctx, yaml.ScalarNode):
-                svc.build_context = str(ctx.value).strip()
         ports = _mapping_get(v, "ports")
         if isinstance(ports, yaml.SequenceNode):
             for p in ports.value:
-                if isinstance(p, yaml.ScalarNode):
-                    port = _container_port(str(p.value))
-                    if port is not None:
-                        svc.ports.append((port, _trace(p, file.path, lines)))
-                elif isinstance(p, yaml.MappingNode):
-                    tgt = _mapping_get(p, "target")
-                    if isinstance(tgt, yaml.ScalarNode):
-                        port = _container_port(str(tgt.value))
-                        if port is not None:
-                            svc.ports.append((port, _trace(tgt, file.path, lines)))
+                if isinstance(p, yaml.MappingNode):
+                    p = _mapping_get(p, "target")  # the long syntax
+                port = _container_port(str(p.value)) if isinstance(p, yaml.ScalarNode) else None
+                if port is not None:
+                    svc.ports.append((port, _trace(p, file)))
         env = _mapping_get(v, "environment")
         if isinstance(env, yaml.SequenceNode):
             for item in env.value:
                 text = _scalar(item)
                 if text and "=" in text:
                     ekey, _, eval_ = text.partition("=")
-                    svc.environment.append(
-                        (ekey.strip(), eval_.strip(), _trace(item, file.path, lines))
-                    )
+                    svc.environment.append((ekey.strip(), eval_.strip(), _trace(item, file)))
         elif isinstance(env, yaml.MappingNode):
             for ek, ev in env.value:
-                ekey = str(getattr(ek, "value", "")).strip()
+                ekey = (_scalar(ek) or "").strip()
                 evalue = _scalar(ev)
                 if ekey and evalue is not None:
-                    svc.environment.append((ekey, evalue.strip(), _trace(ev, file.path, lines)))
+                    svc.environment.append((ekey, evalue.strip(), _trace(ev, file)))
         services.append(svc)
     return services
 
@@ -395,9 +437,7 @@ def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
                 image = args[0]
                 start = raw.find(image)
                 info.base_image = image
-                info.base_trace = TraceEntry(
-                    file.path, i + 1, (start, start + len(image)), image
-                )
+                info.base_trace = file.trace(i, start, start + len(image))
         elif word == "EXPOSE":
             for tok in tokens[1:]:
                 try:
@@ -405,9 +445,7 @@ def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
                 except ValueError:
                     continue
                 start = raw.find(tok)
-                info.exposed_ports.append(
-                    (port, TraceEntry(file.path, i + 1, (start, start + len(tok)), tok))
-                )
+                info.exposed_ports.append((port, file.trace(i, start, start + len(tok))))
     return info
 
 

@@ -159,7 +159,7 @@ _NO_COMMENTS = array("I")
 
 @dataclass(slots=True)
 class IndexedFile:
-    """One file of the snapshot.
+    """One file of the snapshot, and the one maker of its evidence (trace).
 
     comments is the comment mask of a Java file in a masked index (see
     mask_java_comments), and empty otherwise; the masked text is not
@@ -195,6 +195,16 @@ class IndexedFile:
         starts = self.line_starts
         end = starts[index + 1] - 1 if index + 1 < len(starts) else len(self.text)
         return self.search_text(starts[index], end) if masked else self.text[starts[index] : end]
+
+    def trace(self, index: int, start: int, end: int) -> TraceEntry:
+        """The evidence at columns [start, end) of the 0-based line index.
+
+        Its snippet is the text at the span cut at the line's end, so it
+        never holds the newline.  A line past the last, as a YAML mark can
+        give (libyaml also ends lines at NEL, U+2028 and U+2029), has none.
+        """
+        snippet = self.line(index)[start:end] if index < len(self.line_starts) else ""
+        return TraceEntry(self.path, index + 1, (start, end), snippet)
 
 
 def memoized(derive):
@@ -339,7 +349,7 @@ class _Skip(Exception):
     """A file the index does not read, and why."""
 
 
-def _read(entry: os.DirEntry, inside: str, max_bytes: int) -> bytes:
+def _read(entry: os.DirEntry, inside: str) -> bytes:
     """The bytes of a listed file, or _Skip with the reason it is not read.
 
     A symlink is read only when its target lies inside the root.  The
@@ -359,27 +369,24 @@ def _read(entry: os.DirEntry, inside: str, max_bytes: int) -> bytes:
         raise _Skip("not a regular file")
     with open(p, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size > max_bytes:
+        if size > MAX_FILE_BYTES:
             raise _Skip("%d bytes over limit" % size)
         return fh.read()
 
 
-def build_index(
-    root: str | Path,
-    max_bytes: int = MAX_FILE_BYTES,
-    raw: bool = False,
-) -> FileIndex:
+def build_index(root: str | Path, raw: bool = False) -> FileIndex:
     """Walk a directory tree and index every readable text file.
 
     Java comments are masked unless raw: a raw index keeps no masks, so
     its searches and readers see comments as code, as the originally
-    published tool did.  Ignored directories are pruned; oversized and
-    binary files, special files (FIFOs, devices, sockets), and symlinks
-    whose target lies outside the root, are skipped; anything unreadable
-    produces a warning instead of an error.  A tree whose walk reaches
-    more than MAX_TREE_FILES files, or whose files to read hold more than
-    MAX_TREE_BYTES, raises AnalysisError.  A directory that cannot be
-    listed is skipped with a warning, as an unreadable file is; a symlink
+    published tool did.  Ignored directories are pruned; binary files,
+    files over MAX_FILE_BYTES, special files (FIFOs, devices, sockets),
+    and symlinks whose target lies outside the root, are skipped;
+    anything unreadable produces a warning instead of an error.  A tree
+    whose walk reaches more than MAX_TREE_FILES files, or whose files to
+    read hold more than MAX_TREE_BYTES, raises AnalysisError.  A
+    directory that cannot be listed is skipped with a warning, as an
+    unreadable file is; a symlink
     to a directory is not followed.  A file whose text equals that of the
     memo's last index of (root, raw) keeps that index's entry.
     """
@@ -420,7 +427,7 @@ def build_index(
         for entry in file_entries:
             rel = rel_dir + entry.name
             try:
-                data = _read(entry, inside, max_bytes)
+                data = _read(entry, inside)
             except (OSError, _Skip) as exc:
                 warnings.append("skipped %s: %s" % (rel, exc))
                 continue
@@ -497,17 +504,11 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
                 text, skip = f.text, f.comments
             # called through the module so a tracer that wraps _kernel.scan sees it
             hits = _kernel.scan(text, keyword, f.line_starts, skip)
-            found = [_trace(f, li, s, e) for li, s, e in hits] if hits else ()
+            found = [f.trace(li, s, e) for li, s, e in hits] if hits else ()
             if memo is not None:
                 found = memo[keyword] = tuple(found)
         out += found
     return out
-
-
-def _trace(f: IndexedFile, li: int, start: int, end: int) -> TraceEntry:
-    """The evidence at columns [start, end) of line index li of f."""
-    at = f.line_starts[li]
-    return TraceEntry(f.path, li + 1, (start, end), f.text[at + start : at + end])
 
 
 # Repeat searches in the built-in rules are for keywords with a handful of
@@ -561,7 +562,7 @@ def find_keyword(
             for m in rx.finditer(line):
                 if m.start() == m.end():
                     continue
-                out.append(_trace(f, li, *m.span()))
+                out.append(f.trace(li, *m.span()))
     return out
 
 
@@ -627,8 +628,7 @@ def env_value(index: FileIndex, name: str, origin_path: str) -> tuple[str, Trace
                 unquoted = value.strip().strip("\"'")
                 if unquoted:
                     start = len(key) + 1 + len(value) - len(value.lstrip(" "))
-                    end = len(line.rstrip())
-                    return unquoted, TraceEntry(f.path, li + 1, (start, end), line[start:end])
+                    return unquoted, f.trace(li, start, len(line.rstrip()))
         if not d:
             return None
         d = posixpath.dirname(d)

@@ -49,3 +49,18 @@ def temp_root(tmp_path, monkeypatch):
     root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(root))
     return root
+
+
+@pytest.fixture(scope="session")
+def alias_bomb():
+    """alias_bomb(levels, indent=""): a YAML mapping of levels anchored lists,
+    each holding ten aliases of the one before, so l4 flattens to 10**5
+    entries."""
+
+    def make(levels, indent=""):
+        lines = ["%sl0: &l0 [%s]\n" % (indent, ", ".join(["x"] * 10))]
+        for i in range(1, levels):
+            lines.append("%sl%d: &l%d [%s]\n" % (indent, i, i, ", ".join(["*l%d" % (i - 1)] * 10)))
+        return "".join(lines)
+
+    return make

@@ -1,8 +1,10 @@
 """Tests for the command line interface."""
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -393,3 +395,40 @@ def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path,
     # the rule set repeats keywords and most of them are absent from the app
     literal, skipped, cached = expected
     assert literal > skipped + cached and skipped > 0 and cached > 0
+
+
+DEEP = "[" * 40_000 + "]" * 40_000  # libyaml's composer dies of this (SIGSEGV)
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [
+        ("bad/src/main/resources/application.yml", "a: %s\n" % DEEP),
+        ("docker-compose.yml", "services:\n  alpha:\n    build: ./alpha\n    x: %s\n" % DEEP),
+    ],
+    ids=["application.yml", "docker-compose.yml"],
+)
+def test_a_file_nested_deep_enough_to_crash_libyaml_is_one_warning(tmp_path, path, text):
+    files = {
+        "alpha/pom.xml": "<project><artifactId>alpha</artifactId></project>",
+        "bad/pom.xml": "<project><artifactId>bad</artifactId></project>",
+        path: text,
+    }
+    root = tmp_path / "app"
+    for rel, content in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(content, encoding="utf-8")
+    src = str(Path(search.__file__).resolve().parent.parent)
+    # a subprocess, because a crash in libyaml takes the interpreter with it
+    done = subprocess.run(
+        [sys.executable, "-m", "dfdscan.cli", "analyze", "--path", str(root), "--out", str(tmp_path / "out"), "--verbose"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    warnings = [line for line in done.stdout.splitlines() if line.startswith("  warning: ")]
+    assert warnings == ["  warning: %s: yaml: nested deeper than 10000 collections" % path]
+    nodes = json.loads((tmp_path / "out" / "app.json").read_text(encoding="utf-8"))["nodes"]
+    assert {n["name"] for n in nodes} == {"alpha", "bad"}

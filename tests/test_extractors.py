@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dfdscan.analysis import analyze_directory
+from dfdscan.extractors import workspace
 from dfdscan.extractors.base import (
     MAX_HOPS,
     Context,
@@ -1910,3 +1911,107 @@ def test_a_none_parse_is_kept_and_a_failed_one_is_not(tmp_path):
         with pytest.raises(ParserError):
             parse_yaml_properties(yml)
     assert yml.memo == {}
+
+
+# ----------------------------------------------------------------------
+# hostile and broken configuration files
+# ----------------------------------------------------------------------
+
+
+NEIGHBOURS = {
+    **service_files(
+        "alpha", "eureka:\n  client:\n    serviceUrl:\n      defaultZone: http://registry:8761/eureka/\n"
+    ),
+    "bad/pom.xml": "<project><artifactId>bad</artifactId></project>",
+}
+BAD_YML = "bad/src/main/resources/application.yml"
+HOSTILE = {
+    "alias-bomb": (lambda bomb: bomb(5), "aliases expand to more than 10 entries per character"),
+    "collection-key": (
+        lambda bomb: "? {%s}\n: v\n" % ", ".join(bomb(5).splitlines()),
+        "a mapping key that is a collection",
+    ),
+    "deep-list": (lambda bomb: "a: " + "[" * 3000 + "]" * 3000 + "\n", "nested deeper than 50 collections"),
+    "deep-mapping": (lambda bomb: "a: " + "{a: " * 3000 + "x" + "}" * 3000 + "\n", "nested deeper than 50 collections"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_a_hostile_config_file_is_one_warning_and_its_neighbours_stay(tmp_path, alias_bomb, case):
+    text, reason = HOSTILE[case]
+    dfd, report = analyze(tmp_path, {**NEIGHBOURS, BAD_YML: text(alias_bomb)})
+    assert report.failures == []
+    assert report.warnings == ["%s: yaml: %s" % (BAD_YML, reason)]
+    assert dfd.node("alpha") is not None and dfd.node("bad") is not None
+    assert dfd.has_flow("alpha", "registry")
+
+
+def test_a_compose_file_with_an_alias_bomb_keeps_its_services(tmp_path, alias_bomb):
+    compose = "x-bomb:\n" + alias_bomb(5, indent="  ") + "services:\n  alpha:\n    build: ./alpha\n"
+    compose += "  bad:\n    build: ./bad\n    environment: *l4\n"
+    dfd, report = analyze(tmp_path, {**NEIGHBOURS, "docker-compose.yml": compose})
+    assert report.failures == [] and report.warnings == []
+    assert dfd.node("alpha") is not None and dfd.node("bad") is not None
+    assert dfd.has_flow("alpha", "registry")
+
+
+@pytest.mark.parametrize(
+    "parser, path",
+    [
+        ("parse_compose", "docker-compose.yml"),
+        ("parse_dockerfile", "alpha/Dockerfile"),
+        ("parse_maven_modules", "pom.xml"),
+        ("parse_maven_artifact_id", "gamma/pom.xml"),
+        ("parse_gradle_settings", "beta/settings.gradle"),
+        ("parse_yaml_properties", "beta/src/main/resources/bootstrap.yml"),
+        ("parse_properties_file", "beta/src/main/resources/application.properties"),
+    ],
+)
+def test_any_exception_of_a_parser_is_one_warning_for_its_file(tmp_path, monkeypatch, parser, path):
+    real = getattr(workspace, parser)
+
+    def failing(f):
+        if f.path == path:
+            raise ValueError("unreadable")
+        return real(f)
+
+    monkeypatch.setattr(workspace, parser, failing)
+    files = {
+        "pom.xml": "<project><modules><module>alpha</module></modules></project>",
+        "docker-compose.yml": compose_of({"alpha": {"build": "./alpha"}, "beta": {"build": "./beta"}}),
+        "alpha/Dockerfile": "FROM openjdk:8\nEXPOSE 8080\n",
+        "beta/build.gradle": "plugins {}\n",
+        "beta/settings.gradle": "rootProject.name = 'beta'\n",
+        "beta/src/main/resources/application.properties": "spring.application.name=beta\n",
+        "beta/src/main/resources/bootstrap.yml": "spring:\n  cloud:\n    config:\n      fail-fast: true\n",
+        "gamma/pom.xml": "<project><artifactId>gamma</artifactId></project>",
+        **NEIGHBOURS,
+    }
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert report.warnings == ["%s: unreadable" % path]
+    assert dfd.node("beta") is not None and dfd.node("gamma") is not None
+    assert dfd.has_flow("alpha", "registry")
+
+
+@pytest.mark.parametrize(
+    "servers",
+    [
+        "kafka-broker:9092,kafka2:9092",
+        "PLAINTEXT://kafka-broker:9092",
+        "SASL_SSL://kafka-broker:9093,SASL_SSL://kafka2:9093",
+    ],
+)
+def test_the_kafka_broker_is_the_host_of_the_first_server(tmp_path, servers):
+    yml = "spring:\n  kafka:\n    bootstrap-servers: %s\n" % servers
+    dfd, report = analyze(tmp_path, service_files("p", yml, "kafkaTemplate.send(topic, msg);\n"))
+    assert report.failures == []
+    assert sorted(dfd.nodes) == ["kafka_broker", "p"]
+    assert "message_producer_kafka" in dfd.flows[("p", "kafka_broker")].stereotypes
+
+
+def test_a_kafka_server_that_is_no_url_falls_back_to_the_default_broker(tmp_path):
+    yml = "spring:\n  kafka:\n    bootstrap-servers: '[kafka:9092'\n"
+    dfd, report = analyze(tmp_path, service_files("p", yml, "kafkaTemplate.send(topic, msg);\n"))
+    assert report.failures == []
+    assert dfd.has_flow("p", "kafka")

@@ -104,6 +104,155 @@ def test_yaml_malformed_raises_parser_error():
         parse_yaml_properties(f)
 
 
+def test_yaml_merge_keys_keep_document_order():
+    f = yaml_file(
+        "base: &base\n"
+        "  timeout: 5\n"
+        "  retries: 2\n"
+        "tls: &tls\n"
+        "  <<: *base\n"
+        "  port: 443\n"
+        "service:\n"
+        "  name: svc\n"
+        "  <<: *tls\n"
+        "  retries: 3\n"
+    )
+    pairs = [(e.key, e.value) for e in parse_yaml_properties(f)]
+    assert pairs[5:] == [
+        ("service.name", "svc"),
+        ("service.timeout", "5"),
+        ("service.retries", "2"),
+        ("service.port", "443"),
+        ("service.retries", "3"),
+    ]
+
+
+PATH = "app/src/main/resources/application.yml"
+
+
+def test_an_empty_value_at_a_line_end_spans_one_past_it():
+    entries = {e.key: e for e in parse_yaml_properties(yaml_file("server:\n  port:\nx: 1\n"))}
+    assert entries["server.port"].value == ""
+    # the span runs past "  port:", and the snippet holds no newline
+    assert entries["server.port"].trace == TraceEntry(PATH, 2, (7, 8), "")
+    assert entries["x"].trace == TraceEntry(PATH, 3, (3, 4), "1")
+
+
+def test_a_yaml_mark_past_the_last_line_keeps_its_line_and_an_empty_snippet():
+    # libyaml also ends a line at U+2028; the index ends one only at LF
+    f = yaml_file('a: [1,\u2028\u2028\u2028 2]\nb: [3,\u2028\u2028 "x\n y"]')
+    assert [(e.key, e.trace) for e in parse_yaml_properties(f)] == [
+        ("a[0]", TraceEntry(PATH, 1, (4, 5), "1")),
+        ("a[1]", TraceEntry(PATH, 4, (1, 2), "")),
+        ("b[0]", TraceEntry(PATH, 5, (4, 5), "")),
+        ("b[1]", TraceEntry(PATH, 7, (1, 2), "")),
+    ]
+
+
+def nested_yaml(depth, style):
+    """A document nested depth collections deep."""
+    if style == "flow-list":
+        return "a: " + "[" * (depth - 1) + "x" + "]" * (depth - 1) + "\n"
+    if style == "flow-mapping":
+        return "a: " + "{a: " * (depth - 1) + "x" + "}" * (depth - 1) + "\n"
+    if style == "block-list":
+        return "- " * depth + "x\n"
+    return "".join(" " * i + "a:\n" for i in range(depth - 1)) + " " * (depth - 1) + "a: x\n"
+
+
+@pytest.mark.parametrize("style", ["flow-list", "flow-mapping", "block-list", "block-mapping"])
+def test_yaml_nested_past_the_bound_is_refused(style):
+    bound = parsers.MAX_YAML_DEPTH
+    entries = parse_yaml_properties(yaml_file(nested_yaml(bound, style)))
+    assert [e.value for e in entries] == ["x"]
+    with pytest.raises(ParserError, match="nested deeper than %d" % bound):
+        parse_yaml_properties(yaml_file(nested_yaml(bound + 1, style)))
+
+
+@pytest.mark.parametrize("style", ["flow-list", "flow-mapping", "block-list"])
+def test_a_yaml_file_3000_levels_deep_is_refused(style):
+    with pytest.raises(ParserError, match="nested deeper than"):
+        parse_yaml_properties(yaml_file(nested_yaml(3000, style)))
+
+
+def test_a_deep_compose_file_is_read_to_the_depth_it_needs():
+    deep = "services:\n  web:\n    image: nginx\n    x: " + "[" * 3000 + "]" * 3000 + "\n"
+    assert [(s.name, s.image) for s in parse_compose(_index_file("docker-compose.yml", deep))] == [("web", "nginx")]
+
+
+def test_a_text_nested_past_what_libyaml_composes_is_refused_uncomposed(monkeypatch):
+    monkeypatch.setattr(parsers, "_COMPOSE_DEPTH", 100)
+    for style in ("flow-list", "flow-mapping", "block-list"):
+        # 100 collections: the root, services, web and 97 below x
+        text = "services:\n  web:\n    image: nginx\n    x:\n" + "".join(
+            "      " + line + "\n" for line in nested_yaml(97, style).splitlines()
+        )
+        assert [s.name for s in parse_compose(_index_file("docker-compose.yml", text))] == ["web"]
+        with pytest.raises(ParserError, match="nested deeper than 100 collections"):
+            parse_compose(_index_file("docker-compose.yml", nested_yaml(101, style)))
+    with pytest.raises(ParserError, match="nested deeper than 100 collections"):
+        parse_yaml_properties(yaml_file(nested_yaml(101, "flow-list")))
+
+
+def test_flattening_a_deep_document_does_not_recurse(monkeypatch):
+    monkeypatch.setattr(parsers, "MAX_YAML_DEPTH", 10_000)
+    deep = yaml.compose("a: " + "[" * 3000 + "x" + "]" * 3000, Loader=parsers._Loader)
+    assert [(key, node.value) for key, node in parsers._flatten_yaml(deep, "f.yml")] == [
+        ("a" + "[0]" * 3000, "x")
+    ]
+
+
+def test_aliases_expanding_past_the_bound_are_refused(alias_bomb):
+    # 1,110 entries from 157 characters: fewer nodes than the bound allows
+    assert len(parse_yaml_properties(yaml_file(alias_bomb(3)))) == 1110
+    for levels in (4, 5):  # 11,110 and 111,110 entries from 216 and 275 characters
+        bound = parsers.MAX_YAML_EXPANSION
+        with pytest.raises(ParserError, match="aliases expand to more than %d entries per character" % bound):
+            parse_yaml_properties(yaml_file(alias_bomb(levels)))
+    with pytest.raises(ParserError, match="nested deeper than"):
+        parse_yaml_properties(yaml_file("a: &a [x, *a]\n"))  # a list holding itself
+
+
+LOGGING = "x-logging: &log\n  driver: json-file\n  options: {max-size: 10m, max-file: '3'}\n"
+
+
+def test_a_nested_anchor_shared_by_many_entries_still_flattens():
+    text = LOGGING + "".join("s%d:\n  port: %d\n  logging: *log\n" % (i, 8000 + i) for i in range(30))
+    entries = parse_yaml_properties(yaml_file(text))
+    assert len(entries) == 3 + 30 * 4
+    assert [(e.key, e.value) for e in entries if e.key.startswith("s29.")] == [
+        ("s29.port", "8029"),
+        ("s29.logging.driver", "json-file"),
+        ("s29.logging.options.max-size", "10m"),
+        ("s29.logging.options.max-file", "3"),
+    ]
+
+
+def test_a_compose_file_sharing_a_nested_anchor_keeps_every_service():
+    text = LOGGING + "services:\n" + "".join(
+        "  s%d:\n    image: img%d\n    logging: *log\n" % (i, i) for i in range(30)
+    )
+    services = parse_compose(_index_file("docker-compose.yml", text))
+    assert [(s.name, s.image) for s in services] == [("s%d" % i, "img%d" % i) for i in range(30)]
+
+
+def test_a_compose_file_with_an_alias_bomb_is_read_without_expanding_it(alias_bomb):
+    # compose services are read at a fixed depth, so no alias is expanded
+    text = "x-bomb:\n" + alias_bomb(6, indent="  ") + "services:\n  web:\n    image: nginx\n"
+    text += "    environment: *l5\n    ports: *l5\n"
+    services = parse_compose(_index_file("docker-compose.yml", text))
+    assert [(s.name, s.image, s.environment, s.ports) for s in services] == [("web", "nginx", [], [])]
+
+
+def test_a_collection_as_a_key_is_refused_without_expanding_it(alias_bomb):
+    # 296 characters; str() of the key would expand it to 6.4 MB
+    key = "? {%s}\n: v\nport: 80\n" % ", ".join(alias_bomb(5).splitlines())
+    with pytest.raises(ParserError, match="a mapping key that is a collection"):
+        parse_yaml_properties(yaml_file(key))
+    compose = key + "services:\n  ? [a]\n  : {image: a}\n  web:\n    ? [b]\n    : v\n    image: nginx\n"
+    assert [(s.name, s.image) for s in parse_compose(_index_file("docker-compose.yml", compose))] == [("web", "nginx")]
+
+
 # ----------------------------------------------------------------------
 # libyaml composer vs pure-Python composer
 # ----------------------------------------------------------------------

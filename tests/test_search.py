@@ -327,12 +327,23 @@ def test_build_index_prunes_and_skips(tmp_path):
     assert any("binary" in w for w in idx.warnings)
 
 
-def test_build_index_size_limit(tmp_path):
+def test_build_index_size_limit(tmp_path, monkeypatch):
     make_tree(tmp_path, {"big.java": "x" * 100, "small.java": "y"})
-    idx = build_index(tmp_path, max_bytes=50)
+    monkeypatch.setattr(search, "MAX_FILE_BYTES", 50)
+    idx = build_index(tmp_path)
     paths = [f.path for f in idx.files]
     assert paths == ["small.java"]
     assert any("over limit" in w for w in idx.warnings)
+
+
+def test_trace_is_the_evidence_at_a_span_cut_at_its_line_end():
+    f = search._index_file("a.yml", "port:\nx: 1\nlast")
+    assert f.trace(0, 5, 6) == TraceEntry("a.yml", 1, (5, 6), "")
+    assert f.trace(1, 0, 4) == TraceEntry("a.yml", 2, (0, 4), "x: 1")
+    assert f.trace(1, 3, 9) == TraceEntry("a.yml", 2, (3, 9), "1")
+    assert f.trace(2, 1, 9) == TraceEntry("a.yml", 3, (1, 9), "ast")
+    # a line past the last one, as a YAML mark can give, has no text
+    assert f.trace(5, 1, 2) == TraceEntry("a.yml", 6, (1, 2), "")
 
 
 def test_index_is_sorted_and_crlf_normalized(tmp_path):
@@ -414,13 +425,14 @@ def test_build_index_skips_symlinks_that_leave_the_root(tmp_path):
     assert all("hunter2" not in f.text for f in idx.files)
 
 
-def test_build_index_skip_warnings_name_the_reason(tmp_path):
+def test_build_index_skip_warnings_name_the_reason(tmp_path, monkeypatch):
     root = tmp_path.resolve()
     make_tree(root, {"big.java": "x" * 100, "blob.bin": b"\x00\x01", "ok.java": "y"})
     # running as root, chmod 000 would not stop the read: a dangling
     # symlink is the file that cannot be read
     (root / "gone.yml").symlink_to("missing.yml")
-    idx = build_index(root, max_bytes=50)
+    monkeypatch.setattr(search, "MAX_FILE_BYTES", 50)
+    idx = build_index(root)
     assert [f.path for f in idx.files] == ["ok.java"]
     assert idx.warnings == [
         "skipped big.java: 100 bytes over limit",
@@ -533,11 +545,12 @@ def test_tree_over_its_file_budget_is_refused(tmp_path, monkeypatch):
 def test_tree_over_its_byte_budget_is_refused(tmp_path, monkeypatch):
     root = make_tree(tmp_path, {"a.yml": "a: 1\n", "B.java": "class B {}\n", "big.java": "x" * 100})
     monkeypatch.setattr(search, "MAX_TREE_BYTES", 16)
+    monkeypatch.setattr(search, "MAX_FILE_BYTES", 50)
     # a file skipped over the per-file cap is not read, so it does not count
-    assert [f.path for f in build_index(root, max_bytes=50).files] == ["B.java", "a.yml"]
+    assert [f.path for f in build_index(root).files] == ["B.java", "a.yml"]
     (root / "a.yml").write_text("a: 12\n", encoding="utf-8")
     with pytest.raises(AnalysisError, match="more than 16 bytes"):
-        build_index(root, max_bytes=50)
+        build_index(root)
 
 
 # ----------------------------------------------------------------------
