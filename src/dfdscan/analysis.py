@@ -1,9 +1,6 @@
 """End-to-end analysis of a codebase snapshot, plus repository fetching."""
 from __future__ import annotations
 
-import shutil
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +48,12 @@ def fetch_repository(url: str, ref: str | None = None, dest: str | None = None) 
     the fetch fails that directory is removed here.  Raises AnalysisError
     when git fails, e.g. without network access, and before running git
     when the URL or the ref starts with "-", which git would read as an
-    option.
+    option.  The modules a clone needs (subprocess, tempfile, shutil) are
+    imported on the first call, so a local analysis never loads them.
     """
+    import shutil  # noqa: PLC0415
+    import tempfile  # noqa: PLC0415
+
     for what, value in (("repository URL", url), ("ref", ref)):
         if value and value.startswith("-"):
             raise AnalysisError("%s must not start with '-': %r" % (what, value))
@@ -68,6 +69,9 @@ def fetch_repository(url: str, ref: str | None = None, dest: str | None = None) 
 
 
 def _fetch(url: str, ref: str | None, target: Path) -> tuple[Path, str]:
+    import shutil  # noqa: PLC0415
+    import subprocess  # noqa: PLC0415
+
     target.mkdir(parents=True, exist_ok=True)
 
     def run(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:

@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
-from .output import dfd_to_dot, dfd_to_json, dfd_to_obj, traceability_to_json
+from .output import dfd_to_dot, dfd_to_json, dfd_to_obj, traceability_chunks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,6 +82,8 @@ def run_analyze(args) -> int:
         )
     finally:
         if checkout is not None:
+            import shutil  # noqa: PLC0415
+
             shutil.rmtree(checkout, ignore_errors=True)
     dfd, report = result.dfd, result.report
 
@@ -96,7 +96,8 @@ def run_analyze(args) -> int:
         dfd_path = out_dir / ("%s.json" % app)
         dfd_path.write_text(dfd_to_json(dfd), encoding="utf-8")
         trace_path = out_dir / ("%s_traceability.json" % app)
-        trace_path.write_text(traceability_to_json(dfd), encoding="utf-8")
+        with trace_path.open("w", encoding="utf-8") as fh:
+            fh.writelines(traceability_chunks(dfd))
         written += [dfd_path, trace_path]
     if "dot" in formats or "png" in formats:
         dot_path = out_dir / ("%s.dot" % app)
@@ -104,6 +105,10 @@ def run_analyze(args) -> int:
         written.append(dot_path)
     report.timings["serialize"] = time.perf_counter() - started
     if "png" in formats:
+        # imported here: a local analysis without PNG starts no process
+        import shutil  # noqa: PLC0415
+        import subprocess  # noqa: PLC0415
+
         png_path = out_dir / ("%s.png" % app)
         if shutil.which("dot"):
             subprocess.run(["dot", "-Tpng", str(dot_path), "-o", str(png_path)], check=False)

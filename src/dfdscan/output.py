@@ -132,8 +132,12 @@ def _entry_fields(entry: TraceEntry, pad: str) -> str:
     )
 
 
-def traceability_to_json(dfd: Dfd) -> str:
-    records = []
+def traceability_chunks(dfd: Dfd):
+    """The text of traceability_to_json, one record at a time.
+
+    A writer can pass them to writelines, so the whole text is never held.
+    """
+    opened = False
     for item_id, rec in dfd.traces.items():
         subs = rec.sub_items
         sub_items = [
@@ -141,11 +145,19 @@ def traceability_to_json(dfd: Dfd) -> str:
             for k in sorted(subs)
         ]
         primary = _entry_fields(rec.primary, " " * 8)
-        records.append(
-            '%s: {\n%s,\n        "sub_items": %s\n    }'
-            % (_string(item_id), primary, _block("{", sub_items, "}", " " * 8))
+        yield '%s%s: {\n%s,\n        "sub_items": %s\n    }' % (
+            ",\n    " if opened else "{\n    ",
+            _string(item_id),
+            primary,
+            _block("{", sub_items, "}", " " * 8),
         )
-    return _block("{", records, "}", "") + "\n"
+        opened = True
+    yield "\n}\n" if opened else "{}\n"
+
+
+def traceability_to_json(dfd: Dfd) -> str:
+    """The traceability document; see traceability_chunks to stream it."""
+    return "".join(traceability_chunks(dfd))
 
 
 # ============================================================================

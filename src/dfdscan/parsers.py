@@ -14,7 +14,6 @@ that raises is not kept, so its warning repeats on every analysis.
 """
 from __future__ import annotations
 
-import functools
 import posixpath
 import re
 import xml.etree.ElementTree as ET
@@ -51,34 +50,32 @@ class PropertyEntry:
     profile: str | None = None
 
 
-def _dotted_suffixes(key: str):
-    """The parts of key after each of its dots: a.b.c gives b.c, then c."""
-    dot = key.find(".")
-    while dot != -1:
-        yield key[dot + 1 :]
-        dot = key.find(".", dot + 1)
-
-
 class PropertyMap:
-    """Merged configuration entries with suffix-tolerant lookup."""
+    """Merged configuration entries with suffix-tolerant lookup.
+
+    Each entry's relaxed key is kept once and indexed twice: by the whole
+    key and by its last dotted segment.  A key that is a dotted suffix of
+    another, or the other way round, shares that segment, so a suffix
+    lookup filters one bucket, and memory stays linear in key length.
+    """
 
     def __init__(self, entries=()) -> None:
         self.entries: list[PropertyEntry] = []
-        # entry positions, in entry order, by relaxed key and by each
-        # dotted suffix of a relaxed key
+        self._keys: list[str] = []  # relaxed key of each entry
+        # entry positions, in entry order, by relaxed key and by its last segment
         self._exact: dict[str, list[int]] = {}
-        self._suffix: dict[str, list[int]] = {}
+        self._last: dict[str, list[int]] = {}
         self.add(entries)
 
     def add(self, entries) -> None:
-        exact, suffix = self._exact, self._suffix
+        exact, last = self._exact, self._last
         for e in entries:
             i = len(self.entries)
             self.entries.append(e)
             key = self._canon(e.key)
+            self._keys.append(key)
             exact.setdefault(key, []).append(i)
-            for tail in _dotted_suffixes(key):
-                suffix.setdefault(tail, []).append(i)
+            last.setdefault(key.rpartition(".")[2], []).append(i)
 
     @staticmethod
     def _canon(key: str) -> str:
@@ -94,16 +91,18 @@ class PropertyMap:
         rabbitmq.host and the other way round, which bridges environment
         variable bindings of typical deployments.
         """
-        want, tails = _query(dotted)
-        exact = self._exact
-        found = exact.get(want) or self._suffix.get(want)
+        want = self._canon(dotted)
+        found = self._exact.get(want)
         if not found:
-            # entries whose key is a dotted suffix of the query
-            found = []
-            for tail in tails:
-                if tail in exact:
-                    found += exact[tail]
-            found.sort()
+            bucket = self._last.get(want.rpartition(".")[2])
+            if bucket is None:  # most queries: no key ends in their last segment
+                return []
+            keys = self._keys
+            tail = "." + want
+            found = [i for i in bucket if keys[i].endswith(tail)]
+            if not found:
+                # entries whose key is a dotted suffix of the query
+                found = [i for i in bucket if want.endswith("." + keys[i])]
         entries = self.entries
         return [entries[i] for i in found]
 
@@ -126,17 +125,6 @@ class PropertyMap:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@functools.lru_cache(maxsize=4096)
-def _query(dotted: str) -> tuple[str, tuple[str, ...]]:
-    """A find query's relaxed key and its dotted suffixes.
-
-    Every service asks the same extractor keys, so they are kept; the bound
-    holds placeholder names, which come from the analyzed files.
-    """
-    want = PropertyMap._canon(dotted)
-    return want, tuple(_dotted_suffixes(want))
 
 
 # ----------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from its second connection on a worker answers without a fork and with its
 memos warm, while concurrent analyses still share neither an interpreter
 lock nor memory.  Between requests a worker keeps only what its process
 holds for every caller: the default ``RuleSet``, the bounded
-``lru_cache`` memos of ``model`` and ``parsers``, and the bounded index
+``lru_cache`` memo of ``model``, and the bounded index
 memo of ``search`` (at most ``search._MEMO_CHARS`` characters of the
 trees it indexed last).  Each analysis builds its own index, but a file
 whose text equals that of the worker's last index of the same tree keeps

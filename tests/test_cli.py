@@ -14,6 +14,7 @@ from dfdscan import search
 from dfdscan.analysis import AnalysisError, _fetch, analyze_directory, fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
 from dfdscan.extractors.base import PHASES, default_extractors
+from dfdscan.output import dfd_to_json, traceability_to_json
 
 
 def run_cli(argv, capsys):
@@ -40,6 +41,31 @@ def test_analyze_writes_default_outputs(miniapp_path, tmp_path, capsys):
     traces = json.loads(trace_path.read_text(encoding="utf-8"))
     assert "notification_service" in traces
     assert "6 nodes, 4 flows" in stdout
+
+
+def test_written_files_equal_the_writers(miniapp_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["analyze", "--path", str(miniapp_path), "--out", str(out)], capsys)[0] == 0
+    dfd = analyze_directory(miniapp_path).dfd
+    # the traceability file is streamed record by record
+    assert (out / "miniapp_traceability.json").read_bytes() == traceability_to_json(dfd).encode("utf-8")
+    assert (out / "miniapp.json").read_bytes() == dfd_to_json(dfd).encode("utf-8")
+
+
+def test_importing_the_cli_loads_no_subprocess():
+    src = str(Path(search.__file__).resolve().parent.parent)
+    probe = "import sys; had = 'subprocess' in sys.modules; import dfdscan.cli; print(had, 'subprocess' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.split()[0] == "True":
+        pytest.skip("this interpreter's site imports subprocess")
+    assert done.stdout == "False False\n"
 
 
 def test_analyze_json_only(miniapp_path, tmp_path, capsys):

@@ -13,6 +13,7 @@ from dfdscan.output import (
     dfd_to_dot,
     dfd_to_json,
     dfd_to_obj,
+    traceability_chunks,
     traceability_to_json,
     traceability_to_obj,
     verify_traces,
@@ -213,7 +214,13 @@ def any_dfd(request, miniapp_result):
 
 def test_json_writers_equal_json_dumps(any_dfd):
     assert dfd_to_json(any_dfd) == json.dumps(dfd_to_obj(any_dfd), indent=4) + "\n"
-    assert traceability_to_json(any_dfd) == json.dumps(traceability_to_obj(any_dfd), indent=4) + "\n"
+    traceability = json.dumps(traceability_to_obj(any_dfd), indent=4) + "\n"
+    assert traceability_to_json(any_dfd) == traceability
+    chunks = list(traceability_chunks(any_dfd))
+    assert "".join(chunks) == traceability
+    assert len(chunks) == len(any_dfd.traces) + 1  # one per record, then the close
+    if not any_dfd.traces:
+        assert chunks == ["{}\n"]
 
 
 def test_awkward_values_round_trip():

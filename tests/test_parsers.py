@@ -2,13 +2,17 @@
 files, Dockerfiles, build files, container image classification, and the
 loading of rule files."""
 
+import gc
 import os
 import random
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 import yaml
 
-from dfdscan import parsers, rules
+from dfdscan import parsers, rules, search
+from dfdscan.analysis import analyze_directory
 from dfdscan.parsers import (
     ParserError,
     PropertyEntry,
@@ -542,9 +546,19 @@ def oracle_find(entries, dotted):
 def test_property_map_find_matches_the_uncached_oracle():
     rng = random.Random(3)
     parts = ["spring", "rabbitmq", "host", "key-store", "keyStore", "server", "SSL", "a-b", "ab"]
+    # an empty segment (a..b, a trailing dot), sequence elements, case and hyphens
+    parts += ["", "[0]", "b[0]", "HOST", "Key-Store", "-"]
 
     def dotted():
         return ".".join(rng.choice(parts) for _ in range(rng.randint(1, 4)))
+
+    def near(key):
+        """A prefix or a dotted suffix of a stored key, as it was written."""
+        dots = [i for i, c in enumerate(key) if c == "."]
+        if not dots:
+            return key
+        cut = rng.choice(dots)
+        return key[:cut] if rng.random() < 0.5 else key[cut + 1 :]
 
     pm = PropertyMap()
     for batch in range(30):
@@ -553,9 +567,64 @@ def test_property_map_find_matches_the_uncached_oracle():
             for i in range(rng.randint(0, 10))
         )
         for _ in range(20):
-            query = dotted()
+            query = dotted() if not pm.entries or rng.random() < 0.5 else near(rng.choice(pm.entries).key)
             assert pm.find(query) == oracle_find(pm.entries, query)
     assert len(pm) > 100
+    # each direction and exact-over-suffix precedence on one map
+    pm = PropertyMap(
+        PropertyEntry(k, k, TraceEntry("f", 1, (0, 1), "v"))
+        for k in ("host", "a.b.host", "b.host", "x..y", "x.", "l[0].Host-Name")
+    )
+    for query in ("host", "b.host", "z.a.b.host", "q.b.host", "..y", "y", "w.x.", "", "hostname", "m.l[0].hostname"):
+        assert pm.find(query) == oracle_find(pm.entries, query), query
+    assert [e.key for e in pm.find("host")] == ["host"]
+    assert [e.key for e in pm.find("q.b.host")] == ["host", "b.host"]
+    assert [e.key for e in pm.find("m.l[0].hostname")] == ["l[0].Host-Name"]
+
+
+def traced(fn):
+    """(fn(), its tracemalloc peak in MiB)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_key_of_8000_dots_costs_linear_memory():
+    key = ".".join(["a"] * 8001)
+    f = _index_file("app/src/main/resources/application.properties", key + "=v\n")
+    pm, peak = traced(lambda: PropertyMap(parse_properties_file(f)))
+    assert peak < 2, "%.1f MiB" % peak
+    assert [e.value for e in pm.find("a.a")] == ["v"]  # the query is a suffix of the key
+    assert [e.value for e in pm.find(".".join(["a"] * 9001))] == ["v"]  # and the other way round
+
+
+def test_a_placeholder_of_8000_dots_costs_linear_memory_and_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_memo", OrderedDict())
+    pom = "<project><artifactId>svc</artifactId></project>"
+
+    def tree(name, placeholder):
+        root = tmp_path / name
+        (root / "src/main/resources").mkdir(parents=True)
+        (root / "pom.xml").write_text(pom, encoding="utf-8")
+        yml = "eureka:\n  client:\n    serviceUrl:\n      defaultZone: ${%s}\n" % placeholder
+        (root / "src/main/resources/application.yml").write_text(yml, encoding="utf-8")
+        return root
+
+    analyze_directory(tree("warm", "a.a"))  # rules and the lazy caches of one analysis
+    hostile = tree("hostile", ".".join(["a"] * 8001))
+
+    def analyze_and_drop():
+        result = analyze_directory(hostile)
+        assert "svc" in result.dfd.nodes
+        del result
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 2**20
+
+    kept, peak = traced(analyze_and_drop)
+    assert peak < 4, "%.1f MiB" % peak
+    assert kept < 2, "%.1f MiB" % kept
 
 
 def test_property_map_find_prefix():

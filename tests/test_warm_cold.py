@@ -11,6 +11,7 @@ warnings in order, and the integrity check of the traces.
 """
 
 import importlib.util
+import os
 import random
 import sys
 from collections import OrderedDict
@@ -23,7 +24,7 @@ from dfdscan.analysis import analyze_directory
 from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "dfdbench" / "gen.py"
-STEPS = 30
+STEPS = 40
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,18 @@ class Tree:
         self.undo = []
 
     def files(self, suffix):
-        return sorted(p for p in self.root.rglob("*" + suffix) if p.is_file())
+        return sorted(p for p in self.root.rglob("*" + suffix) if p.is_file() and not p.is_symlink())
+
+    def restore(self, path, text, *remove):
+        """Undo: remove are gone and path holds text as a plain file again,
+        whatever edits came since."""
+
+        def undo():
+            for p in (*remove, path):
+                p.unlink(missing_ok=True)
+            path.write_bytes(text)
+
+        self.undo.append(undo)
 
     def mutate(self, step, rng):
         self.gen.update(self.app, str(self.root), self.gen.mutate(self.app, step))
@@ -85,7 +97,7 @@ class Tree:
             path.write_text("l0: &l0 [x, y]\n" + levels, encoding="utf-8")
         else:
             path.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n", encoding="utf-8")
-        self.undo.append(path.unlink)
+        self.undo.append(lambda: path.unlink(missing_ok=True))  # a mutate may have removed it
 
     def java_comment(self, step, rng):
         path = rng.choice(self.files(".java"))
@@ -103,8 +115,21 @@ class Tree:
         path.unlink()
         self.undo.append(lambda: path.write_bytes(text))
 
+    def rename(self, step, rng):
+        path = rng.choice(self.files(".java") + self.files(".yml"))
+        text = path.read_bytes()
+        moved = path.rename(path.with_name("%s_%d%s" % (path.stem, step, path.suffix)))
+        self.restore(path, text, moved)
 
-EDITS = ("mutate", "break_yaml", "java_comment", "hostile_yaml", "crlf", "delete")
+    def symlink(self, step, rng):
+        path, target = rng.sample(self.files(".java") + self.files(".yml"), 2)
+        text = path.read_bytes()
+        path.unlink()
+        path.symlink_to(os.path.relpath(target, path.parent))
+        self.restore(path, text)
+
+
+EDITS = ("mutate", "break_yaml", "java_comment", "hostile_yaml", "crlf", "delete", "rename", "symlink")
 
 
 def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
@@ -116,12 +141,14 @@ def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
         for raw in (False, True):
             analyze_directory(tree.root, raw=raw)  # fills the memo
     warned = reused = 0
+    edits = []
     for step in range(STEPS):
         tree = trees[step % len(trees)]
         if tree.undo and rng.random() < 0.5:
             tree.undo.pop(rng.randrange(len(tree.undo)))()
         else:
-            getattr(tree, EDITS[step % len(EDITS)])(step, rng)
+            edits.append(EDITS[len(edits) % len(EDITS)])  # in turn, whichever tree's step it is
+            getattr(tree, edits[-1])(step, rng)
         raw = rng.random() < 0.3
         warm = analyze_directory(tree.root, raw=raw)
         with monkeypatch.context() as m:
@@ -131,5 +158,6 @@ def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
         assert outputs(warm, tree.root) == outputs(cold, tree.root), "step %d" % step
         reused += warm.index.reused > 0
         warned += any(": yaml: " in w for w in warm.report.warnings)
-    # every analysis took the warm path, and some met refused files
+    # every analysis took the warm path, some met refused files, and every edit ran
     assert reused == STEPS and warned > 0
+    assert set(edits) == set(EDITS)
