@@ -154,50 +154,64 @@ _SCHEMA_HOSTS = frozenset(
 
 @register
 class RestClientFlows(Extractor):
-    """Programmatic HTTP calls with literal URLs."""
+    """Programmatic HTTP calls with literal URLs.
+
+    A URL counts when a client marker sits on its line outside comments.
+    So the markers are searched, not the URLs: the lines that hold one
+    are read in (path, line) order, and each http in the line with its
+    comments blanked starts a URL.  Neither a marker nor http holds a
+    space, so an http found there is exactly a search hit of http that
+    touches no comment, and the flows come in the order of those hits.
+    """
 
     name = "rest_client_flows"
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        for hit in find_keyword(ctx.index, "http", languages=("java",)):
-            file = ctx.index.by_path[hit.file]
-            line = file.line(hit.line - 1)
-            s = hit.span[0]
-            if not (line[s:].startswith("http://") or line[s:].startswith("https://")):
-                continue
-            if s > 0 and (line[s - 1].isalnum() or line[s - 1] in "_."):
-                continue
-            if not any(marker in line for marker in _CLIENT_MARKERS):
-                continue
-            # a client named only in a comment does not count
-            line = file.line(hit.line - 1, masked=True)
-            if not any(marker in line for marker in _CLIENT_MARKERS):
-                continue
-            owner = ctx.owner_of(hit.file)
-            if owner is None:
-                continue
-            end = s
-            while end < len(line) and line[end] not in _URL_STOP:
-                end += 1
-            url, links = resolve_text(ctx, owner, line[s:end], hit.file)
-            host = _host(url)
-            if not is_remote(host):
-                continue
-            trace = hit.linked(links)
-            target_svc = ctx.service_named(host)
-            if target_svc is not None:
-                if target_svc.canonical == owner.canonical:
-                    continue
-                ctx.dfd.upsert_flow(
-                    Flow(owner.name, target_svc.name, ["restful_http"]), trace
-                )
-            elif "." in host:
-                if host.lower() in _SCHEMA_HOSTS:
-                    continue
-                site = Node(host, "external_entity", ["external_website"])
-                ctx.dfd.upsert_node(site, trace)
-                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
+        index = ctx.index
+        client_lines = {
+            (hit.file, hit.line)
+            for marker in _CLIENT_MARKERS
+            for hit in find_keyword(index, marker, languages=("java",))
+        }
+        for path, number in sorted(client_lines):
+            file = index.by_path[path]
+            line, masked = file.line(number - 1), file.line(number - 1, masked=True)
+            s = masked.find("http")
+            while s != -1:
+                self._flow_at(ctx, file, number, line, masked, s)
+                s = masked.find("http", s + 1)
+
+    def _flow_at(self, ctx: Context, file, number: int, line: str, masked: str, s: int) -> None:
+        """The flow of the URL at column s of a client line, if it names a
+        remote host.  line is the line as written, masked the same line with
+        its comments blanked."""
+        if not (line.startswith("http://", s) or line.startswith("https://", s)):
+            return
+        if s > 0 and (line[s - 1].isalnum() or line[s - 1] in "_."):
+            return
+        owner = ctx.owner_of(file.path)
+        if owner is None:
+            return
+        end = s
+        while end < len(masked) and masked[end] not in _URL_STOP:
+            end += 1
+        url, links = resolve_text(ctx, owner, masked[s:end], file.path)
+        host = _host(url)
+        if not is_remote(host):
+            return
+        trace = file.trace(number - 1, s, s + len("http")).linked(links)
+        target_svc = ctx.service_named(host)
+        if target_svc is not None:
+            if target_svc.canonical == owner.canonical:
+                return
+            ctx.dfd.upsert_flow(Flow(owner.name, target_svc.name, ["restful_http"]), trace)
+        elif "." in host:
+            if host.lower() in _SCHEMA_HOSTS:
+                return
+            site = Node(host, "external_entity", ["external_website"])
+            ctx.dfd.upsert_node(site, trace)
+            ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
 
 
 # ============================================================================

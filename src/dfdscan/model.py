@@ -35,7 +35,11 @@ class SelfFlowError(ModelError):
 _SQUEEZE = re.compile(r"_+")
 
 
-@lru_cache(maxsize=4096)  # pure, and a diagram names each element many times
+# Names up to this length are cached; a longer one, which only a hostile
+# input gives, is normalized on every call so the cache never keeps it.
+_CACHED_NAME = 256
+
+
 def normalize_name(raw: str) -> str:
     """Canonicalize an element name.
 
@@ -43,6 +47,10 @@ def normalize_name(raw: str) -> str:
     underscores, and collapses runs of underscores.  Surrounding whitespace
     and quotes are stripped first.  The result must be non-empty.
     """
+    return _normalize_cached(raw) if len(raw) <= _CACHED_NAME else _normalize(raw)
+
+
+def _normalize(raw: str) -> str:
     name = raw.strip().strip("\"'").strip()
     name = name.lower()
     for ch in "-. /":
@@ -51,6 +59,10 @@ def normalize_name(raw: str) -> str:
     if not name:
         raise NameError_("name %r normalizes to the empty string" % raw)
     return name
+
+
+# pure, and a diagram names each element many times
+_normalize_cached = lru_cache(maxsize=4096)(_normalize)
 
 
 # ============================================================================

@@ -1,11 +1,13 @@
 """File indexing and keyword search over a codebase snapshot.
 
 The index reads every text file once, classifies it by filename, and keeps
-one text per file, the offset of every line start and, for Java, the
-[start, end) offsets of every comment, so searches do not hit
-commented-out code.  An index built raw keeps no comment offsets, so every
-reader of it sees the original text: masking is decided once, when the
-index is built.  Masked text is never stored: a literal search scans the
+one text per file and, for Java, the [start, end) offsets of every
+comment, so searches do not hit commented-out code.  A file's line table,
+the offset of every line start, is built only when a reader first asks
+for a line, and then kept; a literal hit needs none, because the scan
+counts lines as it goes.  An index built raw keeps no comment offsets, so
+every reader of it sees the original text: masking is decided once, when
+the index is built.  Masked text is never stored: a literal search scans the
 text and skips hits that touch a comment, and every other reader blanks
 the slice it needs on demand.  Literal searches run through _kernel.scan
 unless the index's token vocabulary shows the keyword cannot occur, small
@@ -16,10 +18,10 @@ original text at the span.
 A process keeps a bounded memo of the roots it indexed last.  When it
 indexes such a root again, as a service worker does for a tree sent back
 with a few files changed, every file is still walked, checked and read,
-and the memoized entry of a file (its mask and line table included) is
-reused only when its text equals the text just read.  A reused entry also
-keeps what later analyses derive from its text alone: its literal hits,
-its token set and its parses (see memoized).  So an unchanged file is
+and the memoized entry of a file (its mask and, if built, its line table
+included) is reused only when its text equals the text just read.  A
+reused entry also keeps what later analyses derive from its text alone:
+its literal hits, its token set and its parses (see memoized).  So an unchanged file is
 neither masked, tokenized, parsed nor scanned again for a keyword.
 """
 from __future__ import annotations
@@ -159,15 +161,20 @@ _NO_COMMENTS = array("I")
 
 @dataclass(slots=True)
 class IndexedFile:
-    """One file of the snapshot, and the one maker of its evidence (trace).
+    """One file of the snapshot, and the maker of its evidence (trace).
+
+    Only a literal hit of a keyword without a space is made without it,
+    in scan_files: the text at its span is the keyword.
 
     comments is the comment mask of a Java file in a masked index (see
     mask_java_comments), and empty otherwise; the masked text is not
-    stored.  line_starts holds the offset of every line start; files are
-    capped at MAX_FILE_BYTES, so 32-bit offsets are enough.  An entry may
-    outlive its index in the process's memo of recent roots, which hands
-    it to a later index of the same root while its text is unchanged.
-    memo stays None until then.  From that reuse on it keeps what is
+    stored.  line_starts holds the offset of every line start; it is built
+    on its first use (line, trace and the readers that cut the text by
+    lines) and kept with the entry, so most files of a tree never build
+    one.  Files are capped at MAX_FILE_BYTES, so 32-bit offsets are
+    enough.  An entry may outlive its index in the process's memo of
+    recent roots, which hands it to a later index of the same root while
+    its text is unchanged.  memo stays None until then.  From that reuse on it keeps what is
     derived from the text and the mask alone: the hits of every literal
     keyword searched in the file, as trace entries (() for none), under
     the keyword; the file's token set; and each parse of it, under the
@@ -177,9 +184,20 @@ class IndexedFile:
     path: str
     language: str
     text: str = field(repr=False)
-    line_starts: array = field(repr=False)
     comments: array = field(repr=False)
     memo: dict | None = field(default=None, repr=False, compare=False)
+    _line_starts: array | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def line_starts(self) -> array:
+        """The offset of every line start, built on first use and kept."""
+        starts = self._line_starts
+        if starts is None:
+            lengths = list(map(len, self.text.split("\n")))
+            # line i starts after the i previous lines and their newlines
+            starts = array("I", map(add, accumulate(lengths, initial=0), range(len(lengths))))
+            self._line_starts = starts
+        return starts
 
     def search_text(self, start: int = 0, end: int | None = None) -> str:
         """text[start:end], with the comments of the mask blanked.
@@ -246,10 +264,7 @@ def _index_file(rel_path: str, content: str, raw: bool = False) -> IndexedFile:
 def _index_text(rel_path: str, text: str, raw: bool) -> IndexedFile:
     language = classify_path(rel_path)
     comments = mask_java_comments(text) if language == "java" and not raw else _NO_COMMENTS
-    lengths = list(map(len, text.split("\n")))
-    # line i starts after the i previous lines and their newlines
-    starts = array("I", map(add, accumulate(lengths, initial=0), range(len(lengths))))
-    return IndexedFile(rel_path, language, text, starts, comments)
+    return IndexedFile(rel_path, language, text, comments)
 
 
 # Texts are tokenised in slices of about this many characters, each cut at
@@ -487,10 +502,11 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
     Masking turns comments into spaces and newlines, and a keyword holds no
     newline.  So unless it holds a space, a keyword occurs in the masked
     text exactly where it occurs in the text without touching a comment:
-    the kernel scans the text and skips the comments.  A keyword with a
-    space could match blanks and is scanned in the masked text, built for
-    the file.  A file reused from the memo of recent roots keeps its hits
-    per keyword, so it is scanned once for each.
+    the kernel scans the text and skips the comments, and the text at each
+    hit is the keyword, which is taken as its snippet without reading the
+    line.  A keyword with a space could match blanks and is scanned in the
+    masked text, built for the file.  A file reused from the memo of recent
+    roots keeps its hits per keyword, so it is scanned once for each.
     """
     spaced = " " in keyword
     out: list[TraceEntry] = []
@@ -503,8 +519,14 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
             else:
                 text, skip = f.text, f.comments
             # called through the module so a tracer that wraps _kernel.scan sees it
-            hits = _kernel.scan(text, keyword, f.line_starts, skip)
-            found = [f.trace(li, s, e) for li, s, e in hits] if hits else ()
+            hits = _kernel.scan(text, keyword, skip)
+            if not hits:
+                found = ()
+            elif spaced:
+                found = [f.trace(li, s, e) for li, s, e in hits]
+            else:
+                path = f.path
+                found = [TraceEntry(path, li + 1, (s, e), keyword) for li, s, e in hits]
             if memo is not None:
                 found = memo[keyword] = tuple(found)
         out += found
@@ -512,9 +534,9 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
 
 
 # Repeat searches in the built-in rules are for keywords with a handful of
-# hits; a keyword with thousands (such as "http") is read once.  Caching
-# only small results keeps the cache small, and a repeated large search
-# costs one more scan.
+# hits; a keyword with thousands (such as "LoggerFactory.getLogger") is
+# read once.  Caching only small results keeps the cache small, and a
+# repeated large search costs one more scan.
 _CACHED_MATCHES = 64
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from dfdscan import search
 from dfdscan.analysis import analyze_directory
-from dfdscan.extractors import workspace
+from dfdscan.extractors import flows, workspace
 from dfdscan.extractors.base import (
     MAX_HOPS,
     Context,
@@ -25,7 +26,7 @@ from dfdscan.extractors.base import (
 )
 from dfdscan.extractors.flows import _UrlFlows
 from dfdscan.extractors.workspace import Workspace
-from dfdscan.model import TraceEntry
+from dfdscan.model import Flow, Node, TraceEntry
 from dfdscan.output import dfd_to_json, traceability_to_json, traceability_to_obj, verify_traces
 from dfdscan.parsers import (
     ParserError,
@@ -672,6 +673,151 @@ def test_client_named_only_in_a_comment_makes_no_flow(tmp_path, line):
     # --paper-parity reads comments as code
     raw, _ = analyze(tmp_path, raw=True)
     assert raw.has_flow("svc", "example.org")
+
+
+class HttpDrivenRestClientFlows(flows.RestClientFlows):
+    """RestClientFlows as it was before it searched its client markers:
+    every http hit is read and kept when a marker is on its line.  The
+    oracle of the marker-driven extractor."""
+
+    def run(self, ctx):
+        for hit in search.find_keyword(ctx.index, "http", languages=("java",)):
+            file = ctx.index.by_path[hit.file]
+            line = file.line(hit.line - 1)
+            s = hit.span[0]
+            if not (line[s:].startswith("http://") or line[s:].startswith("https://")):
+                continue
+            if s > 0 and (line[s - 1].isalnum() or line[s - 1] in "_."):
+                continue
+            if not any(marker in line for marker in flows._CLIENT_MARKERS):
+                continue
+            line = file.line(hit.line - 1, masked=True)
+            if not any(marker in line for marker in flows._CLIENT_MARKERS):
+                continue
+            owner = ctx.owner_of(hit.file)
+            if owner is None:
+                continue
+            end = s
+            while end < len(line) and line[end] not in flows._URL_STOP:
+                end += 1
+            url, links = resolve_text(ctx, owner, line[s:end], hit.file)
+            host = flows._host(url)
+            if not flows.is_remote(host):
+                continue
+            trace = hit.linked(links)
+            target_svc = ctx.service_named(host)
+            if target_svc is not None:
+                if target_svc.canonical == owner.canonical:
+                    continue
+                ctx.dfd.upsert_flow(Flow(owner.name, target_svc.name, ["restful_http"]), trace)
+            elif "." in host:
+                if host.lower() in flows._SCHEMA_HOSTS:
+                    continue
+                site = Node(host, "external_entity", ["external_website"])
+                ctx.dfd.upsert_node(site, trace)
+                ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
+
+
+def trace_records(dfd):
+    """Every trace record with the file, line, span, snippet and links of its entries."""
+
+    def entry(t):
+        return (t.file, t.line, t.span, t.snippet, tuple(entry(v) for v in t.via))
+
+    return {
+        item: (entry(rec.primary), {k: entry(e) for k, e in rec.sub_items.items()}, [entry(e) for e in rec.extras])
+        for item, rec in dfd.traces.items()
+    }
+
+
+def assert_rest_clients_like_the_http_oracle(root):
+    """Both indexes of root give the same diagram and traces with the
+    marker-driven RestClientFlows as with the http-driven oracle; returns
+    the masked and the raw diagram."""
+    dfds = []
+    for raw in (False, True):
+        index = build_index(root, raw=raw)
+        got, report = run_pipeline(index)
+        oracle = [HttpDrivenRestClientFlows() if ex.name == "rest_client_flows" else ex for ex in default_extractors()]
+        expected, expected_report = run_pipeline(index, extractors=oracle)
+        assert report.failures == expected_report.failures == []
+        assert dfd_to_json(got) == dfd_to_json(expected), raw
+        assert traceability_to_json(got) == traceability_to_json(expected), raw
+        assert trace_records(got) == trace_records(expected), raw
+        assert report.warnings == expected_report.warnings
+        dfds.append(got)
+    return dfds
+
+
+def test_rest_clients_of_miniapp_match_the_http_oracle(miniapp_path):
+    assert_rest_clients_like_the_http_oracle(miniapp_path)
+
+
+# pieces of Java lines: URLs, near-URLs, client markers, and comments
+_URL_PIECES = (
+    '"http://svc-b:8080/items"',
+    '"https://api.example.com/v1"',
+    '"http://${B_HOST:svc-b}/x"',
+    '"http://www.w3.org/2001/XMLSchema"',
+    '"http://localhost:9000/"',
+    '"http://svc-a/self"',
+    '"xhttp://svc-b/no"',
+    '".http://svc-b/no"',
+    '"https" + host',
+    "http://svc-b/bare",
+    '"http:svc-b"',
+    '"a//b http://svc-b/c"',
+)
+_MARKER_PIECES = (
+    "restTemplate.getForObject(",
+    "webClient.get().uri(",
+    "new HttpGet(",
+    "template.exchange(",
+    "OkHttpClient c;",
+    "url.openConnection();",
+    "RestTemplate rt;",
+    "postForEntity(",
+)
+_OTHER_PIECES = ("int x = 1;", "String.class);", "return;", '"a\\"b"', "}")
+
+
+def _rest_java(rng):
+    """A Java-like text mixing the pieces, with line and block comments."""
+    lines = []
+    open_block = False
+    for _ in range(rng.randrange(4, 24)):
+        pieces = [rng.choice(rng.choice((_URL_PIECES, _MARKER_PIECES, _OTHER_PIECES))) for _ in range(rng.randrange(1, 5))]
+        roll = rng.random()
+        if open_block:
+            if roll < 0.5:
+                pieces.insert(rng.randrange(len(pieces) + 1), "*/")
+                open_block = False
+        elif roll < 0.15:
+            pieces.insert(rng.randrange(len(pieces) + 1), "//")
+        elif roll < 0.3:
+            at = rng.randrange(len(pieces) + 1)
+            pieces[at:at] = ["/*", rng.choice(_URL_PIECES + _MARKER_PIECES), "*/"]
+        elif roll < 0.4:
+            pieces.insert(rng.randrange(len(pieces) + 1), "/*")
+            open_block = True
+        lines.append(rng.choice(("", "  ")) + rng.choice((" ", "")).join(pieces))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rest_clients_of_seeded_java_match_the_http_oracle(tmp_path, seed):
+    rng = random.Random(seed)
+    files = {**service_files("svc-a"), **service_files("svc-b")}
+    for i in range(8):
+        files["svc-%s/src/main/java/C%d.java" % (rng.choice("ab"), i)] = _rest_java(rng)
+    root = make_tree(tmp_path, {})
+    for rel, text in files.items():
+        p = root / rel
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_bytes(text.encode("utf-8"))
+    masked, raw = assert_rest_clients_like_the_http_oracle(root)
+    # the pieces do give REST flows, more of them when comments count
+    assert masked.flows and len(raw.flows) >= len(masked.flows)
 
 
 def test_discovery_flow_and_registry_node(tmp_path):

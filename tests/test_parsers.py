@@ -627,6 +627,33 @@ def test_a_placeholder_of_8000_dots_costs_linear_memory_and_leaves_nothing(tmp_p
     assert kept < 2, "%.1f MiB" % kept
 
 
+def test_a_900_kb_artifact_id_leaves_nothing_allocated(tmp_path, monkeypatch):
+    # a service worker must not keep a hostile name after its request
+    monkeypatch.setattr(search, "_memo", OrderedDict())
+
+    def tree(name, artifact):
+        root = tmp_path / name
+        (root / "src/main/resources").mkdir(parents=True)
+        (root / "pom.xml").write_text("<project><artifactId>%s</artifactId></project>" % artifact, encoding="utf-8")
+        (root / "src/main/resources/application.yml").write_text("server:\n  port: 8080\n", encoding="utf-8")
+        return root
+
+    analyze_directory(tree("warm", "svc"))  # rules and the lazy caches of one analysis
+    artifact = "s" * (900 * 1024)
+    hostile = tree("hostile", artifact)
+
+    def analyze_and_drop():
+        result = analyze_directory(hostile)
+        assert artifact in result.dfd.nodes
+        del result
+        search._memo.clear()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 2**20
+
+    kept, _ = traced(analyze_and_drop)
+    assert kept < 0.1, "%.2f MiB" % kept
+
+
 def test_property_map_find_prefix():
     f = yaml_file("zuul:\n  routes:\n    users:\n      url: http://u\n")
     pm = PropertyMap(parse_yaml_properties(f))

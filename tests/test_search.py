@@ -405,7 +405,7 @@ def test_index_holds_each_java_text_once(tmp_path):
         end - start for f in idx.files for start, end in zip(f.comments[::2], f.comments[1::2])
     )
     assert comment_chars > chars / 3
-    # one text (1 byte per ASCII character), line starts and comment spans
+    # one text (1 byte per ASCII character) and comment spans; no line starts
     assert retained / chars <= 1.5
 
 
@@ -571,6 +571,29 @@ def test_an_unchanged_entry_is_reused_and_a_changed_one_is_not(tmp_path):
     assert second.reused == 2
     assert new["A.java"].memo == {} and new["C.java"].memo is None
     assert [m.snippet for m in find_keyword(second, "int d")] == ["int d"]
+
+
+def line_starts_of(text):
+    return [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+
+
+def test_line_tables_are_built_on_first_use_and_kept_by_the_memo(tmp_path):
+    root = make_tree(tmp_path, {"A.java": "int a; // x\nint b;\n", "b.yml": "b: 1\n\nc: 2", "C.java": "int c;"})
+    first = build_index(root)
+    assert all(f._line_starts is None for f in first.files)
+    # a literal hit needs no table
+    assert [(m.file, m.line) for m in find_keyword(first, "int")] == [("A.java", 1), ("A.java", 2), ("C.java", 1)]
+    assert all(f._line_starts is None for f in first.files)
+    a = first.by_path["A.java"]
+    assert a.line(1) == "int b;"
+    table = a.line_starts
+    assert list(table) == line_starts_of(a.text) and a.line_starts is table
+    assert first.by_path["b.yml"]._line_starts is None and first.by_path["C.java"]._line_starts is None
+    # a warm index reuses the entry with its table
+    second = build_index(root)
+    assert second.by_path["A.java"] is a and a._line_starts is table
+    assert second.by_path["b.yml"].trace(2, 0, 1) == TraceEntry("b.yml", 3, (0, 1), "c")
+    assert list(second.by_path["b.yml"].line_starts) == [0, 5, 6]
 
 
 def test_a_rewrite_that_keeps_size_and_mtime_is_reindexed(tmp_path):
@@ -757,7 +780,7 @@ def oracle_find_keyword(index, keyword, languages=None):
     for f in index.files:
         if wanted is not None and f.language not in wanted:
             continue
-        for li, s, e in _kernel.scan(f.search_text(), keyword, f.line_starts):
+        for li, s, e in _kernel.scan(f.search_text(), keyword):
             out.append(TraceEntry(f.path, li + 1, (s, e), f.line(li)[s:e]))
     return out
 
