@@ -138,10 +138,7 @@ def run_analyze(args) -> int:
         for name, seconds in report.timings.items():
             print("  time %s: %.4fs" % (name, seconds))
         index = result.index
-        print(
-            "  search: %d literal, %d skipped by vocabulary, %d cached"
-            % (index.literal_searches, index.vocabulary_skips, index.cache_hits)
-        )
+        print("  search: %d literal, %d skipped by vocabulary" % (index.literal_searches, index.vocabulary_skips))
     elif report.failures:
         print("  %d extractor failure(s); use --verbose for details" % len(report.failures))
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from urllib.parse import urlparse
 
 from .. import search
-from ..model import Dfd, Flow, ModelError, TraceEntry, normalize_name
+from ..model import Dfd, Flow, ModelError, Node, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
 from ..search import FileIndex, env_value
@@ -26,6 +27,15 @@ _LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "0.0.0.0", "host.docker.inte
 def is_remote(host: str | None) -> bool:
     """True for a configured host that does not name the local machine."""
     return bool(host) and host.lower() not in _LOCAL_HOSTS
+
+
+def url_host(url: str) -> str | None:
+    """The host of a URL; None when it has none or urlparse cannot read it,
+    such as an unclosed [ of an IPv6 address."""
+    try:
+        return urlparse(url).hostname
+    except ValueError:
+        return None
 
 
 def enclosing(path: str):
@@ -70,6 +80,7 @@ class Context:
         self.compose_services: list[ComposeService] = []
         self.dockerfiles: dict[str, DockerfileInfo] = {}
         self._by_root: dict[str, ServiceRoot] = {}  # filled by map_roots()
+        self._hits: dict[tuple, list] = {}  # (keyword, languages, regex) -> [(owner, trace)]
         # cross-phase hints
         self.datastores: list[tuple[str, str, str, TraceEntry]] = []  # owner, db, kind, trace
         self.lb_flow_hints: list[tuple[str, str]] = []
@@ -90,14 +101,19 @@ class Context:
         """Yield (owner, trace) for every hit of the keywords inside a service.
 
         Comments are skipped where the index masks them; hits outside every
-        service directory are dropped.
+        service directory are dropped.  Each keyword is searched once per
+        analysis, after the parse phase; later calls reuse its owned hits.
         """
+        wanted = None if languages is None else frozenset(languages)
         for kw in keywords:
-            # looked up on the module, so a wrapper installed there sees each call
-            for m in search.find_keyword(self.index, kw, languages=languages, regex=regex):
-                owner = self.owner_of(m.file)
-                if owner is not None:
-                    yield owner, m
+            key = (kw, wanted, regex)
+            owned = self._hits.get(key)
+            if owned is None:
+                # looked up on the module, so a wrapper installed there sees each call
+                found = search.find_keyword(self.index, kw, languages=languages, regex=regex)
+                pairs = ((self.owner_of(m.file), m) for m in found)
+                owned = self._hits[key] = [(o, m) for o, m in pairs if o is not None]
+            yield from owned
 
     def rule_hits(self, rule):
         """Yield (owner, trace) for every hit of one keyword rule, searched
@@ -116,10 +132,19 @@ class Context:
         owners = {owner.name for owner, _ in self.evidence(stereotype)}
         return owners.pop() if len(owners) == 1 else None
 
-    def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
-        """Upsert a flow; None when its names are malformed or the same."""
+    def node(self, name: str, node_type: str, stereotypes, trace) -> Node | None:
+        """Upsert a node; None when its name, as configured, is malformed."""
         try:
-            flow = Flow(sender, receiver, stereotypes)
+            node = Node(name, node_type, stereotypes)
+        except ModelError:
+            return None
+        return self.dfd.upsert_node(node, trace)
+
+    def connect(self, sender: str, receiver: str, stereotypes, trace, allow_self=False) -> Flow | None:
+        """Upsert a flow; None when its names are malformed, or the same
+        unless allow_self."""
+        try:
+            flow = Flow(sender, receiver, stereotypes, allow_self)
         except ModelError:
             return None
         return self.dfd.upsert_flow(flow, trace)

@@ -7,23 +7,16 @@ same-phase peer produced.
 from __future__ import annotations
 
 import re
-from urllib.parse import urlparse
 
 from ..model import Flow, Node
-from ..search import find_keyword
-from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_name, resolve_text
+from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_name, resolve_text, url_host
 
 
 def _host(url: str | None) -> str | None:
     """The host a configured URL names, or None.  A bare host:port counts
     as http, and so does a scheme urlparse cannot read, such as the
     SASL_SSL:// of a Kafka listener."""
-    if not url:
-        return None
-    try:
-        return urlparse("http://" + url.split("://", 1)[-1]).hostname
-    except ValueError:  # such as an unclosed [ of an IPv6 address
-        return None
+    return url_host("http://" + url.split("://", 1)[-1]) if url else None
 
 
 def _remote_target(ctx: Context, svc, entry, fallback: str | None = None):
@@ -168,30 +161,23 @@ class RestClientFlows(Extractor):
     phase = "flow"
 
     def run(self, ctx: Context) -> None:
-        index = ctx.index
-        client_lines = {
-            (hit.file, hit.line)
-            for marker in _CLIENT_MARKERS
-            for hit in find_keyword(index, marker, languages=("java",))
-        }
-        for path, number in sorted(client_lines):
-            file = index.by_path[path]
+        # the owner of each client line inside a service
+        client_lines = {(hit.file, hit.line): owner for owner, hit in ctx.hits(_CLIENT_MARKERS)}
+        for (path, number), owner in sorted(client_lines.items()):
+            file = ctx.index.by_path[path]
             line, masked = file.line(number - 1), file.line(number - 1, masked=True)
             s = masked.find("http")
             while s != -1:
-                self._flow_at(ctx, file, number, line, masked, s)
+                self._flow_at(ctx, owner, file, number, line, masked, s)
                 s = masked.find("http", s + 1)
 
-    def _flow_at(self, ctx: Context, file, number: int, line: str, masked: str, s: int) -> None:
-        """The flow of the URL at column s of a client line, if it names a
-        remote host.  line is the line as written, masked the same line with
-        its comments blanked."""
+    def _flow_at(self, ctx: Context, owner, file, number: int, line: str, masked: str, s: int) -> None:
+        """The flow from owner to the URL at column s of its client line, if
+        it names a remote host.  line is the line as written, masked the same
+        line with its comments blanked."""
         if not (line.startswith("http://", s) or line.startswith("https://", s)):
             return
         if s > 0 and (line[s - 1].isalnum() or line[s - 1] in "_."):
-            return
-        owner = ctx.owner_of(file.path)
-        if owner is None:
             return
         end = s
         while end < len(masked) and masked[end] not in _URL_STOP:
@@ -246,7 +232,7 @@ class _UrlFlows(Extractor):
             if not target:
                 continue
             if self.node_stereotype is not None:
-                ctx.dfd.upsert_node(Node(target, "service", [self.node_stereotype]), trace)
+                ctx.node(target, "service", [self.node_stereotype], trace)
             ends = (target, svc.name) if self.inbound else (svc.name, target)
             ctx.connect(*ends, self.stereotypes, trace)
 
@@ -315,9 +301,8 @@ class BrokerFlows(Extractor):
                 host_trace = (out_traces + in_traces)[0]
             if kind is None or broker_name is None:
                 continue
-            broker = Node(broker_name, "service", ["message_broker"])
-            broker = ctx.dfd.upsert_node(broker, host_trace or svc.trace)
-            if broker.name == svc.canonical:
+            broker = ctx.node(broker_name, "service", ["message_broker"], host_trace or svc.trace)
+            if broker is None or broker.name == svc.canonical:
                 continue
             for trace in out_traces:
                 ctx.dfd.upsert_flow(
@@ -470,7 +455,7 @@ class GatewayRouteFlows(Extractor):
             if not value:
                 continue
             lb = value.startswith("lb://")
-            host = value[5:].split("/")[0] if lb else urlparse(value).hostname
+            host = value[5:].split("/")[0] if lb else url_host(value)
             if not is_remote(host):
                 continue
             merged = ctx.connect(svc.name, host, ["restful_http"], trace)
@@ -522,7 +507,7 @@ class MonitoringFlows(_UrlFlows):
             for app in (value or "").split(","):
                 app = app.strip()
                 if app:
-                    ctx.dfd.upsert_flow(Flow(app, svc.name, ["restful_http"], allow_self=True), trace)
+                    ctx.connect(app, svc.name, ["restful_http"], trace, allow_self=True)
         super().run(ctx)
 
 

@@ -6,11 +6,10 @@ extractors commute with each other.
 from __future__ import annotations
 
 import re
-from urllib.parse import urlparse
 
 from ..model import Node
 from ..parsers import classify_image
-from .base import Context, Extractor, is_remote, register, resolve_entry
+from .base import Context, Extractor, is_remote, register, resolve_entry, url_host
 
 
 @register
@@ -67,8 +66,9 @@ class DeployedImageNodes(Extractor):
                 if rule is not None:
                     node_type = rule.node_type
                     stereotypes.append(rule.stereotype)
-            node = Node(comp.name, node_type, stereotypes)
-            ctx.dfd.upsert_node(node, comp.trace)
+            node = ctx.node(comp.name, node_type, stereotypes, comp.trace)
+            if node is None:
+                continue
             if comp.image and comp.image_trace is not None:
                 ctx.dfd.annotate(
                     node.name, tags={"Image": comp.image}, trace=comp.image_trace
@@ -122,9 +122,9 @@ class DatastoreNodes(Extractor):
     # ------------------------------------------------------------------
 
     def _add(self, ctx: Context, svc, name, kind, trace, node_type, stereotypes):
-        node = Node(name, node_type, stereotypes)
-        node = ctx.dfd.upsert_node(node, trace)
-        ctx.datastores.append((svc.canonical, node.name, kind, trace))
+        node = ctx.node(name, node_type, stereotypes, trace)
+        if node is not None:
+            ctx.datastores.append((svc.canonical, node.name, kind, trace))
 
     def _name_for(self, svc, host: str | None, fallback_suffix: str) -> str:
         host = (host or "").strip()
@@ -184,7 +184,9 @@ class DatastoreNodes(Extractor):
             return
         host = value.split(",")[0].strip()
         if "://" in host:
-            host = urlparse(host).hostname or host
+            host = url_host(host)
+            if host is None:
+                return
         else:
             host = host.split(":")[0]
         name = self._name_for(svc, host, "elasticsearch")

@@ -91,8 +91,7 @@ class Workspace(Extractor):
         if not compose_files:
             return
         # shallowest file wins; extra compose variants are ignored
-        compose_files.sort(key=lambda f: (f.path.count("/"), f.path))
-        chosen = compose_files[0]
+        chosen = min(compose_files, key=lambda f: (f.path.count("/"), f.path))
         if len(compose_files) > 1:
             ctx.report.warnings.append(
                 "multiple compose files; using %s" % chosen.path

@@ -10,10 +10,10 @@ every reader of it sees the original text: masking is decided once, when
 the index is built.  Masked text is never stored: a literal search scans the
 text and skips hits that touch a comment, and every other reader blanks
 the slice it needs on demand.  Literal searches run through _kernel.scan
-unless the index's token vocabulary shows the keyword cannot occur, small
-results are cached on the index, and every search returns its hits as
-TraceEntry evidence ordered by (path, line, span), each snippet the
-original text at the span.
+unless the index's token vocabulary shows the keyword cannot occur, and
+every search returns its hits as TraceEntry evidence ordered by (path,
+line, span), each snippet the original text at the span; the index keeps
+none of them (see extractors.base.Context.hits).
 
 A process keeps a bounded memo of the roots it indexed last.  When it
 indexes such a root again, as a service worker does for a tree sent back
@@ -281,9 +281,8 @@ class FileIndex:
     use, its vocabulary: the distinct whitespace-separated tokens of the
     searched texts outside their comment masks, joined by newlines; a
     file reused from the memo of recent roots gives its kept token set.
-    Literal results of at most _CACHED_MATCHES matches are cached per
-    (keyword, languages); the counters say how searches were served, and
-    reused how many files came unchanged from the memo of recent roots.
+    The counters say how many literal searches ran and how many the
+    vocabulary answered; reused, how many files the memo gave unchanged.
     Java files are also listed by file name for cross-file resolution.
     """
 
@@ -294,10 +293,8 @@ class FileIndex:
     by_path: dict[str, IndexedFile] = field(default_factory=dict)
     literal_searches: int = field(default=0, init=False)
     vocabulary_skips: int = field(default=0, init=False)
-    cache_hits: int = field(default=0, init=False)
     _lists: dict = field(default_factory=dict, init=False, repr=False)
     _vocabularies: dict = field(default_factory=dict, init=False, repr=False)
-    _results: dict = field(default_factory=dict, init=False, repr=False)
     _java_named: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -307,7 +304,8 @@ class FileIndex:
                 self._java_named.setdefault(f.path.rpartition("/")[2], []).append(f)
 
     def of_language(self, *languages: str) -> list[IndexedFile]:
-        return list(self._files(frozenset(languages)))
+        """The files of the languages: the index's own list, not to be changed."""
+        return self._files(frozenset(languages))
 
     def _files(self, wanted: frozenset | None) -> list[IndexedFile]:
         files = self._lists.get(wanted)
@@ -533,31 +531,14 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
     return out
 
 
-# Repeat searches in the built-in rules are for keywords with a handful of
-# hits; a keyword with thousands (such as "LoggerFactory.getLogger") is
-# read once.  Caching only small results keeps the cache small, and a
-# repeated large search costs one more scan.
-_CACHED_MATCHES = 64
-
-
 def _find_literal(index: FileIndex, keyword: str, wanted) -> list[TraceEntry]:
-    """The matches of keyword in the wanted languages' files, cached on the
-    index when few; the caller copies the list it returns."""
+    """The matches of keyword in the wanted languages' files, a new list."""
     index.literal_searches += 1
-    key = (keyword, wanted)
-    found = index._results.get(key)
-    if found is not None:
-        index.cache_hits += 1
-        return found
     # a keyword without whitespace can only occur inside one token
     if keyword.split() == [keyword] and keyword not in index._vocabulary(wanted):
         index.vocabulary_skips += 1
-        found = []
-    else:
-        found = scan_files(index._files(wanted), keyword)
-    if len(found) <= _CACHED_MATCHES:
-        index._results[key] = found
-    return found
+        return []
+    return scan_files(index._files(wanted), keyword)
 
 
 def find_keyword(
@@ -569,14 +550,14 @@ def find_keyword(
     """Search the index for a literal keyword or a regular expression.
 
     Literal search is case-sensitive and may return overlapping matches;
-    a keyword absent from the index's vocabulary is not scanned at all, and
-    a repeated literal search with few matches is served from the index's
-    cache.  Hits in comments are skipped where the index masks them.
+    a keyword absent from the index's vocabulary is not scanned at all.
+    The index keeps no results: a repeated search runs again.  Hits in
+    comments are skipped where the index masks them.
     A malformed pattern with regex=True raises re.error.
     """
     wanted = None if languages is None else frozenset(languages)
     if not regex:
-        return list(_find_literal(index, pattern, wanted))
+        return _find_literal(index, pattern, wanted)
     rx = re.compile(pattern)
     out: list[TraceEntry] = []
     for f in index._files(wanted):

@@ -412,15 +412,13 @@ def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path,
     assert "search:" not in quiet
     code, stdout, _ = run_cli(argv + ["--verbose"], capsys)
     assert code == 0
-    lines = re.findall(
-        r"^  search: (\d+) literal, (\d+) skipped by vocabulary, (\d+) cached$", stdout, re.MULTILINE
-    )
+    lines = re.findall(r"^  search: (\d+) literal, (\d+) skipped by vocabulary$", stdout, re.MULTILINE)
     index = analyze_directory(miniapp_path).index
-    expected = (index.literal_searches, index.vocabulary_skips, index.cache_hits)
+    expected = (index.literal_searches, index.vocabulary_skips)
     assert [tuple(map(int, line)) for line in lines] == [expected]
-    # the rule set repeats keywords and most of them are absent from the app
-    literal, skipped, cached = expected
-    assert literal > skipped + cached and skipped > 0 and cached > 0
+    # most keywords of the rule set are absent from the app
+    literal, skipped = expected
+    assert literal > skipped > 0
 
 
 DEEP = "[" * 40_000 + "]" * 40_000  # libyaml's composer dies of this (SIGSEGV)

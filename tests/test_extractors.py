@@ -7,11 +7,13 @@ import json
 import os
 import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 
-from dfdscan import search
+from dfdscan import parsers, search
 from dfdscan.analysis import analyze_directory
 from dfdscan.extractors import flows, workspace
 from dfdscan.extractors.base import (
@@ -1750,6 +1752,39 @@ def test_no_extractor_repeats_a_keyword_of_the_rules():
     assert repeated == []
 
 
+def count_searches(monkeypatch):
+    """Count each (keyword, languages, regex) that reaches search.find_keyword."""
+    calls = Counter()
+    real = search.find_keyword
+
+    def counting(index, pattern, languages=None, regex=False):
+        calls[pattern, None if languages is None else frozenset(languages), regex] += 1
+        return real(index, pattern, languages, regex)
+
+    monkeypatch.setattr(search, "find_keyword", counting)
+    return calls
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["masked", "paper-parity"])
+def test_an_analysis_searches_each_keyword_once(miniapp_path, monkeypatch, raw):
+    calls = count_searches(monkeypatch)
+    analyze_directory(miniapp_path, raw=raw)
+    assert calls and [key for key, n in calls.items() if n > 1] == []
+
+
+def test_config_clients_of_a_local_server_search_its_keywords_once(tmp_path, monkeypatch):
+    # every client's local URL asks for the sole config server
+    files = service_files("config", java="@EnableConfigServer\nclass C {}\n")
+    clients = ["client%d" % i for i in range(4)]
+    for name in clients:
+        files.update(service_files(name, CONFIG_CLIENT_YML))
+    calls = count_searches(monkeypatch)
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert set(dfd.flows) == {("config", name) for name in clients}
+    assert [key for key, n in calls.items() if n > 1] == []
+
+
 def test_authenticated_request_annotation(tmp_path):
     dfd, _ = analyze(
         tmp_path,
@@ -2161,3 +2196,82 @@ def test_a_kafka_server_that_is_no_url_falls_back_to_the_default_broker(tmp_path
     dfd, report = analyze(tmp_path, service_files("p", yml, "kafkaTemplate.send(topic, msg);\n"))
     assert report.failures == []
     assert dfd.has_flow("p", "kafka")
+
+
+def test_a_deep_yaml_file_is_one_warning_with_the_pure_python_composer(tmp_path, monkeypatch):
+    # without libyaml, PyYAML's composer recurses in Python: the depth
+    # becomes a RecursionError, which is still the one warning of its file
+    monkeypatch.setattr(parsers, "_Loader", yaml.BaseLoader)
+    deep = "a: " + "[" * 2000 + "]" * 2000 + "\n"
+    dfd, report = analyze(tmp_path, {**NEIGHBOURS, BAD_YML: deep})
+    assert report.failures == []
+    assert len(report.warnings) == 1 and report.warnings[0].startswith(BAD_YML + ": ")
+    assert dfd.node("alpha") is not None and dfd.node("bad") is not None
+    assert dfd.has_flow("alpha", "registry")
+
+
+# a configured name or URL that gives no node, beside a neighbour's that does:
+# (files, the node the neighbour's entry gives, or the flow it gives)
+HOSTILE_NAMES = {
+    "redis-host": (
+        {**service_files("a", "spring.redis.host: \"''\"\n"), **service_files("b", "spring.redis.host: cache\n")},
+        "cache",
+    ),
+    "rabbit-host": (
+        {
+            **service_files("a", "spring.rabbitmq.host: \"''\"\n"),
+            **service_files("b", "spring.rabbitmq.host: rabbit.example.com\n"),
+        },
+        ("b", "rabbit.example.com"),
+    ),
+    "compose-service": (
+        {
+            "docker-compose.yml": "services:\n  \"''\":\n    image: redis\n  cache:\n    image: redis\n",
+            **service_files("b"),
+        },
+        "cache",
+    ),
+    "zipkin-url": (
+        {
+            **service_files("a", "spring.zipkin.base-url: \"http://''/\"\n"),
+            **service_files("b", "spring.zipkin.base-url: http://zipkin.example.com/\n"),
+        },
+        ("b", "zipkin.example.com"),
+    ),
+    "turbine-app": (
+        {**service_files("a", "turbine.app-config: \"'',b\"\n"), **service_files("b")},
+        ("b", "a"),
+    ),
+    "elasticsearch-uri": (
+        {
+            **service_files("a", "spring.elasticsearch.uris: 'http://[oops'\n"),
+            **service_files("b", "spring.elasticsearch.uris: http://es.example.com:9200\n"),
+        },
+        ("b", "es.example.com"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_NAMES))
+def test_a_configured_name_that_gives_no_node_skips_only_its_entry(tmp_path, case):
+    files, kept = HOSTILE_NAMES[case]
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    if isinstance(kept, tuple):
+        assert dfd.has_flow(*kept)
+    else:
+        assert dfd.node(kept) is not None
+    assert not any("[oops" in name or not name.strip("_") for name in dfd.nodes)
+
+
+def test_a_gateway_keeps_its_other_routes_beside_a_bad_uri(tmp_path):
+    yml = (
+        "spring.cloud.gateway.routes[0].uri: 'http://[oops'\n"
+        "spring.cloud.gateway.routes[1].uri: lb://b\n"
+        "spring.cloud.gateway.routes[2].uri: forward:/local\n"
+        "spring.cloud.gateway.routes[3].uri: http://ext.example.com/\n"
+    )
+    dfd, report = analyze(tmp_path, {**service_files("a", yml), **service_files("b")})
+    assert report.failures == []
+    assert set(dfd.flows) == {("a", "b"), ("a", "ext_example_com"), ("a", "user"), ("user", "a")}
+    assert "load_balanced_link" in dfd.flows[("a", "b")].stereotypes

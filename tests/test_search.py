@@ -678,8 +678,8 @@ def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path, mon
             cold = assert_like_oracle(root, sorted(keywords))
         for idx, cold_idx in zip(warm, cold):
             assert cold_idx.reused == 0 and all(f.memo is None for f in cold_idx.files)
-            counters = (idx.literal_searches, idx.vocabulary_skips, idx.cache_hits)
-            assert counters == (cold_idx.literal_searches, cold_idx.vocabulary_skips, cold_idx.cache_hits)
+            counters = (idx.literal_searches, idx.vocabulary_skips)
+            assert counters == (cold_idx.literal_searches, cold_idx.vocabulary_skips)
             for languages in LANGUAGE_SETS:
                 wanted = None if languages is None else frozenset(languages)
                 assert set(idx._vocabulary(wanted).split("\n")) == set(cold_idx._vocabulary(wanted).split("\n"))
@@ -769,12 +769,12 @@ def test_find_keyword_language_filter(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# vocabulary gate and result cache
+# vocabulary gate
 # ----------------------------------------------------------------------
 
 
 def oracle_find_keyword(index, keyword, languages=None):
-    """Literal find_keyword without the vocabulary gate or the cache."""
+    """Literal find_keyword without the vocabulary gate."""
     wanted = None if languages is None else set(languages)
     out = []
     for f in index.files:
@@ -802,7 +802,7 @@ def assert_like_oracle(root, keywords):
                 expected = oracle_find_keyword(idx, keyword, languages)
                 first = find_keyword(idx, keyword, languages=languages)
                 assert first == expected, (keyword, languages, raw)
-                first.append(None)  # a caller's edit must not reach the cache
+                first.append(None)  # a caller's edit must not reach a later search
                 again = find_keyword(idx, keyword, languages=list(languages or ()) or None)
                 assert again == expected, (keyword, languages, raw)
     return indexes
@@ -822,7 +822,7 @@ def test_gated_search_matches_the_oracle_on_miniapp(miniapp_path):
         start = rng.randrange(max(1, len(f.text) - 12))
         keywords.add(f.text[start : start + rng.randint(1, 12)].partition("\n")[0] or "x")
     for idx in assert_like_oracle(miniapp_path, sorted(keywords)):
-        assert idx.vocabulary_skips > 0 and idx.cache_hits > 0
+        assert idx.vocabulary_skips > 0
 
 
 def test_gate_keeps_comment_only_and_edge_keywords(tmp_path):
