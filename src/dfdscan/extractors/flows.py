@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 
 from ..model import Flow, Node
+from ..parsers import canonical_key
 from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_name, resolve_text, url_host
 
 
@@ -426,24 +427,17 @@ class GatewayRouteFlows(Extractor):
     def _zuul(self, ctx: Context, svc) -> None:
         routes: dict[str, dict] = {}
         for e in svc.properties.find_prefix("zuul.routes"):
-            rest = e.key[len("zuul.routes.") :]
-            route_id, _, attr = rest.partition(".")
-            routes.setdefault(route_id, {})[attr] = e
+            route_id, _, attr = e.key[len("zuul.routes.") :].partition(".")
+            routes.setdefault(route_id, {})[canonical_key(attr)] = e
         for route_id in sorted(routes):
             attrs = routes[route_id]
-            target = None
-            entry = None
             if "serviceid" in attrs:
-                entry = attrs["serviceid"]
-                target, trace = resolve_entry(ctx, svc, entry)
+                target, trace = resolve_entry(ctx, svc, attrs["serviceid"])
             elif "url" in attrs:
-                entry = attrs["url"]
-                target, trace = _remote_target(ctx, svc, entry)
+                target, trace = _remote_target(ctx, svc, attrs["url"])
             else:
-                entry = next(iter(attrs.values()))
-                trace = entry.trace
-                if ctx.service_named(route_id) is not None:
-                    target = route_id
+                trace = next(iter(attrs.values())).trace
+                target = route_id if ctx.service_named(route_id) is not None else None
             if target:
                 ctx.connect(svc.name, target, ["restful_http"], trace)
 

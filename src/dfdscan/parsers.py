@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .model import TraceEntry
+from .model import ModelError, Node, TraceEntry
 from .search import IndexedFile, memoized
 
 # libyaml's composer gives the same nodes and marks about eight times faster.
@@ -50,6 +50,13 @@ class PropertyEntry:
     profile: str | None = None
 
 
+def canonical_key(key: str) -> str:
+    """The relaxed form of a dotted key: server.ssl.key-store and
+    server.ssl.keyStore are both server.ssl.keystore."""
+    canon = key.lower().replace("-", "")
+    return key if canon == key else canon  # keys are mostly canonical: share them
+
+
 class PropertyMap:
     """Merged configuration entries with suffix-tolerant lookup.
 
@@ -72,16 +79,10 @@ class PropertyMap:
         for e in entries:
             i = len(self.entries)
             self.entries.append(e)
-            key = self._canon(e.key)
+            key = canonical_key(e.key)
             self._keys.append(key)
             exact.setdefault(key, []).append(i)
             last.setdefault(key.rpartition(".")[2], []).append(i)
-
-    @staticmethod
-    def _canon(key: str) -> str:
-        # relaxed binding: server.ssl.key-store == server.ssl.keyStore
-        canon = key.lower().replace("-", "")
-        return key if canon == key else canon  # keys are mostly canonical: share them
 
     def find(self, dotted: str) -> list[PropertyEntry]:
         """Entries matching a dotted key exactly or by dotted suffix.
@@ -91,7 +92,7 @@ class PropertyMap:
         rabbitmq.host and the other way round, which bridges environment
         variable bindings of typical deployments.
         """
-        want = self._canon(dotted)
+        want = canonical_key(dotted)
         found = self._exact.get(want)
         if not found:
             bucket = self._last.get(want.rpartition(".")[2])
@@ -495,6 +496,7 @@ class ImageRule:
 
 
 def load_image_catalog(lines) -> list[ImageRule]:
+    """The rules of "pattern stereotype node_type" lines; ValueError names a bad one."""
     rules = []
     for raw in lines:
         line = raw.strip()
@@ -503,6 +505,10 @@ def load_image_catalog(lines) -> list[ImageRule]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError("bad image catalog line: %r" % raw)
+        try:
+            Node("image", parts[2], [parts[1]])  # the node a matching image becomes
+        except ModelError as exc:
+            raise ValueError("bad image catalog line %r: %s" % (raw, exc)) from None
         rules.append(ImageRule(parts[0].lower(), parts[1], parts[2]))
     return rules
 

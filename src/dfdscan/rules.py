@@ -8,6 +8,7 @@ for the first two.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -32,21 +33,32 @@ class RuleSet:
     credential_keys: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _parse_keyword_rules(text: str) -> list[KeywordRule]:
+    """The rules of a keyword rule file; ValueError names a bad one."""
     data = json.loads(text)
     rules = []
-    for obj in data["rules"]:
+    for n, obj in enumerate(data["rules"], 1):
         stereotype = obj["stereotype"]
         if not catalog.is_known(stereotype):
             raise ValueError("keyword rule names unknown stereotype %r" % stereotype)
-        rules.append(
-            KeywordRule(
-                stereotype=stereotype,
-                keywords=list(obj["keywords"]),
-                languages=tuple(obj.get("languages", ["java"])),
-                regex=bool(obj.get("regex", False)),
-            )
-        )
+        rule = "keyword rule %d (%s)" % (n, stereotype)
+        keywords = obj.get("keywords")
+        if not _strings(keywords) or not all(k and "\n" not in k for k in keywords):
+            raise ValueError("%s: keywords must be a list of non-empty strings without a newline" % rule)
+        languages = obj.get("languages", ["java"])
+        if not _strings(languages):
+            raise ValueError("%s: languages must be a list of strings" % rule)
+        regex = bool(obj.get("regex", False))
+        for keyword in keywords if regex else ():
+            try:
+                re.compile(keyword)
+            except re.error as exc:
+                raise ValueError("%s: bad regex %r: %s" % (rule, keyword, exc)) from None
+        rules.append(KeywordRule(stereotype, keywords, tuple(languages), regex))
     return rules
 
 

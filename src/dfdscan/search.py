@@ -10,10 +10,10 @@ every reader of it sees the original text: masking is decided once, when
 the index is built.  Masked text is never stored: a literal search scans the
 text and skips hits that touch a comment, and every other reader blanks
 the slice it needs on demand.  Literal searches run through _kernel.scan
-unless the index's token vocabulary shows the keyword cannot occur, and
-every search returns its hits as TraceEntry evidence ordered by (path,
-line, span), each snippet the original text at the span; the index keeps
-none of them (see extractors.base.Context.hits).
+unless the index's token vocabulary shows the keyword cannot occur in the
+files it read fresh, and every search returns its hits as TraceEntry
+evidence ordered by (path, line, span), each snippet the original text at
+the span; the index keeps none of them (see extractors.base.Context.hits).
 
 A process keeps a bounded memo of the roots it indexed last.  When it
 indexes such a root again, as a service worker does for a tree sent back
@@ -21,7 +21,7 @@ with a few files changed, every file is still walked, checked and read,
 and the memoized entry of a file (its mask and, if built, its line table
 included) is reused only when its text equals the text just read.  A
 reused entry also keeps what later analyses derive from its text alone:
-its literal hits, its token set and its parses (see memoized).  So an unchanged file is
+its literal hits and its parses (see memoized).  So an unchanged file is
 neither masked, tokenized, parsed nor scanned again for a keyword.
 """
 from __future__ import annotations
@@ -174,11 +174,11 @@ class IndexedFile:
     one.  Files are capped at MAX_FILE_BYTES, so 32-bit offsets are
     enough.  An entry may outlive its index in the process's memo of
     recent roots, which hands it to a later index of the same root while
-    its text is unchanged.  memo stays None until then.  From that reuse on it keeps what is
-    derived from the text and the mask alone: the hits of every literal
-    keyword searched in the file, as trace entries (() for none), under
-    the keyword; the file's token set; and each parse of it, under the
-    parser (see memoized).
+    its text is unchanged.  memo stays None until then.  From that reuse
+    on it keeps what is derived from the text and the mask alone: the hits
+    of every literal keyword searched in the file, as trace entries (()
+    for none), under the keyword, and each parse of it, under the parser
+    (see memoized).
     """
 
     path: str
@@ -279,8 +279,8 @@ class FileIndex:
 
     Each set of languages searched gets its file list and, built on first
     use, its vocabulary: the distinct whitespace-separated tokens of the
-    searched texts outside their comment masks, joined by newlines; a
-    file reused from the memo of recent roots gives its kept token set.
+    searched texts the index read fresh, outside their comment masks,
+    joined by newlines; a reused file answers from the hits it keeps.
     The counters say how many literal searches ran and how many the
     vocabulary answered; reused, how many files the memo gave unchanged.
     Java files are also listed by file name for cross-file resolution.
@@ -319,31 +319,15 @@ class FileIndex:
         if vocab is None:
             tokens: set[str] = set()
             for f in self._files(wanted):
-                if f.memo is None:
-                    _add_file_tokens(tokens, f)
-                else:
-                    tokens |= _file_tokens(f)
+                if f.memo is None:  # the tokens between its comments
+                    bounds = iter(f.comments)
+                    start = 0
+                    for stop, after in zip(bounds, bounds):
+                        _add_tokens(tokens, f.text, start, stop)
+                        start = after
+                    _add_tokens(tokens, f.text, start, len(f.text))
             vocab = self._vocabularies[wanted] = "\n".join(tokens)
         return vocab
-
-
-@memoized
-def _file_tokens(f: IndexedFile) -> frozenset[str]:
-    """The tokens of the file's masked text."""
-    tokens: set[str] = set()
-    _add_file_tokens(tokens, f)
-    return frozenset(tokens)
-
-
-def _add_file_tokens(tokens: set[str], f: IndexedFile) -> None:
-    """Add the tokens of the file's masked text: those between its comments."""
-    text = f.text
-    bounds = iter(f.comments)
-    start = 0
-    for stop, after in zip(bounds, bounds):
-        _add_tokens(tokens, text, start, stop)
-        start = after
-    _add_tokens(tokens, text, start, len(text))
 
 
 def _add_tokens(tokens: set[str], text: str, start: int, stop: int) -> None:
@@ -534,11 +518,14 @@ def scan_files(files: list[IndexedFile], keyword: str) -> list[TraceEntry]:
 def _find_literal(index: FileIndex, keyword: str, wanted) -> list[TraceEntry]:
     """The matches of keyword in the wanted languages' files, a new list."""
     index.literal_searches += 1
+    files = index._files(wanted)
     # a keyword without whitespace can only occur inside one token
     if keyword.split() == [keyword] and keyword not in index._vocabulary(wanted):
         index.vocabulary_skips += 1
-        return []
-    return scan_files(index._files(wanted), keyword)
+        # the vocabulary covers the files it found without a memo, and a memo
+        # is never dropped: only reused files are left, and they keep their hits
+        files = [f for f in files if f.memo is not None]
+    return scan_files(files, keyword)
 
 
 def find_keyword(
@@ -550,7 +537,7 @@ def find_keyword(
     """Search the index for a literal keyword or a regular expression.
 
     Literal search is case-sensitive and may return overlapping matches;
-    a keyword absent from the index's vocabulary is not scanned at all.
+    a keyword absent from the index's vocabulary is sought only in reused files.
     The index keeps no results: a repeated search runs again.  Hits in
     comments are skipped where the index masks them.
     A malformed pattern with regex=True raises re.error.

@@ -15,8 +15,8 @@ holds for every caller: the default ``RuleSet``, the bounded
 memo of ``search`` (at most ``search._MEMO_CHARS`` characters of the
 trees it indexed last).  Each analysis builds its own index, but a file
 whose text equals that of the worker's last index of the same tree keeps
-its entry: comment mask, line table, literal hits, token set and parses
-(see ``search.IndexedFile``).  Every file is still walked, checked and
+its entry: comment mask, line table, literal hits and parses (see
+``search.IndexedFile``).  Every file is still walked, checked and
 read, so a change, a deletion or an escaping symlink is seen.  With
 ``--verbose`` a worker logs how many files each analysis indexed and how
 many it reused.  A worker exits after answering a 500, or when answering

@@ -2,13 +2,22 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections import OrderedDict
 
 import pytest
 
+from dfdscan import search
 from dfdscan.analysis import analyze_directory
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 MINIAPP = os.path.join(FIXTURES, "miniapp")
+
+
+@pytest.fixture(autouse=True)
+def empty_index_memo(monkeypatch):
+    """Each test starts with an empty memo of recently indexed roots, so
+    what an earlier test indexed cannot decide whether its index is warm."""
+    monkeypatch.setattr(search, "_memo", OrderedDict())
 
 
 @pytest.fixture(scope="session")

@@ -257,6 +257,25 @@ def test_custom_rule_files_equal_defaults(miniapp_path, tmp_path, capsys):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag,content,named",
+    [
+        ("--rules", '{"rules": [{"stereotype": "gateway", "keywords": "Zuul"}]}', "keyword rule 1 (gateway)"),
+        ("--rules", '{"rules": [{"stereotype": "gateway", "keywords": ["Zuul"], "languages": "java"}]}', "keyword rule 1"),
+        ("--rules", '{"rules": [{"stereotype": "load_balancer", "keywords": [""]}]}', "keyword rule 1 (load_balancer)"),
+        ("--images", "mongo not_a_stereotype database\n", "mongo not_a_stereotype database"),
+    ],
+)
+def test_a_bad_rule_file_exits_2_naming_its_rule(miniapp_path, tmp_path, capsys, flag, content, named):
+    path = tmp_path / "rules.txt"
+    path.write_text(content, encoding="utf-8")
+    argv = ["analyze", "--path", str(miniapp_path), "--out", str(tmp_path / "out"), flag, str(path)]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert stderr.startswith("error: ") and named in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_paper_parity_flag_accepted(miniapp_path, tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -405,15 +424,19 @@ def test_verbose_prints_timings_in_pipeline_order(miniapp_path, tmp_path, capsys
     assert timed == pipeline + ["serialize"]
 
 
-def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path, capsys):
+def test_verbose_prints_how_literal_searches_were_served(miniapp_path, tmp_path, capsys, monkeypatch):
     argv = ["analyze", "--path", str(miniapp_path), "--out", str(tmp_path / "out")]
     code, quiet, _ = run_cli(argv, capsys)
     assert code == 0
     assert "search:" not in quiet
+    # the verbose run and its reference index afresh, as a CLI process does
+    monkeypatch.setattr(search, "_memo", search.OrderedDict())
     code, stdout, _ = run_cli(argv + ["--verbose"], capsys)
     assert code == 0
     lines = re.findall(r"^  search: (\d+) literal, (\d+) skipped by vocabulary$", stdout, re.MULTILINE)
+    monkeypatch.setattr(search, "_memo", search.OrderedDict())
     index = analyze_directory(miniapp_path).index
+    assert index.reused == 0
     expected = (index.literal_searches, index.vocabulary_skips)
     assert [tuple(map(int, line)) for line in lines] == [expected]
     # most keywords of the rule set are absent from the app

@@ -982,6 +982,25 @@ def test_zuul_gateway_routes_and_user(tmp_path):
     assert "exitpoint" in user.stereotypes
 
 
+@pytest.mark.parametrize("attr", ["serviceId", "service-id", "serviceid", "SERVICE-ID"])
+@pytest.mark.parametrize("fmt", ["yml", "properties"])
+def test_zuul_route_attributes_take_relaxed_binding(tmp_path, attr, fmt):
+    if fmt == "yml":
+        config = APP_YML % "gateway" + "zuul:\n  routes:\n    users:\n      %s: account-service\n" % attr
+    else:
+        config = "spring.application.name=gateway\nzuul.routes.users.%s=account-service\n" % attr
+    files = {
+        "gateway/pom.xml": "<project><artifactId>gateway</artifactId></project>",
+        "gateway/src/main/resources/application.%s" % fmt: config,
+        "gateway/src/main/java/G.java": "@EnableZuulProxy\nclass G {}\n",
+        **service_files("account-service"),
+    }
+    dfd, report = analyze(tmp_path, files)
+    assert report.failures == []
+    assert dfd.has_flow("gateway", "account-service")
+    assert {f for f in dfd.flows if f[0] == "gateway"} == {("gateway", "account_service"), ("gateway", "user")}
+
+
 def test_zuul_url_routes_skip_local_hosts(tmp_path):
     yml = (
         "zuul:\n  routes:\n"

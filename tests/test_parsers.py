@@ -844,9 +844,33 @@ def test_classify_image_unknown_and_registry_port():
 
 
 def test_classify_image_longest_pattern_wins():
-    rules = load_image_catalog(["db db_one database", "longer-db db_two database"])
+    rules = load_image_catalog(["db database database", "longer-db search_engine service"])
     hit = classify_image("my-longer-db:1", rules)
-    assert hit.stereotype == "db_two"
+    assert hit.stereotype == "search_engine"
+
+
+@pytest.mark.parametrize(
+    "line,complaint",
+    [
+        ("mongo not_a_stereotype database", "unknown stereotype"),
+        ("mongo database datastore", "node type"),
+        ("mongo user database", "does not apply"),  # an external entity's stereotype
+        ("kafka message_broker external_entity", "does not apply"),
+        ("mongo restful_http service", "does not apply"),  # a flow's stereotype
+    ],
+)
+def test_load_image_catalog_refuses_a_rule_no_node_can_take(line, complaint):
+    with pytest.raises(ValueError) as caught:
+        load_image_catalog(["mongo database database", line])
+    assert line in str(caught.value) and complaint in str(caught.value)
+
+
+def test_every_default_image_rule_names_a_node_it_can_make():
+    rules = default_image_rules()
+    assert len(rules) == 28
+    assert load_image_catalog("%s %s %s" % (r.pattern, r.stereotype, r.node_type) for r in rules) == rules
+    assert classify_image("logstash", rules).node_type == "service"
+    assert load_image_catalog(["fluentd logging_server external_entity"])[0].node_type == "external_entity"
 
 
 def test_load_image_catalog_skips_comments():
@@ -868,6 +892,41 @@ def test_default_rules_are_read_once_per_process(monkeypatch):
 
     monkeypatch.setattr(rules, "_default_text", unread)
     assert load_rules() is first
+
+
+@pytest.mark.parametrize(
+    "fields,complaint",
+    [
+        ('"keywords": "@EnableZuulProxy"', "keywords"),  # a string is not a list of them
+        ('"keywords": [""]', "keywords"),
+        ('"keywords": ["@Enable\\nZuul"]', "keywords"),
+        ('"keywords": ["@EnableZuulProxy", 5]', "keywords"),
+        ('"languages": ["java"]', "keywords"),  # no keywords at all
+        ('"keywords": ["@EnableZuulProxy"], "languages": "java"', "languages"),
+        ('"keywords": ["@EnableZuulProxy"], "languages": ["java", null]', "languages"),
+        ('"keywords": ["@EnableZuulProxy"], "languages": null', "languages"),
+        ('"keywords": ["@Enable(Zuul"], "regex": true', "regex"),
+    ],
+)
+def test_a_bad_keyword_rule_is_refused_at_load_naming_the_rule(tmp_path, fields, complaint):
+    path = tmp_path / "rules.json"
+    good = '{"stereotype": "local_logging", "keywords": ["@Slf4j"]}'
+    path.write_text('{"rules": [%s, {"stereotype": "gateway", %s}]}' % (good, fields), encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_rules(keyword_path=path)
+    assert "keyword rule 2 (gateway)" in str(caught.value) and complaint in str(caught.value)
+
+
+def test_good_keyword_rules_load_as_written(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(
+        '{"rules": [{"stereotype": "gateway", "keywords": ["@Enable(Zuul|Gateway)"], "regex": true,'
+        ' "languages": ["java", "yaml"]}, {"stereotype": "local_logging", "keywords": []}]}',
+        encoding="utf-8",
+    )
+    gateway, logging = load_rules(keyword_path=path).keyword_rules
+    assert (gateway.keywords, gateway.languages, gateway.regex) == (["@Enable(Zuul|Gateway)"], ("java", "yaml"), True)
+    assert (logging.keywords, logging.languages, logging.regex) == ([], ("java",), False)
 
 
 def test_a_rules_file_is_read_on_every_call(tmp_path):

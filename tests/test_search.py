@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from dfdscan import _kernel, search
+from dfdscan import _kernel, parsers, search
 from dfdscan.analysis import analyze_directory
 from dfdscan.extractors.base import Context, resolve_text
 from dfdscan.model import TraceEntry
@@ -657,13 +657,27 @@ def test_the_memo_keeps_at_most_its_bound_least_recently_indexed_first(tmp_path,
     assert build_index(p).reused == 1
 
 
+MEMOIZED_PARSERS = {
+    getattr(parsers, name).__wrapped__
+    for name in (
+        "parse_yaml_properties",
+        "parse_properties_file",
+        "parse_compose",
+        "parse_dockerfile",
+        "parse_maven_modules",
+        "parse_maven_artifact_id",
+        "parse_gradle_settings",
+    )
+}
+
+
 def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path, monkeypatch):
     rng = random.Random(19)
     root = tmp_path / "t"
     keywords = {"kw", "Zuul", "@EnableZuul", "x//", "*/x", "kw x", "\u2028", "é="}
     for step in range(4):
         # every step rewrites one file, so later steps search entries
-        # whose hits and tokens were kept by earlier ones
+        # whose hits were kept by earlier ones
         names = NAMES if step == 0 else [NAMES[step]]
         files = {
             name: "".join(rng.choice(PIECES) for _ in range(rng.randrange(80))).encode("utf-8")
@@ -678,19 +692,59 @@ def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path, mon
             cold = assert_like_oracle(root, sorted(keywords))
         for idx, cold_idx in zip(warm, cold):
             assert cold_idx.reused == 0 and all(f.memo is None for f in cold_idx.files)
-            counters = (idx.literal_searches, idx.vocabulary_skips)
-            assert counters == (cold_idx.literal_searches, cold_idx.vocabulary_skips)
+            assert idx.literal_searches == cold_idx.literal_searches
+            assert idx.vocabulary_skips >= cold_idx.vocabulary_skips  # a smaller vocabulary
             for languages in LANGUAGE_SETS:
+                # the vocabulary holds the tokens of exactly the entries read fresh
                 wanted = None if languages is None else frozenset(languages)
-                assert set(idx._vocabulary(wanted).split("\n")) == set(cold_idx._vocabulary(wanted).split("\n"))
+                fresh = set()
+                for f in idx._files(wanted):
+                    if f.memo is None:
+                        fresh.update(f.search_text().split())
+                assert set(idx._vocabulary(wanted).split("\n")) - {""} == fresh
+            # a reused entry keeps the hits of searched keywords and parses, nothing else
+            for f in idx.files:
+                assert f.memo is None or set(f.memo) <= keywords | MEMOIZED_PARSERS
         if step:
             masked, raw = warm
             assert masked.reused == raw.reused == len(NAMES) - 1
             assert masked.vocabulary_skips > 0 and raw.vocabulary_skips > 0
             assert any(f.memo for f in masked.files) and any(f.memo for f in raw.files)
-        if step > 1:
-            # the entries reused from the last step kept their token sets
-            assert any(search._file_tokens.__wrapped__ in f.memo for f in masked.files if f.memo)
+
+
+def test_a_keyword_only_a_reused_entry_holds_is_found_from_its_kept_hits(tmp_path, monkeypatch):
+    lb = "@LoadBalanced"
+    a_java = "@LoadBalanced RestTemplate t;\n// @LoadBalanced old\n"
+    root = make_tree(tmp_path, {"A.java": a_java, "B.java": "class B {}\n"})
+    build_index(root)
+    scanned = []
+    scan = _kernel.scan
+
+    def spy(text, keyword, *args):
+        scanned.append((text, keyword))
+        return scan(text, keyword, *args)
+
+    monkeypatch.setattr(_kernel, "scan", spy)
+    for step in range(3):
+        # B changes at every step, so A is reused while no fresh file holds the keyword
+        b_java = "class B%d {}\n" % step
+        make_tree(root, {"B.java": b_java})
+        idx = build_index(root)
+        a = idx.by_path["A.java"]
+        assert idx.reused == 1 and (a.memo == {}) == (step == 0)
+        scanned.clear()
+        found = find_keyword(idx, lb)
+        again = find_keyword(idx, lb, ("java",))
+        in_fresh = find_keyword(idx, "class")  # B holds it, so every file is searched
+        # the first reuse scans A once for each keyword; later ones only the changed B
+        if step == 0:
+            assert scanned == [(a_java, lb), (a_java, "class"), (b_java, "class")]
+        else:
+            assert scanned == [(b_java, "class")]
+        assert lb not in idx._vocabulary(None) and idx.vocabulary_skips == 2
+        assert found == again == oracle_find_keyword(idx, lb)
+        assert [(m.file, m.line, m.span, m.snippet) for m in found] == [("A.java", 1, (0, 13), lb)]
+        assert in_fresh == oracle_find_keyword(idx, "class") and [m.file for m in in_fresh] == ["B.java"]
 
 
 def test_a_one_shot_analysis_keeps_no_memo(tmp_path, miniapp_path):

@@ -1,7 +1,7 @@
 """A warm service worker gives the same analysis as a cold process.
 
 A worker keeps, across requests, the index entries of unchanged files and
-what it derived from them: literal hits, token sets and parses.  Here the
+what it derived from them: literal hits and parses.  Here the
 four service_small trees of the benchmark's generator (dfdbench/gen.py,
 loaded read-only by path) are analyzed in one process over a seeded run
 of edits.  After each edit the warm analysis is compared with a cold one,
@@ -25,6 +25,18 @@ from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "dfdbench" / "gen.py"
 STEPS = 40
+# Rule keywords that gen.py never writes, so no other file of a tree holds them
+RARE = ("@EnableHystrix", "@RibbonClient", "@EnableAdminServer", "httpBasic()", "@Slf4j")
+RARE_JAVA = """package rare;
+
+@EnableHystrix
+@EnableAdminServer
+@RibbonClient(name = "peer")
+public class Rare%d {
+    // @Slf4j, in a comment only
+    void configure(HttpSecurity http) { http.httpBasic(); }
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +111,13 @@ class Tree:
             path.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n", encoding="utf-8")
         self.undo.append(lambda: path.unlink(missing_ok=True))  # a mutate may have removed it
 
+    def rare_keywords(self, step, rng):
+        """A Java file of keywords no other file holds: while it stays, later
+        analyses reuse it and no file they read fresh holds its keywords."""
+        path = rng.choice(self.files(".java")).with_name("Rare%d.java" % step)
+        path.write_text(RARE_JAVA % step, encoding="utf-8")
+        self.undo.append(lambda: path.unlink(missing_ok=True))  # a mutate may have removed it
+
     def java_comment(self, step, rng):
         path = rng.choice(self.files(".java"))
         path.write_bytes(path.read_bytes() + b"// reviewed in step %d\n" % step)
@@ -129,7 +148,9 @@ class Tree:
         self.restore(path, text)
 
 
-EDITS = ("mutate", "break_yaml", "java_comment", "hostile_yaml", "crlf", "delete", "rename", "symlink")
+EDITS = (
+    "mutate", "break_yaml", "java_comment", "rare_keywords", "hostile_yaml", "crlf", "delete", "rename", "symlink"
+)
 
 
 def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
@@ -140,7 +161,7 @@ def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
     for tree in trees:
         for raw in (False, True):
             analyze_directory(tree.root, raw=raw)  # fills the memo
-    warned = reused = 0
+    warned = reused = rare = 0
     edits = []
     for step in range(STEPS):
         tree = trees[step % len(trees)]
@@ -157,7 +178,9 @@ def test_a_warm_worker_analyzes_like_a_cold_process(gen, tmp_path, monkeypatch):
         assert cold.index.reused == 0
         assert outputs(warm, tree.root) == outputs(cold, tree.root), "step %d" % step
         reused += warm.index.reused > 0
+        rare += any(f.memo and any(f.memo.get(k) for k in RARE) for f in warm.index.files)
         warned += any(": yaml: " in w for w in warm.report.warnings)
-    # every analysis took the warm path, some met refused files, and every edit ran
-    assert reused == STEPS and warned > 0
+    # every analysis took the warm path, some met refused files, some found rare
+    # keywords in the hits a reused file kept, and every edit ran
+    assert reused == STEPS and warned > 0 and rare > 0
     assert set(edits) == set(EDITS)
