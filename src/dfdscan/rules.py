@@ -40,11 +40,17 @@ def _strings(value) -> bool:
 def _parse_keyword_rules(text: str) -> list[KeywordRule]:
     """The rules of a keyword rule file; ValueError names a bad one."""
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("rules"), list):
+        raise ValueError('a keyword rule file must be an object holding a "rules" list')
     rules = []
     for n, obj in enumerate(data["rules"], 1):
-        stereotype = obj["stereotype"]
+        if not isinstance(obj, dict):
+            raise ValueError("keyword rule %d: not an object" % n)
+        stereotype = obj.get("stereotype")
+        if not isinstance(stereotype, str):
+            raise ValueError("keyword rule %d: stereotype must be a string" % n)
         if not catalog.is_known(stereotype):
-            raise ValueError("keyword rule names unknown stereotype %r" % stereotype)
+            raise ValueError("keyword rule %d names unknown stereotype %r" % (n, stereotype))
         rule = "keyword rule %d (%s)" % (n, stereotype)
         keywords = obj.get("keywords")
         if not _strings(keywords) or not all(k and "\n" not in k for k in keywords):
@@ -52,7 +58,9 @@ def _parse_keyword_rules(text: str) -> list[KeywordRule]:
         languages = obj.get("languages", ["java"])
         if not _strings(languages):
             raise ValueError("%s: languages must be a list of strings" % rule)
-        regex = bool(obj.get("regex", False))
+        regex = obj.get("regex", False)
+        if not isinstance(regex, bool):
+            raise ValueError("%s: regex must be true or false" % rule)
         for keyword in keywords if regex else ():
             try:
                 re.compile(keyword)

@@ -280,7 +280,8 @@ class FileIndex:
     Each set of languages searched gets its file list and, built on first
     use, its vocabulary: the distinct whitespace-separated tokens of the
     searched texts the index read fresh, outside their comment masks,
-    joined by newlines; a reused file answers from the hits it keeps.
+    joined by newlines; a reused file answers from the hits it keeps, so
+    the reused files are listed with the vocabulary.
     The counters say how many literal searches ran and how many the
     vocabulary answered; reused, how many files the memo gave unchanged.
     Java files are also listed by file name for cross-file resolution.
@@ -295,6 +296,7 @@ class FileIndex:
     vocabulary_skips: int = field(default=0, init=False)
     _lists: dict = field(default_factory=dict, init=False, repr=False)
     _vocabularies: dict = field(default_factory=dict, init=False, repr=False)
+    _reused: dict = field(default_factory=dict, init=False, repr=False)
     _java_named: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -318,8 +320,11 @@ class FileIndex:
         vocab = self._vocabularies.get(wanted)
         if vocab is None:
             tokens: set[str] = set()
+            reused = self._reused[wanted] = []
             for f in self._files(wanted):
-                if f.memo is None:  # the tokens between its comments
+                if f.memo is not None:
+                    reused.append(f)
+                else:  # the tokens between its comments
                     bounds = iter(f.comments)
                     start = 0
                     for stop, after in zip(bounds, bounds):
@@ -524,7 +529,7 @@ def _find_literal(index: FileIndex, keyword: str, wanted) -> list[TraceEntry]:
         index.vocabulary_skips += 1
         # the vocabulary covers the files it found without a memo, and a memo
         # is never dropped: only reused files are left, and they keep their hits
-        files = [f for f in files if f.memo is not None]
+        files = index._reused[wanted]
     return scan_files(files, keyword)
 
 

@@ -263,6 +263,15 @@ def test_custom_rule_files_equal_defaults(miniapp_path, tmp_path, capsys):
         ("--rules", '{"rules": [{"stereotype": "gateway", "keywords": "Zuul"}]}', "keyword rule 1 (gateway)"),
         ("--rules", '{"rules": [{"stereotype": "gateway", "keywords": ["Zuul"], "languages": "java"}]}', "keyword rule 1"),
         ("--rules", '{"rules": [{"stereotype": "load_balancer", "keywords": [""]}]}', "keyword rule 1 (load_balancer)"),
+        ("--rules", '{"rules": [{"keywords": ["Zuul"]}]}', "keyword rule 1: stereotype must be a string"),
+        ("--rules", '{"rules": [{"stereotype": "gateway", "keywords": ["Zuul"]}, "gateway"]}', "keyword rule 2: not an object"),
+        ("--rules", '[{"stereotype": "gateway", "keywords": ["Zuul"]}]', 'an object holding a "rules" list'),
+        ("--rules", '{"rules": {"stereotype": "gateway", "keywords": ["Zuul"]}}', 'an object holding a "rules" list'),
+        (
+            "--rules",
+            '{"rules": [{"stereotype": "gateway", "keywords": ["Zuul"], "regex": "false"}]}',
+            "keyword rule 1 (gateway): regex must be true or false",
+        ),
         ("--images", "mongo not_a_stereotype database\n", "mongo not_a_stereotype database"),
     ],
 )

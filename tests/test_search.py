@@ -712,6 +712,19 @@ def test_searches_of_a_reused_index_match_the_oracle_after_changes(tmp_path, mon
             assert any(f.memo for f in masked.files) and any(f.memo for f in raw.files)
 
 
+def test_a_vocabulary_skip_on_a_cold_index_scans_nothing(tmp_path, monkeypatch):
+    root = make_tree(tmp_path, {"A.java": "class A {}\n", "b.yml": "x: 1\n"})
+    search._memo.clear()
+    idx = build_index(root)
+    assert idx.reused == 0
+    scanned = []
+    monkeypatch.setattr(_kernel, "scan", lambda *args: scanned.append(args) or [])
+    for languages in (None, ("java",), ("java",)):
+        assert find_keyword(idx, "@LoadBalanced", languages) == []
+    assert idx.vocabulary_skips == 3 and scanned == []
+    assert idx._reused == {None: [], frozenset({"java"}): []}
+
+
 def test_a_keyword_only_a_reused_entry_holds_is_found_from_its_kept_hits(tmp_path, monkeypatch):
     lb = "@LoadBalanced"
     a_java = "@LoadBalanced RestTemplate t;\n// @LoadBalanced old\n"

@@ -568,3 +568,112 @@ def test_a_tree_over_its_budget_is_a_bad_request(monkeypatch, miniapp_path):
             assert answer.readline().split()[1] == b"400"
             body = json.loads(answer.read().partition(b"\r\n\r\n")[2])
     assert body == {"error": "%s holds more than 17 files; not indexed" % Path(miniapp_path).resolve()}
+
+
+def answer_on_a_socket_pair(request):
+    """Send request whole and close the sending side, then answer it through
+    service._answer; returns what _answer returned and the bytes written."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.sendall(request)
+        ours.shutdown(socket.SHUT_WR)
+        more = service._answer(_Handler, theirs, ("local", 0))
+        with ours.makefile("rb") as answer:
+            return more, answer.read()
+
+
+def status_and_body(data):
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def test_an_answer_is_http_1_0_with_three_headers():
+    more, data = answer_on_a_socket_pair(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert more is True
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *headers = head.decode("ascii").split("\r\n")
+    assert status_line == "HTTP/1.0 200 OK"
+    fields = dict(h.split(": ", 1) for h in headers)
+    assert fields.keys() == {"Content-Type", "Content-Length", "Date"}
+    assert fields["Content-Type"] == "application/json"
+    assert int(fields["Content-Length"]) == len(body)
+    assert re.fullmatch(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", fields["Date"])
+    assert json.loads(body) == {"status": "ok"}
+
+
+LONG = b"a" * (64 * 1024)
+
+
+@pytest.mark.parametrize(
+    "request_bytes,status,error",
+    [
+        (b'POST /analyze HTTP/1.0\r\ncontent-length: 11\r\n\r\n{"path": 5}', 400, "path must be a string"),
+        (b"POST /analyze HTTP/1.0\r\n\r\n", 400, "provide exactly one of 'path' or 'repo_url'"),
+        (b"POST /analyze HTTP/1.0\r\nContent-Length: 9\r\n\r\n{}", 400, "body ended after 2 of 9 bytes"),
+        (b"POST /analyze HTTP/1.0\r\nContent-Length: twelve\r\n\r\n", 400, "Content-Length is not an integer"),
+        (b"POST /analyze HTTP/1.0\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}", 400, "more than one"),
+        (b"GET /" + LONG + b" HTTP/1.0\r\n\r\n", 414, "request line over 65536 bytes"),
+        (b"GET /health HTTP/1.0\r\n" + b"X-A: b\r\n" * 101 + b"\r\n", 431, "more than 100 header lines"),
+        (b"GET /health HTTP/1.0\r\nX-A: " + LONG + b"\r\n\r\n", 431, "header line over 65536 bytes"),
+        (b"GET /health HTTP/1.0\r\nno colon here\r\n\r\n", 400, "header line without a colon"),
+        (b"GET /health\r\n\r\n", 400, "bad request line"),
+        (b"GET /health HTTP/2.0\r\n\r\n", 400, "bad request line"),
+        (b"PUT /analyze HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", 501, "unsupported method PUT"),
+    ],
+    ids=[
+        "lower-case-length",  # the body was read: its field is checked
+        "no-length",  # an empty body
+        "short-body",
+        "length-not-int",
+        "two-lengths",
+        "long-request-line",
+        "101-headers",
+        "long-header",
+        "no-colon",
+        "no-version",
+        "http-2",
+        "put",
+    ],
+)
+def test_a_refused_request_gets_a_json_error(request_bytes, status, error):
+    more, data = answer_on_a_socket_pair(request_bytes)
+    assert more is True
+    got, body = status_and_body(data)
+    assert got == status
+    assert set(body) == {"error"} and error in body["error"]
+
+
+def test_the_reader_takes_100_header_lines_and_lines_at_the_bound():
+    header = b"X-A: " + b"a" * (64 * 1024 - len(b"X-A: \r\n")) + b"\r\n"
+    request = b"GET /health HTTP/1.0\r\n" + header + b"X-B: c\r\n" * 99 + b"\r\n"
+    status, body = status_and_body(answer_on_a_socket_pair(request)[1])
+    assert (status, body) == (200, {"status": "ok"})
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [b"", b"GET /hea", b"POST /analyze HTTP/1.0\r\nContent-Length: 2\r\n", b"POST /analyze HTTP/1.0\r\nContent-Le"],
+    ids=["nothing", "mid-request-line", "mid-headers", "mid-header-line"],
+)
+def test_a_client_that_closes_before_the_blank_line_gets_no_answer(request_bytes):
+    assert answer_on_a_socket_pair(request_bytes) == (True, b"")
+
+
+def test_the_service_loads_neither_ssl_nor_email():
+    modules = ("ssl", "_ssl", "email", "http.client", "http.server")
+    probe = (
+        "import sys; modules = %r; had = any(m in sys.modules for m in modules); "
+        "import dfdscan.cli, dfdscan.service, dfdscan.rules; dfdscan.rules.load_rules(); "
+        "print(had, sorted(m for m in modules if m in sys.modules))" % (modules,)
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.split()[0] == "True":
+        pytest.skip("this interpreter's site imports one of %s" % ", ".join(modules))
+    assert done.stdout == "False []\n"
