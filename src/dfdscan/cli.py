@@ -178,10 +178,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return run_analyze(args)
         return run_serve(args)
-    except AnalysisError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (AnalysisError, OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -10,16 +10,8 @@ import re
 from itertools import chain
 
 from .. import search
-from ..model import ModelError, flow_id, normalize_name
+from ..model import normalize_name
 from .base import Context, Extractor, register
-
-
-def _annotate(ctx: Context, item_id: str, stereotype: str, trace) -> None:
-    """Add a stereotype to an item, or record as a warning why the model refused it."""
-    try:
-        ctx.dfd.annotate(item_id, stereotype=stereotype, trace=trace)
-    except ModelError as exc:
-        ctx.report.warnings.append(str(exc))
 
 
 @register
@@ -32,8 +24,7 @@ class KeywordAnnotations(Extractor):
     def run(self, ctx: Context) -> None:
         for rule in ctx.rules.keyword_rules:
             for owner, hit in ctx.rule_hits(rule):
-                if owner.canonical in ctx.dfd.nodes:
-                    _annotate(ctx, owner.canonical, rule.stereotype, hit)
+                ctx.annotate(owner.canonical, rule.stereotype, hit)
 
 
 _ENCODER_CLASSES = (
@@ -68,7 +59,7 @@ class EncryptionAnnotations(Extractor):
                 for member in _ENCODER_USES:
                     # looked up on the module, so a wrapper installed there sees each call
                     for use in search.scan_files([file], "%s.%s" % (ident, member)):
-                        _annotate(ctx, owner.canonical, "encryption", use.linked([seed]))
+                        ctx.annotate(owner.canonical, "encryption", use.linked([seed]))
 
 
 @register
@@ -80,15 +71,13 @@ class SslAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for svc in ctx.services.values():
-            if svc.canonical not in ctx.dfd.nodes:
-                continue
             entry = svc.properties.get("server.ssl.enabled")
             if entry is not None and entry.value.strip().lower() == "true":
-                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace)
+                ctx.annotate(svc.canonical, "ssl_enabled", entry.trace)
                 continue
             entry = svc.properties.get("server.ssl.key-store")
             if entry is not None and entry.value.strip():
-                ctx.dfd.annotate(svc.canonical, stereotype="ssl_enabled", trace=entry.trace)
+                ctx.annotate(svc.canonical, "ssl_enabled", entry.trace)
 
 
 # the configuration prefix holding the credentials of each datastore kind
@@ -140,35 +129,24 @@ class CredentialAnnotations(Extractor):
             return
         for tag in sorted(found):
             value, trace = found[tag]
-            try:
-                ctx.dfd.annotate(item_id, tags={tag: value}, trace=trace)
-            except ModelError:
-                return
-        _annotate(ctx, item_id, "plaintext_credentials", found[sorted(found)[0]][1])
+            ctx.annotate(item_id, tags={tag: value}, trace=trace)
+        ctx.annotate(item_id, "plaintext_credentials", found[sorted(found)[0]][1])
 
     def _mail(self, ctx: Context, svc) -> None:
-        if svc.properties.get("spring.mail.host") is None:
-            return
-        mail_id = normalize_name("mail-server")
-        if mail_id not in ctx.dfd.nodes:
-            return
-        self._apply(ctx, mail_id, self._collect(ctx, svc, "spring.mail"))
+        if svc.properties.get("spring.mail.host") is not None:
+            self._apply(ctx, normalize_name("mail-server"), self._collect(ctx, svc, "spring.mail"))
 
     def _datastores(self, ctx: Context, svc, owned) -> None:
         """owned: the (db, kind) pairs of the service's datastores, in order."""
-        owner = svc.canonical
         for db, kind in owned:
             found = self._collect(ctx, svc, _CREDENTIAL_PREFIX[kind])
             if not found:
                 continue
             self._apply(ctx, db, found)
-            if (normalize_name(owner), normalize_name(db)) in ctx.dfd.flows:
-                first_trace = found[sorted(found)[0]][1]
-                _annotate(ctx, flow_id(owner, db), "plaintext_credentials_link", first_trace)
+            first_trace = found[sorted(found)[0]][1]
+            ctx.annotate("%s -> %s" % (svc.canonical, db), "plaintext_credentials_link", first_trace)
 
     def _local_user(self, ctx: Context, svc) -> None:
-        if svc.canonical not in ctx.dfd.nodes:
-            return
         for prefix in ("spring.security.user", "security.user"):
             found = self._collect(ctx, svc, prefix)
             if found:
@@ -191,7 +169,7 @@ def _annotate_outgoing(ctx: Context, hits, stereotype: str) -> None:
         owners.setdefault(owner.canonical, hit)
     for flow in ctx.dfd.sorted_flows():
         if flow.sender in owners and any(s in flow.stereotypes for s in _HTTP_LINK):
-            _annotate(ctx, flow.item_id, stereotype, owners[flow.sender])
+            ctx.annotate(flow.item_id, stereotype, owners[flow.sender])
 
 
 @register
@@ -216,12 +194,10 @@ class LoadBalancedLinks(Extractor):
         ribbon = ((svc, svc.properties.find_prefix("ribbon")) for svc in ctx.services.values())
         hits = chain(ctx.evidence("load_balancer"), ((svc, r[0].trace) for svc, r in ribbon if r))
         _annotate_outgoing(ctx, hits, "load_balanced_link")
-        for key in ctx.lb_flow_hints:
-            if key in ctx.dfd.flows:
-                flow = ctx.dfd.flows[key]
-                rec = ctx.dfd.traces.get(flow.item_id)
-                if rec is not None:
-                    _annotate(ctx, flow.item_id, "load_balanced_link", rec.primary)
+        for item_id in ctx.lb_flow_hints:
+            rec = ctx.dfd.traces.get(item_id)
+            if rec is not None:
+                ctx.annotate(item_id, "load_balanced_link", rec.primary)
 
 
 @register

@@ -3,8 +3,15 @@
 Extractors run in five phases: parse, node, flow, annotation, finalize.
 Within a phase extractors are order-independent: model mutations are
 commutative merges and no extractor reads state written by a same-phase
-peer.  Later phases may read anything earlier ones produced.  One failing
-extractor never aborts the run; the failure lands in the report.
+peer.  Later phases may read anything earlier ones produced.
+
+Extractors write the diagram only through Context.node, Context.connect
+and Context.annotate, which decide alone what happens to an item the
+model refuses: a malformed name or a self-flow is skipped, so is an
+annotation of an unknown item, and a stereotype the item's kind refuses
+becomes a warning.  One refused item never costs an extractor the rest
+of its evidence, and one failing extractor never aborts the run; the
+failure lands in the report.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from .. import search
-from ..model import Dfd, Flow, ModelError, Node, TraceEntry, normalize_name
+from ..model import Dfd, Flow, ModelError, Node, StereotypeError, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
 from ..search import FileIndex, env_value
@@ -83,7 +90,7 @@ class Context:
         self._hits: dict[tuple, list] = {}  # (keyword, languages, regex) -> [(owner, trace)]
         # cross-phase hints
         self.datastores: list[tuple[str, str, str, TraceEntry]] = []  # owner, db, kind, trace
-        self.lb_flow_hints: list[tuple[str, str]] = []
+        self.lb_flow_hints: list[str] = []  # ids of load-balanced flows
 
     def map_roots(self) -> None:
         """Index services by root; run once the parse phase has found them."""
@@ -148,6 +155,19 @@ class Context:
         except ModelError:
             return None
         return self.dfd.upsert_flow(flow, trace)
+
+    def annotate(self, item_id: str, stereotype: str | None = None, trace=None, tags=None) -> None:
+        """Add a stereotype and/or tagged values to a node or flow by its id.
+
+        An unknown item is skipped; a stereotype the item's kind refuses is
+        recorded as a warning, and the item keeps what it had.
+        """
+        try:
+            self.dfd.annotate(item_id, stereotype=stereotype, tags=tags, trace=trace)
+        except StereotypeError as exc:
+            self.report.warnings.append(str(exc))
+        except ModelError:
+            pass  # the item was never created
 
     def service_named(self, raw_name: str) -> ServiceRoot | None:
         try:

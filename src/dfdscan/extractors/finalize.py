@@ -28,7 +28,7 @@ class InternalInfrastructural(Extractor):
             )
             rec = ctx.dfd.traces.get(node.name)
             trace = rec.primary if rec is not None else None
-            ctx.dfd.annotate(node.name, stereotype=marker, trace=trace)
+            ctx.annotate(node.name, marker, trace)
 
 
 @register
@@ -47,6 +47,6 @@ class EntryExitPoints(Extractor):
             outgoing = any(s == node.name for s, _ in ctx.dfd.flows)
             incoming = any(r == node.name for _, r in ctx.dfd.flows)
             if outgoing:
-                ctx.dfd.annotate(node.name, stereotype="entrypoint", trace=trace)
+                ctx.annotate(node.name, "entrypoint", trace)
             if incoming:
-                ctx.dfd.annotate(node.name, stereotype="exitpoint", trace=trace)
+                ctx.annotate(node.name, "exitpoint", trace)

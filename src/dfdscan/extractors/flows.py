@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 
-from ..model import Flow, Node
 from ..parsers import canonical_key
 from .base import Context, Extractor, is_remote, register, resolve_entry, resolve_name, resolve_text, url_host
 
@@ -190,15 +189,11 @@ class RestClientFlows(Extractor):
         trace = file.trace(number - 1, s, s + len("http")).linked(links)
         target_svc = ctx.service_named(host)
         if target_svc is not None:
-            if target_svc.canonical == owner.canonical:
-                return
-            ctx.dfd.upsert_flow(Flow(owner.name, target_svc.name, ["restful_http"]), trace)
-        elif "." in host:
-            if host.lower() in _SCHEMA_HOSTS:
-                return
-            site = Node(host, "external_entity", ["external_website"])
-            ctx.dfd.upsert_node(site, trace)
-            ctx.dfd.upsert_flow(Flow(owner.name, site.name, ["restful_http"]), trace)
+            ctx.connect(owner.name, target_svc.name, ["restful_http"], trace)
+        elif "." in host and host.lower() not in _SCHEMA_HOSTS:
+            site = ctx.node(host, "external_entity", ["external_website"], trace)
+            if site is not None:
+                ctx.connect(owner.name, site.name, ["restful_http"], trace)
 
 
 # ============================================================================
@@ -306,15 +301,11 @@ class BrokerFlows(Extractor):
             if broker is None or broker.name == svc.canonical:
                 continue
             for trace in out_traces:
-                ctx.dfd.upsert_flow(
-                    Flow(svc.name, broker_name, ["message_producer_%s" % kind]), trace
-                )
+                ctx.connect(svc.name, broker.name, ["message_producer_%s" % kind], trace)
             for trace in in_traces:
-                ctx.dfd.upsert_flow(
-                    Flow(broker_name, svc.name, ["message_consumer_%s" % kind]), trace
-                )
+                ctx.connect(broker.name, svc.name, ["message_consumer_%s" % kind], trace)
             if not out_traces and not in_traces and host_trace is not None:
-                ctx.dfd.upsert_flow(Flow(svc.name, broker_name, []), host_trace)
+                ctx.connect(svc.name, broker.name, [], host_trace)
 
     def _broker_of(self, ctx: Context, svc):
         entry = svc.properties.get("spring.rabbitmq.host")
@@ -353,12 +344,7 @@ class DatastoreFlows(Extractor):
 
     def run(self, ctx: Context) -> None:
         for owner, db, kind, trace in ctx.datastores:
-            if owner == db:
-                continue
-            owner_svc = ctx.services.get(owner)
-            sender = owner_svc.name if owner_svc else owner
-            stereotypes = ["jdbc"] if kind == "jdbc" else []
-            ctx.dfd.upsert_flow(Flow(sender, db, stereotypes), trace)
+            ctx.connect(owner, db, ["jdbc"] if kind == "jdbc" else [], trace)
 
 
 @register
@@ -381,9 +367,8 @@ class MailFlows(Extractor):
                 trace = first_hit[svc.canonical]
             if trace is None:
                 continue
-            mail = Node("mail-server", "external_entity", ["mail_server"])
-            ctx.dfd.upsert_node(mail, trace)
-            ctx.dfd.upsert_flow(Flow(svc.name, "mail-server", []), trace)
+            ctx.node("mail-server", "external_entity", ["mail_server"], trace)
+            ctx.connect(svc.name, "mail-server", [], trace)
 
 
 @register
@@ -401,10 +386,9 @@ class ConfigRepoFlows(Extractor):
             value, trace = resolve_entry(ctx, svc, entry)
             if not value:
                 continue
-            repo = Node("github-repository", "external_entity", ["github_repository"])
-            ctx.dfd.upsert_node(repo, trace)
-            ctx.dfd.annotate(repo.name, tags={"URL": value}, trace=trace)
-            ctx.dfd.upsert_flow(Flow("github-repository", svc.name, []), trace)
+            repo = ctx.node("github-repository", "external_entity", ["github_repository"], trace)
+            ctx.annotate(repo.name, tags={"URL": value}, trace=trace)
+            ctx.connect(repo.name, svc.name, [], trace)
 
 
 # ============================================================================
@@ -454,7 +438,7 @@ class GatewayRouteFlows(Extractor):
                 continue
             merged = ctx.connect(svc.name, host, ["restful_http"], trace)
             if lb and merged is not None:
-                ctx.lb_flow_hints.append(merged.key)
+                ctx.lb_flow_hints.append(merged.item_id)
 
 
 @register
@@ -519,8 +503,6 @@ class ImplicitUserFlows(Extractor):
             rec = ctx.dfd.traces.get(node.name)
             if rec is None:
                 continue
-            trace = rec.primary
-            user = Node("user", "external_entity", ["user"])
-            ctx.dfd.upsert_node(user, trace)
-            ctx.dfd.upsert_flow(Flow("user", node.name, ["restful_http"]), trace)
-            ctx.dfd.upsert_flow(Flow(node.name, "user", ["restful_http"]), trace)
+            ctx.node("user", "external_entity", ["user"], rec.primary)
+            ctx.connect("user", node.name, ["restful_http"], rec.primary)
+            ctx.connect(node.name, "user", ["restful_http"], rec.primary)

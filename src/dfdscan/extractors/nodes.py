@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import re
 
-from ..model import Node
 from ..parsers import classify_image
 from .base import Context, Extractor, is_remote, register, resolve_entry, url_host
 
@@ -26,11 +25,10 @@ class ServiceNodes(Extractor):
             if comp.ports:
                 compose_ports.setdefault(comp.name, comp.ports[0])
         for svc in ctx.services.values():
-            node = Node(svc.name, "service")
-            ctx.dfd.upsert_node(node, svc.trace)
+            ctx.node(svc.name, "service", (), svc.trace)
             port, ptrace = self._port_of(ctx, svc, compose_ports)
             if port is not None:
-                ctx.dfd.annotate(svc.canonical, tags={"Port": port}, trace=ptrace)
+                ctx.annotate(svc.canonical, tags={"Port": port}, trace=ptrace)
 
     def _port_of(self, ctx: Context, svc, compose_ports):
         if svc.compose_name in compose_ports:
@@ -70,12 +68,10 @@ class DeployedImageNodes(Extractor):
             if node is None:
                 continue
             if comp.image and comp.image_trace is not None:
-                ctx.dfd.annotate(
-                    node.name, tags={"Image": comp.image}, trace=comp.image_trace
-                )
+                ctx.annotate(node.name, tags={"Image": comp.image}, trace=comp.image_trace)
             if comp.ports:
                 port, ptrace = comp.ports[0]
-                ctx.dfd.annotate(node.name, tags={"Port": str(port)}, trace=ptrace)
+                ctx.annotate(node.name, tags={"Port": str(port)}, trace=ptrace)
 
 
 @register
@@ -93,8 +89,7 @@ class DockerfileImageNodes(Extractor):
             rule = classify_image(info.base_image, ctx.rules.image_rules)
             if rule is None:
                 continue
-            node = Node(svc.name, rule.node_type, [rule.stereotype])
-            ctx.dfd.upsert_node(node, info.base_trace or svc.trace)
+            ctx.node(svc.name, rule.node_type, [rule.stereotype], info.base_trace or svc.trace)
 
 
 _JDBC_URL = re.compile(r"jdbc:(\w+):(?://([^/:;\s]+)(?::(\d+))?)?")
@@ -202,12 +197,9 @@ class GatewayMarker(Extractor):
 
     def run(self, ctx: Context) -> None:
         for owner, hit in ctx.evidence("gateway"):
-            node = Node(owner.name, "service", ["gateway"])
-            ctx.dfd.upsert_node(node, hit)
+            ctx.node(owner.name, "service", ["gateway"], hit)
         for svc in ctx.services.values():
             routed = svc.properties.find_prefix("zuul.routes")
             routed += svc.properties.find_prefix("spring.cloud.gateway.routes")
             if routed:
-                entry = routed[0]
-                node = Node(svc.name, "service", ["gateway"])
-                ctx.dfd.upsert_node(node, entry.trace)
+                ctx.node(svc.name, "service", ["gateway"], routed[0].trace)

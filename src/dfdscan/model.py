@@ -1,6 +1,7 @@
 """Dataflow diagram model: nodes, flows, tagged values, and traceability.
 
 The Dfd class is a single-writer builder.  Extractors feed it through
+the pipeline context, whose node / connect / annotate call its
 upsert_node / upsert_flow / annotate, all of which are commutative merges:
 stereotype sets union, tagged values union, traces accumulate.  That is
 what makes extractor order within a pipeline phase irrelevant.
@@ -307,10 +308,6 @@ class Flow:
         return "Flow(%s -> %s)" % (self.sender, self.receiver)
 
 
-def flow_id(sender: str, receiver: str) -> str:
-    return "%s -> %s" % (normalize_name(sender), normalize_name(receiver))
-
-
 # ============================================================================
 # The diagram builder
 # ============================================================================
@@ -414,8 +411,7 @@ class Dfd:
         """Attach a stereotype and/or tagged values to an existing item.
 
         item_id is a canonical node name or a flow id.  Annotating a missing
-        item is an error; extractors must create items before decorating
-        them (creation happens in earlier pipeline phases).
+        item is an error, which Context.annotate turns into a skip.
         """
         sender, _, receiver = item_id.partition(" -> ")
         target = self.nodes.get(item_id) or self.flows.get((sender, receiver))

@@ -2294,3 +2294,53 @@ def test_a_gateway_keeps_its_other_routes_beside_a_bad_uri(tmp_path):
     assert report.failures == []
     assert set(dfd.flows) == {("a", "b"), ("a", "ext_example_com"), ("a", "user"), ("user", "a")}
     assert "load_balanced_link" in dfd.flows[("a", "b")].stereotypes
+
+
+# services named after the fixed nodes the extractors create, beside an
+# ordinary service that configures the same keys
+FIXED_NODE_NAMES = {
+    **service_files("mail-server", "spring.mail.host: smtp.example.com\n"),
+    **service_files(
+        "github-repository",
+        "spring.cloud.config.server.git.uri: https://github.com/acme/config\n"
+        "server.ssl.enabled: true\n",
+    ),
+    **service_files("user", "zuul:\n  routes:\n    o:\n      serviceId: other\n"),
+    **service_files(
+        "other",
+        "spring.mail.host: smtp.example.com\n"
+        "spring.cloud.config.server.git.uri: https://github.com/acme/config\n"
+        "server.ssl.enabled: true\n",
+    ),
+}
+
+
+def test_a_service_named_after_a_fixed_node_costs_no_other_service_its_evidence(tmp_path):
+    dfd, report = analyze(tmp_path, FIXED_NODE_NAMES)
+    assert report.failures == []
+    assert dfd.has_flow("other", "mail-server")
+    assert dfd.has_flow("github-repository", "other")
+    assert "ssl_enabled" in dfd.node("other").stereotypes
+    assert [w for w in report.warnings if "ssl_enabled" in w] == [
+        "stereotype 'ssl_enabled' does not apply to external_entity"
+    ]
+    assert report.integrity == []
+    assert verify_traces(dfd, tmp_path)[1] == []
+
+
+def test_the_extractors_write_the_diagram_only_through_the_context():
+    # Context.node, connect and annotate decide alone what a refused item costs
+    banned = {"Node", "Flow", "upsert_node", "upsert_flow"}
+    found = []
+    for path in sorted((ROOT / "src/dfdscan/extractors").glob("*.py")):
+        if path.name == "base.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            on_dfd = isinstance(func, ast.Attribute) and getattr(func.value, "attr", None) == "dfd"
+            if name in banned or (name == "annotate" and on_dfd):
+                found.append("%s:%d %s(" % (path.name, node.lineno, name))
+    assert found == []

@@ -1,0 +1,127 @@
+"""Hostile input stays a property of every analysis, not a one-off fuzz.
+
+Every configuration key an analysis of miniapp looks up is recorded, so a
+key a new extractor reads joins on its own.  Each key is then given each
+of a fixed list of hostile values, and seeded mixtures of them, in YAML
+and in .properties, one service per key.  Services are also named after
+each fixed node the extractors create.  An analysis must finish in
+bounded time with no extractor failure, a valid diagram and traces that
+point at the tree.
+"""
+import json
+import random
+import time
+
+import pytest
+
+from dfdscan.extractors.base import run_pipeline
+from dfdscan.output import verify_traces
+from dfdscan.parsers import PropertyMap
+from dfdscan.search import build_index
+
+HOSTILE_VALUES = (
+    "",
+    "''",
+    "\"'",
+    "http://[oops",
+    "${",
+    "${x:",
+    "." * 2000,
+    "a." * 1000,
+    "\0",
+    "\r",
+)
+SEEDS = (1, 2, 3)
+MIXES_PER_SEED = 2
+# generous: a case of a few dozen small services takes well under a tenth of it
+SECONDS_PER_CASE = 5.0
+
+
+@pytest.fixture(scope="module")
+def looked_up_keys(miniapp_path):
+    """Every key an analysis of miniapp passes to PropertyMap.get or find."""
+    keys = set()
+    get, find = PropertyMap.get, PropertyMap.find
+
+    def recording_get(self, *dotted):
+        keys.update(dotted)
+        return get(self, *dotted)
+
+    def recording_find(self, dotted):
+        keys.add(dotted)
+        return find(self, dotted)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PropertyMap, "get", recording_get)
+        mp.setattr(PropertyMap, "find", recording_find)
+        run_pipeline(build_index(miniapp_path))
+    return sorted(keys)
+
+
+def mixes(seed):
+    """Values built from pieces of the hostile ones and of well-formed URLs."""
+    rng = random.Random(seed)
+    pieces = (*HOSTILE_VALUES[1:6], "http://", "lb://", "jdbc:mysql://", "h.example.com", ":", ",", "/", "${a}")
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(2, 6))) for _ in range(MIXES_PER_SEED)]
+
+
+def config_file(fmt, key, value):
+    if fmt == "yml":
+        # a JSON string is a YAML double-quoted scalar, so every value survives
+        return "application.yml", "%s: %s\n" % (key, json.dumps(value))
+    return "application.properties", "%s=%s\n" % (key, value)
+
+
+def write_service(root, name, files):
+    svc = root / name
+    (svc / "src/main/resources").mkdir(parents=True)
+    (svc / "pom.xml").write_text("<project><artifactId>%s</artifactId></project>" % name, encoding="utf-8")
+    for rel, text in files.items():
+        (svc / "src/main/resources" / rel).write_text(text, encoding="utf-8", newline="")
+
+
+def assert_clean(root):
+    started = time.perf_counter()
+    dfd, report = run_pipeline(build_index(root))
+    assert report.failures == []
+    assert report.integrity == []
+    assert verify_traces(dfd, root)[1] == []
+    assert time.perf_counter() - started < SECONDS_PER_CASE
+    return dfd
+
+
+def test_miniapp_looks_up_the_keys_of_its_extractors(looked_up_keys):
+    # the recorder sees the lookups; a key outside miniapp's files counts too
+    assert {"spring.mail.host", "server.ssl.enabled", "spring.datasource.url"} <= set(looked_up_keys)
+
+
+CASES = [("fixed", i, v) for i, v in enumerate(HOSTILE_VALUES)]
+CASES += [("seed%d" % seed, i, v) for seed in SEEDS for i, v in enumerate(mixes(seed))]
+
+
+@pytest.mark.parametrize("fmt", ["yml", "properties"])
+@pytest.mark.parametrize("kind,i,value", CASES, ids=["%s-%d" % c[:2] for c in CASES])
+def test_a_hostile_value_at_any_looked_up_key_fails_no_extractor(tmp_path, looked_up_keys, fmt, kind, i, value):
+    for n, key in enumerate(looked_up_keys):
+        rel, text = config_file(fmt, key, value)
+        write_service(tmp_path, "s%d" % n, {rel: text})
+    assert_clean(tmp_path)
+
+
+# the configuration that makes the extractors create each fixed node, and
+# connect it with the service that holds the configuration
+FIXED_NODES = {
+    "mail-server": "spring.mail.host: smtp.example.com\n",
+    "github-repository": "spring.cloud.config.server.git.uri: https://github.com/acme/config\nserver.ssl.enabled: true\n",
+    "user": "zuul.routes.r.serviceId: other\n",
+    "rabbitmq": "spring.rabbitmq.host: localhost\n",
+    "kafka": "spring.kafka.bootstrap-servers: localhost:9092\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_NODES))
+def test_a_service_named_after_a_fixed_node_fails_no_extractor(tmp_path, name):
+    for service in (name, "other"):
+        write_service(tmp_path, service, {"application.yml": FIXED_NODES[name]})
+    dfd = assert_clean(tmp_path)
+    assert dfd.has_flow("other", name) or dfd.has_flow(name, "other")
