@@ -10,8 +10,8 @@ import re
 from itertools import chain
 
 from .. import search
-from ..model import normalize_name
 from .base import Context, Extractor, register
+from .flows import MAIL_SERVER
 
 
 @register
@@ -24,7 +24,7 @@ class KeywordAnnotations(Extractor):
     def run(self, ctx: Context) -> None:
         for rule in ctx.rules.keyword_rules:
             for owner, hit in ctx.rule_hits(rule):
-                ctx.annotate(owner.canonical, rule.stereotype, hit)
+                ctx.annotate(owner.name, rule.stereotype, hit)
 
 
 _ENCODER_CLASSES = (
@@ -51,15 +51,13 @@ class EncryptionAnnotations(Extractor):
 
     def run(self, ctx: Context) -> None:
         for owner, seed in ctx.hits(_ENCODER_CLASSES):
-            if owner.canonical not in ctx.dfd.nodes:
-                continue
             file = ctx.index.by_path[seed.file]
             declares = _ENCODER_DECLARES[seed.snippet]
             for ident in declares.findall(file.line(seed.line - 1, masked=True)):
                 for member in _ENCODER_USES:
                     # looked up on the module, so a wrapper installed there sees each call
                     for use in search.scan_files([file], "%s.%s" % (ident, member)):
-                        ctx.annotate(owner.canonical, "encryption", use.linked([seed]))
+                        ctx.annotate(owner.name, "encryption", use.linked([seed]))
 
 
 @register
@@ -73,11 +71,11 @@ class SslAnnotations(Extractor):
         for svc in ctx.services.values():
             entry = svc.properties.get("server.ssl.enabled")
             if entry is not None and entry.value.strip().lower() == "true":
-                ctx.annotate(svc.canonical, "ssl_enabled", entry.trace)
+                ctx.annotate(svc.name, "ssl_enabled", entry.trace)
                 continue
             entry = svc.properties.get("server.ssl.key-store")
             if entry is not None and entry.value.strip():
-                ctx.annotate(svc.canonical, "ssl_enabled", entry.trace)
+                ctx.annotate(svc.name, "ssl_enabled", entry.trace)
 
 
 # the configuration prefix holding the credentials of each datastore kind
@@ -107,7 +105,7 @@ class CredentialAnnotations(Extractor):
             owned.setdefault(owner, []).append((db, kind))
         for svc in ctx.services.values():
             self._mail(ctx, svc)
-            self._datastores(ctx, svc, owned.get(svc.canonical, ()))
+            self._datastores(ctx, svc, owned.get(svc.name, ()))
             self._local_user(ctx, svc)
 
     # ------------------------------------------------------------------
@@ -134,7 +132,7 @@ class CredentialAnnotations(Extractor):
 
     def _mail(self, ctx: Context, svc) -> None:
         if svc.properties.get("spring.mail.host") is not None:
-            self._apply(ctx, normalize_name("mail-server"), self._collect(ctx, svc, "spring.mail"))
+            self._apply(ctx, MAIL_SERVER, self._collect(ctx, svc, "spring.mail"))
 
     def _datastores(self, ctx: Context, svc, owned) -> None:
         """owned: the (db, kind) pairs of the service's datastores, in order."""
@@ -144,13 +142,13 @@ class CredentialAnnotations(Extractor):
                 continue
             self._apply(ctx, db, found)
             first_trace = found[sorted(found)[0]][1]
-            ctx.annotate("%s -> %s" % (svc.canonical, db), "plaintext_credentials_link", first_trace)
+            ctx.annotate("%s -> %s" % (svc.name, db), "plaintext_credentials_link", first_trace)
 
     def _local_user(self, ctx: Context, svc) -> None:
         for prefix in ("spring.security.user", "security.user"):
             found = self._collect(ctx, svc, prefix)
             if found:
-                self._apply(ctx, svc.canonical, found)
+                self._apply(ctx, svc.name, found)
                 return
 
 
@@ -166,7 +164,7 @@ def _annotate_outgoing(ctx: Context, hits, stereotype: str) -> None:
     hit), traced to the owner's first hit."""
     owners: dict[str, object] = {}
     for owner, hit in hits:
-        owners.setdefault(owner.canonical, hit)
+        owners.setdefault(owner.name, hit)
     for flow in ctx.dfd.sorted_flows():
         if flow.sender in owners and any(s in flow.stereotypes for s in _HTTP_LINK):
             ctx.annotate(flow.item_id, stereotype, owners[flow.sender])

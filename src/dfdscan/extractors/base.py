@@ -7,8 +7,9 @@ peer.  Later phases may read anything earlier ones produced.
 
 Extractors write the diagram only through Context.node, Context.connect
 and Context.annotate, which decide alone what happens to an item the
-model refuses: a malformed name or a self-flow is skipped, so is an
-annotation of an unknown item, and a stereotype the item's kind refuses
+model refuses: a malformed name is skipped, so is an annotation of an
+unknown item, a self-flow is skipped and recorded in
+report.suppressed_self_flows, and a stereotype the item's kind refuses
 becomes a warning.  One refused item never costs an extractor the rest
 of its evidence, and one failing extractor never aborts the run; the
 failure lands in the report.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from .. import search
-from ..model import Dfd, Flow, ModelError, Node, StereotypeError, TraceEntry, normalize_name
+from ..model import Dfd, Flow, ModelError, Node, SelfFlowError, StereotypeError, TraceEntry, normalize_name
 from ..parsers import ComposeService, DockerfileInfo, PropertyEntry, PropertyMap, relaxed_key
 from ..rules import RuleSet, load_rules
 from ..search import FileIndex, env_value
@@ -57,8 +58,7 @@ def enclosing(path: str):
 class ServiceRoot:
     """One buildable service directory discovered in the workspace."""
 
-    name: str  # display name, e.g. "notification-service"
-    canonical: str
+    name: str  # the canonical name the diagram keys its node by, e.g. "notification_service"
     root: str  # repository-relative directory, "" for the repo root
     trace: TraceEntry
     properties: PropertyMap = field(default_factory=PropertyMap)
@@ -147,11 +147,16 @@ class Context:
             return None
         return self.dfd.upsert_node(node, trace)
 
-    def connect(self, sender: str, receiver: str, stereotypes, trace, allow_self=False) -> Flow | None:
-        """Upsert a flow; None when its names are malformed, or the same
-        unless allow_self."""
+    def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
+        """Upsert a flow; None when its names are malformed, or when they
+        name the same node, whose flow "a -> a" is then recorded in
+        report.suppressed_self_flows."""
         try:
-            flow = Flow(sender, receiver, stereotypes, allow_self)
+            flow = Flow(sender, receiver, stereotypes)
+        except SelfFlowError:
+            name = normalize_name(sender)
+            self.report.suppressed_self_flows.append("%s -> %s" % (name, name))
+            return None
         except ModelError:
             return None
         return self.dfd.upsert_flow(flow, trace)
@@ -229,7 +234,6 @@ def run_pipeline(
         if phase == "parse":
             ctx.map_roots()
     ctx.report.warnings.extend(ctx.dfd.conflicts)
-    ctx.report.suppressed_self_flows = list(ctx.dfd.suppressed_self_flows)
     ctx.report.integrity = ctx.dfd.validate()
     return ctx.dfd, ctx.report
 

@@ -96,7 +96,7 @@ class FeignFlows(Extractor):
             file = ctx.index.by_path[hit.file]
             stmt = _joined_lines(file, hit.line, _annotation_end(file, hit))
             target, links = self._target_from(ctx, owner, hit, stmt)
-            if not target or target == owner.canonical:
+            if not target:
                 continue
             ctx.connect(owner.name, target, ["restful_http", "feign_connection"], hit.linked(links))
 
@@ -278,12 +278,12 @@ class BrokerFlows(Extractor):
             (consumed, _RABBIT_CONSUMER + _KAFKA_CONSUMER),
         ):
             for owner, hit in ctx.hits(keywords):
-                slot.setdefault(owner.canonical, []).append(hit)
+                slot.setdefault(owner.name, []).append(hit)
 
         for svc in ctx.services.values():
             kind, broker_name, host_trace = self._broker_of(ctx, svc)
-            out_traces = list(produced.get(svc.canonical, []))
-            in_traces = list(consumed.get(svc.canonical, []))
+            out_traces = list(produced.get(svc.name, []))
+            in_traces = list(consumed.get(svc.name, []))
             bindings = svc.properties.find_prefix("spring.cloud.stream.bindings")
             out_bind = [e for e in bindings if ".output" in e.key or ".out" in e.key]
             in_bind = [e for e in bindings if ".input" in e.key or ".in." in e.key]
@@ -298,7 +298,7 @@ class BrokerFlows(Extractor):
             if kind is None or broker_name is None:
                 continue
             broker = ctx.node(broker_name, "service", ["message_broker"], host_trace or svc.trace)
-            if broker is None or broker.name == svc.canonical:
+            if broker is None:
                 continue
             for trace in out_traces:
                 ctx.connect(svc.name, broker.name, ["message_producer_%s" % kind], trace)
@@ -334,6 +334,8 @@ class BrokerFlows(Extractor):
 # Datastores, mail, and repositories
 # ============================================================================
 
+MAIL_SERVER = "mail_server"  # the one node every service's mail goes to
+
 
 @register
 class DatastoreFlows(Extractor):
@@ -357,18 +359,18 @@ class MailFlows(Extractor):
     def run(self, ctx: Context) -> None:
         first_hit = {}  # service name -> its first JavaMailSender hit
         for owner, hit in ctx.hits(["JavaMailSender"]):
-            first_hit.setdefault(owner.canonical, hit)
+            first_hit.setdefault(owner.name, hit)
         for svc in ctx.services.values():
             entry = svc.properties.get("spring.mail.host")
             trace = None
             if entry is not None:
                 _, trace = resolve_entry(ctx, svc, entry)
-            elif svc.canonical in first_hit:
-                trace = first_hit[svc.canonical]
+            elif svc.name in first_hit:
+                trace = first_hit[svc.name]
             if trace is None:
                 continue
-            ctx.node("mail-server", "external_entity", ["mail_server"], trace)
-            ctx.connect(svc.name, "mail-server", [], trace)
+            ctx.node(MAIL_SERVER, "external_entity", ["mail_server"], trace)
+            ctx.connect(svc.name, MAIL_SERVER, [], trace)
 
 
 @register
@@ -468,9 +470,8 @@ class TracingFlows(_UrlFlows):
 class MonitoringFlows(_UrlFlows):
     """Metric aggregation: turbine clusters and admin clients.
 
-    A turbine app list that names the turbine service itself would create a
-    self-flow; those are emitted with allow_self and end up suppressed and
-    counted rather than drawn.
+    A turbine app list may name the turbine service itself; that flow is
+    refused and recorded, like every self-flow, by Context.connect.
     """
 
     name = "monitoring_flows"
@@ -485,7 +486,7 @@ class MonitoringFlows(_UrlFlows):
             for app in (value or "").split(","):
                 app = app.strip()
                 if app:
-                    ctx.connect(app, svc.name, ["restful_http"], trace, allow_self=True)
+                    ctx.connect(app, svc.name, ["restful_http"], trace)
         super().run(ctx)
 
 

@@ -28,7 +28,7 @@ class ServiceNodes(Extractor):
             ctx.node(svc.name, "service", (), svc.trace)
             port, ptrace = self._port_of(ctx, svc, compose_ports)
             if port is not None:
-                ctx.annotate(svc.canonical, tags={"Port": port}, trace=ptrace)
+                ctx.annotate(svc.name, tags={"Port": port}, trace=ptrace)
 
     def _port_of(self, ctx: Context, svc, compose_ports):
         if svc.compose_name in compose_ports:
@@ -108,7 +108,7 @@ class DatastoreNodes(Extractor):
     phase = "node"
 
     def run(self, ctx: Context) -> None:
-        for svc in sorted(ctx.services.values(), key=lambda s: s.canonical):
+        for svc in sorted(ctx.services.values(), key=lambda s: s.name):
             self._mongo(ctx, svc)
             self._sql(ctx, svc)
             self._redis(ctx, svc)
@@ -119,7 +119,7 @@ class DatastoreNodes(Extractor):
     def _add(self, ctx: Context, svc, name, kind, trace, node_type, stereotypes):
         node = ctx.node(name, node_type, stereotypes, trace)
         if node is not None:
-            ctx.datastores.append((svc.canonical, node.name, kind, trace))
+            ctx.datastores.append((svc.name, node.name, kind, trace))
 
     def _name_for(self, svc, host: str | None, fallback_suffix: str) -> str:
         host = (host or "").strip()

@@ -75,14 +75,14 @@ class Workspace(Extractor):
             svc = self._build_service(ctx, root, props_by_root[root], compose_by_root.get(root))
             if svc is not None:
                 services.append(svc)
-        for svc in sorted(services, key=lambda s: s.canonical):
-            if svc.canonical in ctx.services:
+        for svc in sorted(services, key=lambda s: s.name):
+            if svc.name in ctx.services:
                 ctx.report.warnings.append(
                     "duplicate service name %s (roots %s and %s)"
-                    % (svc.canonical, ctx.services[svc.canonical].root, svc.root)
+                    % (svc.name, ctx.services[svc.name].root, svc.root)
                 )
                 continue
-            ctx.services[svc.canonical] = svc
+            ctx.services[svc.name] = svc
 
     # ------------------------------------------------------------------
 
@@ -174,12 +174,11 @@ class Workspace(Extractor):
         if trace is None:
             return None
         try:
-            canonical = normalize_name(name)
+            name = normalize_name(name)
         except ValueError:
             return None
         return ServiceRoot(
             name=name,
-            canonical=canonical,
             root=root,
             trace=trace,
             properties=props,

@@ -4,7 +4,9 @@ The Dfd class is a single-writer builder.  Extractors feed it through
 the pipeline context, whose node / connect / annotate call its
 upsert_node / upsert_flow / annotate, all of which are commutative merges:
 stereotype sets union, tagged values union, traces accumulate.  That is
-what makes extractor order within a pipeline phase irrelevant.
+what makes extractor order within a pipeline phase irrelevant.  Names are
+canonical, no flow connects a node to itself, and the context decides
+what an item the constructors refuse costs.
 """
 from __future__ import annotations
 
@@ -34,6 +36,9 @@ class SelfFlowError(ModelError):
 
 
 _SQUEEZE = re.compile(r"_+")
+# quotes and all str.strip() takes for whitespace: stripped at once, none of them stays at an end
+_ENDS = "\"' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"
+_ENDS += "".join(map(chr, range(0x2000, 0x200B)))
 
 
 # Names up to this length are cached; a longer one, which only a hostile
@@ -45,15 +50,15 @@ def normalize_name(raw: str) -> str:
     """Canonicalize an element name.
 
     Lowercases, maps separator characters (hyphen, dot, space, slash) to
-    underscores, and collapses runs of underscores.  Surrounding whitespace
-    and quotes are stripped first.  The result must be non-empty.
+    underscores, and collapses runs of underscores.  Whitespace and quotes
+    are stripped from both ends first, until neither is left there, so a
+    normalized name normalizes to itself.  The result must be non-empty.
     """
     return _normalize_cached(raw) if len(raw) <= _CACHED_NAME else _normalize(raw)
 
 
 def _normalize(raw: str) -> str:
-    name = raw.strip().strip("\"'").strip()
-    name = name.lower()
+    name = raw.strip(_ENDS).lower()
     for ch in "-. /":
         name = name.replace(ch, "_")
     name = _SQUEEZE.sub("_", name)
@@ -278,21 +283,19 @@ class Node:
 
 
 class Flow:
-    """A directed information flow between two nodes.
+    """A directed information flow between two distinct nodes.
 
-    Only allow_self flows may connect a node to itself; the diagram drops
-    them.  Tagged values come from Dfd.annotate.
+    A flow whose ends normalize to the same name is refused with
+    SelfFlowError.  Tagged values come from Dfd.annotate.
     """
 
     kind = "flow"
 
-    def __init__(self, sender: str, receiver: str, stereotypes=(), allow_self: bool = False) -> None:
+    def __init__(self, sender: str, receiver: str, stereotypes=()) -> None:
         self.sender = normalize_name(sender)
         self.receiver = normalize_name(receiver)
-        if self.sender == self.receiver and not allow_self:
-            raise SelfFlowError(
-                "flow %s -> %s connects a node to itself" % (sender, receiver)
-            )
+        if self.sender == self.receiver:
+            raise SelfFlowError("flow %s -> %s connects a node to itself" % (sender, receiver))
         self.stereotypes = _check_stereotypes(stereotypes, self.kind)
         self.tagged_values: dict[str, list[str]] = {}
 
@@ -330,7 +333,6 @@ class Dfd:
         self.flows: dict[tuple[str, str], Flow] = {}
         self.traces = TraceStore()
         self.conflicts: list[str] = []
-        self.suppressed_self_flows: list[str] = []
 
     # ------------------------------------------------------------------
     # mutation operations (commutative merges)
@@ -387,13 +389,7 @@ class Dfd:
         """Materialize a plain service node for a flow endpoint."""
         return self.nodes.get(normalize_name(name)) or self.upsert_node(Node(name), trace)
 
-    def upsert_flow(self, flow: Flow, trace: TraceEntry | None = None) -> Flow | None:
-        if flow.sender == flow.receiver:
-            # Only allow_self flows get here.  They come out of scope-wide
-            # monitoring configs and are known noise; drop them but keep
-            # the tally visible.
-            self.suppressed_self_flows.append(flow.item_id)
-            return None
+    def upsert_flow(self, flow: Flow, trace: TraceEntry | None = None) -> Flow:
         self.ensure_node(flow.sender, trace)
         self.ensure_node(flow.receiver, trace)
         base = self.flows.setdefault(flow.key, flow)

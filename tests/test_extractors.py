@@ -172,7 +172,7 @@ def context_with_roots(roots):
     for i, root in enumerate(roots):
         name = "svc%d" % i
         trace = TraceEntry(root or "pom.xml", 1, (0, 1), "x")
-        ctx.services[name] = ServiceRoot(name=name, canonical=name, root=root, trace=trace)
+        ctx.services[name] = ServiceRoot(name=name, root=root, trace=trace)
     ctx.map_roots()
     return ctx
 
@@ -709,7 +709,7 @@ class HttpDrivenRestClientFlows(flows.RestClientFlows):
             trace = hit.linked(links)
             target_svc = ctx.service_named(host)
             if target_svc is not None:
-                if target_svc.canonical == owner.canonical:
+                if target_svc.name == owner.name:
                     continue
                 ctx.dfd.upsert_flow(Flow(owner.name, target_svc.name, ["restful_http"]), trace)
             elif "." in host:
@@ -1271,7 +1271,6 @@ def resolver_context(tmp_path, files, properties=()):
     ctx = Context(build_index(make_tree(tmp_path, files)), load_rules())
     svc = ServiceRoot(
         name="svc",
-        canonical="svc",
         root="svc",
         trace=TraceEntry("svc", 1, (0, 1), "x"),
         properties=PropertyMap(properties),
@@ -2344,3 +2343,63 @@ def test_the_extractors_write_the_diagram_only_through_the_context():
             if name in banned or (name == "annotate" and on_dfd):
                 found.append("%s:%d %s(" % (path.name, node.lineno, name))
     assert found == []
+
+
+def test_the_context_alone_settles_names_and_refuses_self_flows():
+    # a service has one name, the one the context hands out, and a
+    # self-flow has one policy, the one Context.connect records
+    found = []
+    for path in sorted((ROOT / "src/dfdscan/extractors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "normalize_name" and path.name not in ("base.py", "workspace.py"):
+                found.append("%s:%d normalize_name(" % (path.name, node.lineno))
+            if any(k.arg == "allow_self" for k in node.keywords):
+                found.append("%s:%d allow_self=" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_the_fixed_node_names_tree_lists_its_refused_self_flows(tmp_path):
+    # each fixed node merges with the service of its name, so the flows
+    # between them are refused and recorded, in pipeline order
+    _, report = analyze(tmp_path, FIXED_NODE_NAMES)
+    assert report.suppressed_self_flows == [
+        "mail_server -> mail_server",
+        "github_repository -> github_repository",
+        "user -> user",
+        "user -> user",
+    ]
+
+
+def test_a_feign_client_naming_its_own_service_is_a_recorded_self_flow(tmp_path):
+    java = '@FeignClient(name = "a")\ninterface Client {}\n'
+    dfd, report = analyze(tmp_path, service_files("a", java=java))
+    assert dfd.flows == {}
+    assert report.suppressed_self_flows == ["a -> a"]
+
+
+def test_a_service_that_is_its_own_rabbitmq_host_records_each_refused_flow(tmp_path):
+    java = 'rabbitTemplate.convertAndSend("q", m);\n@RabbitListener(queues = "q")\n'
+    dfd, report = analyze(tmp_path, service_files("a", "spring:\n  rabbitmq:\n    host: a\n", java))
+    assert dfd.flows == {}
+    assert "message_broker" in dfd.node("a").stereotypes
+    assert report.suppressed_self_flows == ["a -> a", "a -> a"]
+
+
+def test_fallback_datastores_take_the_service_name_the_diagram_keys_it_by(tmp_path):
+    props = (
+        'spring.application.name="svc"\n'
+        "spring.datasource.url=jdbc:mysql://localhost:3306/x\n"
+        "spring.redis.host=localhost\n"
+    )
+    files = {
+        "svc/pom.xml": "<project><artifactId>svc</artifactId></project>",
+        "svc/src/main/resources/application.properties": props,
+    }
+    dfd, report = analyze(tmp_path, files)
+    assert set(dfd.nodes) == {"svc", "svc_db", "svc_redis"}
+    assert set(dfd.flows) == {("svc", "svc_db"), ("svc", "svc_redis")}
+    assert report.integrity == []

@@ -6,15 +6,19 @@ of a fixed list of hostile values, and seeded mixtures of them, in YAML
 and in .properties, one service per key.  Services are also named after
 each fixed node the extractors create.  An analysis must finish in
 bounded time with no extractor failure, a valid diagram and traces that
-point at the tree.
+point at the tree.  Java bodies built from the markers and openers the
+extractors read, with quotes, placeholders, CR, NUL and long runs, are
+analyzed the same way, masked and raw.
 """
 import json
 import random
+import sys
 import time
 
 import pytest
 
 from dfdscan.extractors.base import run_pipeline
+from dfdscan.model import NameError_, normalize_name
 from dfdscan.output import verify_traces
 from dfdscan.parsers import PropertyMap
 from dfdscan.search import build_index
@@ -30,6 +34,8 @@ HOSTILE_VALUES = (
     "a." * 1000,
     "\0",
     "\r",
+    'a" "',
+    '" " "',
 )
 SEEDS = (1, 2, 3)
 MIXES_PER_SEED = 2
@@ -80,9 +86,9 @@ def write_service(root, name, files):
         (svc / "src/main/resources" / rel).write_text(text, encoding="utf-8", newline="")
 
 
-def assert_clean(root):
+def assert_clean(root, raw=False):
     started = time.perf_counter()
-    dfd, report = run_pipeline(build_index(root))
+    dfd, report = run_pipeline(build_index(root, raw=raw))
     assert report.failures == []
     assert report.integrity == []
     assert verify_traces(dfd, root)[1] == []
@@ -125,3 +131,130 @@ def test_a_service_named_after_a_fixed_node_fails_no_extractor(tmp_path, name):
         write_service(tmp_path, service, {"application.yml": FIXED_NODES[name]})
     dfd = assert_clean(tmp_path)
     assert dfd.has_flow("other", name) or dfd.has_flow(name, "other")
+
+
+def normalized(raw):
+    try:
+        return normalize_name(raw)
+    except NameError_:
+        return None
+
+
+def test_normalize_name_is_idempotent_on_hostile_and_random_names():
+    rng = random.Random(7)
+    alphabet = "aZ\"' \t\r\n-./_\u00a0\u0130\u2028\0"
+    randoms = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))) for _ in range(2000)]
+    names = [*HOSTILE_VALUES, *(v for seed in SEEDS for v in mixes(seed)), *randoms]
+    for raw in names:
+        once = normalized(raw)
+        if once is not None:
+            assert normalize_name(once) == once, raw
+
+
+def test_normalize_name_strips_everything_str_strip_takes_for_whitespace():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert [normalize_name(c + "'a" + c) for c in spaces] == ["a"] * len(spaces)
+
+
+def test_normalize_name_strips_quotes_and_whitespace_until_neither_is_left():
+    assert normalize_name('a" "') == "a"
+    assert normalize_name(" ' \"a-b\" ' ") == "a_b"
+    with pytest.raises(NameError_):
+        normalize_name('" " "')
+
+
+# ----------------------------------------------------------------------
+# Java text
+# ----------------------------------------------------------------------
+
+JAVA_PIECES = (
+    "restTemplate.getForObject(",
+    "new RestTemplate()",
+    "WebClient.create(",
+    "HttpGet",
+    ".exchange(",
+    "openConnection",
+    "@FeignClient(",
+    "@FeignClient",
+    "name = ",
+    "value = ",
+    "url = ",
+    "Names.TARGET",
+    "TARGET",
+    '"target"',
+    '"',
+    "'",
+    "\\",
+    '"""',
+    '"""\n',
+    "//",
+    "/*",
+    "*/",
+    "/**",
+    "${a}",
+    "${",
+    "${x:",
+    "}",
+    "(",
+    ")",
+    "http://",
+    "https://target/x",
+    "http://h.example.com/p",
+    "http://[oops",
+    "JavaMailSender",
+    "rabbitTemplate.convertAndSend(",
+    "@KafkaListener",
+    "BCryptPasswordEncoder enc = ",
+    "enc.encode(",
+    " ",
+    "\n",
+    "\r",
+    "\r\n",
+    "\t",
+    ";",
+    "\u00e9",
+)
+LONG_RUNS = ("(" * 3000, '"' * 3000, "/" * 3000, "*" * 3000, "x" * 20000, "\n" * 3000, '"""' * 500)
+# the index skips a file as binary when a NUL is in its first 8 KiB
+BINARY_PROBE = 8192
+JAVA_SEEDS = tuple(range(1, 7))
+JAVA_FILES_PER_SEED = 6
+
+
+def java_bodies(seed):
+    """Seeded Java texts; about half hold NULs, all of them past the binary probe."""
+    rng = random.Random(seed)
+    bodies = []
+    for _ in range(JAVA_FILES_PER_SEED):
+        parts = [rng.choice(JAVA_PIECES) for _ in range(rng.randint(5, 400))]
+        if rng.random() < 0.3:
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(LONG_RUNS))
+        body = "".join(parts)
+        if rng.random() < 0.5:
+            head = body.ljust(BINARY_PROBE, " ")
+            tail = (rng.choice(JAVA_PIECES + ("\0", "\0\0")) for _ in range(rng.randint(5, 200)))
+            body = head + "\0" + "".join(tail)
+        bodies.append(body)
+    return bodies
+
+
+def test_java_bodies_put_nuls_only_past_the_binary_probe():
+    bodies = [b for seed in JAVA_SEEDS for b in java_bodies(seed)]
+    with_nul = [b for b in bodies if "\0" in b]
+    assert with_nul and len(with_nul) < len(bodies)
+    assert all(b"\0" not in b.encode("utf-8")[:BINARY_PROBE] for b in with_nul)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["masked", "raw"])
+@pytest.mark.parametrize("seed", JAVA_SEEDS)
+def test_hostile_java_text_fails_no_extractor(tmp_path, seed, raw):
+    java = tmp_path / "svc/src/main/java"
+    write_service(tmp_path, "svc", {"application.yml": "a: http://target/\n"})
+    write_service(tmp_path, "target", {})
+    java.mkdir(parents=True)
+    (java / "Names.java").write_text('class Names { static final String TARGET = "target"; }\n', encoding="utf-8")
+    for n, body in enumerate(java_bodies(seed)):
+        (java / ("F%d.java" % n)).write_bytes(body.encode("utf-8"))
+    index = build_index(tmp_path, raw=raw)
+    assert not any("binary" in w for w in index.warnings)
+    assert_clean(tmp_path, raw)

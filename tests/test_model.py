@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dfdscan import output
+from dfdscan.extractors.base import Context
 from dfdscan.model import (
     Dfd,
     Flow,
@@ -85,7 +86,6 @@ def test_external_entity_stereotype_applicability():
 def test_self_flow_rejected_by_default():
     with pytest.raises(SelfFlowError):
         Flow("a", "a")
-    Flow("a", "a", allow_self=True)
 
 
 # ----------------------------------------------------------------------
@@ -200,12 +200,12 @@ def test_upsert_flow_merges():
     assert flow.stereotypes == {"restful_http", "feign_connection"}
 
 
-def test_upsert_flow_suppresses_allowed_self_flow():
-    d = Dfd()
-    out = d.upsert_flow(Flow("a", "a", allow_self=True), t())
-    assert out is None
-    assert d.suppressed_self_flows == ["a -> a"]
-    assert d.flows == {}
+def test_context_connect_refuses_and_records_a_self_flow():
+    ctx = Context(None, None)
+    assert ctx.connect("A", "a", [], t()) is None
+    assert ctx.connect("' '", "' '", [], t()) is None  # malformed, not a self-flow
+    assert ctx.report.suppressed_self_flows == ["a -> a"]
+    assert ctx.dfd.flows == {} and ctx.dfd.nodes == {}
 
 
 # ----------------------------------------------------------------------
