@@ -140,7 +140,8 @@ class Context:
         return owners.pop() if len(owners) == 1 else None
 
     def node(self, name: str, node_type: str, stereotypes, trace) -> Node | None:
-        """Upsert a node; None when its name, as configured, is malformed."""
+        """Upsert a node; None when the model refuses it, as it refuses a name
+        outside the grammar [a-z0-9_]+ once normalized ("${x:", "rab:bit,other")."""
         try:
             node = Node(name, node_type, stereotypes)
         except ModelError:
@@ -148,7 +149,7 @@ class Context:
         return self.dfd.upsert_node(node, trace)
 
     def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
-        """Upsert a flow; None when its names are malformed, or when they
+        """Upsert a flow; None when a name is outside that grammar, or when they
         name the same node, whose flow "a -> a" is then recorded in
         report.suppressed_self_flows."""
         try:

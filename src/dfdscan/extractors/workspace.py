@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import posixpath
 
-from ..model import TraceEntry, normalize_name
+from ..model import NameError_, TraceEntry, normalize_name
 from ..parsers import (
     ComposeService,
     ParserError,
@@ -151,45 +151,34 @@ class Workspace(Extractor):
         props: PropertyMap,
         compose_match: ComposeService | None,
     ) -> ServiceRoot | None:
-        index = ctx.index
         if compose_match is not None:
             props.add(PropertyEntry(relaxed_key(k), v, t) for k, v, t in compose_match.environment)
 
-        name = None
-        trace = None
-        app_name = props.get("spring.application.name")
-        if app_name is not None and app_name.value and "${" not in app_name.value:
-            name = app_name.value
-            trace = app_name.trace
-        if name is None and compose_match is not None:
-            name = compose_match.name
-            trace = compose_match.trace
-        if name is None:
-            name = self._maven_name(ctx, root)
-            if name is not None:
-                trace = self._build_file_trace(ctx, root, name)
-        if name is None:
-            name = posixpath.basename(root) if root else index.root.name
-            trace = self._build_file_trace(ctx, root, name)
-        if trace is None:
-            return None
-        try:
-            name = normalize_name(name)
-        except ValueError:
-            return None
-        return ServiceRoot(
-            name=name,
-            root=root,
-            trace=trace,
-            properties=props,
-            compose_name=compose_match.name if compose_match else None,
-        )
+        for raw, trace in self._names(ctx, root, props, compose_match):
+            try:
+                name = normalize_name(raw)
+            except NameError_:
+                continue
+            trace = trace or self._build_file_trace(ctx, root, raw)
+            if trace is not None:
+                return ServiceRoot(name, root, trace, props, compose_match and compose_match.name)
+        ctx.report.warnings.append("service root %s has no traceable name in [a-z0-9_]+" % (root or "."))
+        return None
 
-    def _maven_name(self, ctx: Context, root: str) -> str | None:
+    def _names(self, ctx: Context, root: str, props: PropertyMap, compose_match):
+        """(name, trace or None) of each name a service may take, in the
+        order they are tried; a later one is read only when all before it
+        fail."""
+        app_name = props.get("spring.application.name")
+        if app_name is not None:
+            yield app_name.value, app_name.trace
+        if compose_match is not None:
+            yield compose_match.name, compose_match.trace
         pom = ctx.index.by_path.get(posixpath.join(root, "pom.xml"))
-        if pom is None:
-            return None
-        return _parsed(ctx, parse_maven_artifact_id, pom)
+        artifact_id = None if pom is None else _parsed(ctx, parse_maven_artifact_id, pom)
+        if artifact_id is not None:
+            yield artifact_id, None
+        yield posixpath.basename(root) if root else ctx.index.root.name, None
 
     def _build_file_trace(self, ctx: Context, root: str, name: str) -> TraceEntry | None:
         """Anchor a service without a named config to its build file."""

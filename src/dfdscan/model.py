@@ -24,7 +24,7 @@ class ModelError(ValueError):
 
 
 class NameError_(ModelError):
-    """Raised when a name normalizes to the empty string."""
+    """Raised when a name normalizes to text outside the name grammar."""
 
 
 class StereotypeError(ModelError):
@@ -36,6 +36,8 @@ class SelfFlowError(ModelError):
 
 
 _SQUEEZE = re.compile(r"_+")
+# the one grammar of a node name, the pattern dfd.schema.json states
+_GRAMMAR = re.compile(r"[a-z0-9_]+")
 # quotes and all str.strip() takes for whitespace: stripped at once, none of them stays at an end
 _ENDS = "\"' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"
 _ENDS += "".join(map(chr, range(0x2000, 0x200B)))
@@ -52,7 +54,9 @@ def normalize_name(raw: str) -> str:
     Lowercases, maps separator characters (hyphen, dot, space, slash) to
     underscores, and collapses runs of underscores.  Whitespace and quotes
     are stripped from both ends first, until neither is left there, so a
-    normalized name normalizes to itself.  The result must be non-empty.
+    normalized name normalizes to itself.  The result must match the name
+    grammar [a-z0-9_]+, else NameError_: "''", "${x:" and "rab:bit,other"
+    name nothing.
     """
     return _normalize_cached(raw) if len(raw) <= _CACHED_NAME else _normalize(raw)
 
@@ -62,8 +66,8 @@ def _normalize(raw: str) -> str:
     for ch in "-. /":
         name = name.replace(ch, "_")
     name = _SQUEEZE.sub("_", name)
-    if not name:
-        raise NameError_("name %r normalizes to the empty string" % raw)
+    if not _GRAMMAR.fullmatch(name):
+        raise NameError_("name %r normalizes to no name in [a-z0-9_]+" % raw)
     return name
 
 
@@ -452,7 +456,11 @@ class Dfd:
             if flow.sender == flow.receiver:
                 problems.append("self-flow %s present" % flow.item_id)
         for name, node in self.nodes.items():
-            if name != normalize_name(name):
+            try:
+                canonical = name == normalize_name(name)
+            except NameError_:
+                canonical = False
+            if not canonical:
                 problems.append("node key %s is not canonical" % name)
             if node.node_type == "database" and "database" not in node.stereotypes:
                 problems.append("database node %s lacks database stereotype" % name)

@@ -215,6 +215,15 @@ def test_eval_truth_bad_file_is_an_error(miniapp_path, tmp_path, capsys):
     assert "error:" in stderr
 
 
+def test_eval_truth_naming_a_node_outside_the_grammar_is_an_error(miniapp_path, tmp_path, capsys):
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"services": [{"name": "svc(x)"}]}), encoding="utf-8")
+    argv = ["analyze", "--path", str(miniapp_path), "--out", str(tmp_path / "out"), "--eval-truth", str(truth)]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert "error:" in stderr and "svc(x)" in stderr
+
+
 def test_custom_rule_files_equal_defaults(miniapp_path, tmp_path, capsys):
     """Copies of the built-in rule files passed via flags reproduce the
     default analysis byte for byte."""

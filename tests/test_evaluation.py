@@ -567,6 +567,20 @@ def test_duplicate_identity_is_input_error():
         )
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"services": [{"name": "${x:"}]},
+        {"services": [{"name": "a"}], "information_flows": [{"sender": "a", "receiver": "rab:bit,other"}]},
+    ],
+    ids=["node", "flow"],
+)
+def test_a_truth_name_outside_the_grammar_is_an_input_error(obj):
+    # no diagram can hold such a node, so the truth document is refused
+    with pytest.raises(ValueError, match="no name in"):
+        load_document(obj)
+
+
 def test_annotations_judged_only_on_matched_owners():
     extracted = {
         "services": [

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import random
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -150,6 +151,34 @@ def test_maven_modules_without_compose(tmp_path):
         },
     )
     assert set(dfd.nodes) == {"m1", "m2"}
+
+
+@pytest.mark.parametrize("app_name", ["\"' '\"", "a,b", "svc(x)", "${x}"])
+def test_an_application_name_outside_the_grammar_falls_through_to_the_artifact_id(tmp_path, app_name):
+    dfd, report = analyze(
+        tmp_path,
+        {
+            "s1/pom.xml": "<project><artifactId>s1</artifactId></project>",
+            "s1/src/main/resources/application.yml": "spring.application.name: %s\n" % app_name,
+        },
+    )
+    assert set(dfd.nodes) == {"s1"}
+    assert dfd.traces.get("s1").primary.file == "s1/pom.xml"
+    assert report.warnings == []
+
+
+def test_a_service_with_no_name_in_the_grammar_is_skipped_with_one_warning(tmp_path):
+    dfd, report = analyze(
+        tmp_path,
+        {
+            "docker-compose.yml": compose_of({"s(1)": {"build": "./s(1)"}}),
+            "s(1)/pom.xml": "<project><artifactId>s(1)</artifactId></project>",
+            "s(1)/src/main/resources/application.yml": APP_YML % "${x}",
+            **service_files("other"),
+        },
+    )
+    assert set(dfd.nodes) == {"other"}
+    assert report.warnings == ["service root s(1) has no traceable name in [a-z0-9_]+"]
 
 
 def oracle_owner_of(services, path):
@@ -1235,11 +1264,17 @@ def test_local_config_service_id_without_a_config_server_has_no_flow(tmp_path):
     assert set(dfd.nodes) == {"svc"}
 
 
-def test_feign_name_that_normalizes_to_empty_is_skipped(tmp_path):
-    java = '@FeignClient(name = "\' \'")\ninterface C {}\n'
-    dfd, report = analyze(tmp_path, service_files("svc", java=java))
+@pytest.mark.parametrize(
+    "target, flows",
+    [("' '", set()), ("${x:", set()), ("restTemplate.getForObject(y", set()), ("b c", {("a", "b_c")})],
+    ids=["empty", "unclosed-placeholder", "call-text", "space"],
+)
+def test_a_feign_name_outside_the_grammar_gives_no_node_and_no_flow(tmp_path, target, flows):
+    java = '@FeignClient(name = "%s")\ninterface C {}\n' % target
+    dfd, report = analyze(tmp_path, service_files("a", java=java))
     assert report.failures == []
-    assert dfd.flows == {}
+    assert set(dfd.flows) == flows
+    assert set(dfd.nodes) == {"a"} | {r for _, r in flows}
 
 
 def test_environment_placeholder_resolved_from_compose(tmp_path):
@@ -2260,6 +2295,21 @@ HOSTILE_NAMES = {
         {**service_files("a", "turbine.app-config: \"'',b\"\n"), **service_files("b")},
         ("b", "a"),
     ),
+    "rabbit-host-outside-grammar": (
+        {
+            **service_files("a", "spring.rabbitmq.host: 'rab:bit,other'\n"),
+            **service_files("b", "spring.rabbitmq.host: rabbit.example.com\n"),
+        },
+        ("b", "rabbit.example.com"),
+    ),
+    "redis-host-outside-grammar": (
+        {**service_files("a", "spring.redis.host: 'r\"x'\n"), **service_files("b", "spring.redis.host: cache\n")},
+        "cache",
+    ),
+    "zuul-service-id": (
+        {**service_files("a", "zuul.routes.r.serviceId: ${oops\nzuul.routes.o.serviceId: b\n"), **service_files("b")},
+        ("a", "b"),
+    ),
     "elasticsearch-uri": (
         {
             **service_files("a", "spring.elasticsearch.uris: 'http://[oops'\n"),
@@ -2279,7 +2329,7 @@ def test_a_configured_name_that_gives_no_node_skips_only_its_entry(tmp_path, cas
         assert dfd.has_flow(*kept)
     else:
         assert dfd.node(kept) is not None
-    assert not any("[oops" in name or not name.strip("_") for name in dfd.nodes)
+    assert [name for name in dfd.nodes if not re.fullmatch("[a-z0-9_]+", name) or not name.strip("_")] == []
 
 
 def test_a_gateway_keeps_its_other_routes_beside_a_bad_uri(tmp_path):

@@ -1,25 +1,28 @@
 """Hostile input stays a property of every analysis, not a one-off fuzz.
 
 Every configuration key an analysis of miniapp looks up is recorded, so a
-key a new extractor reads joins on its own.  Each key is then given each
+key a new extractor reads joins on its own; each prefix it searches gives
+child keys that reach each of its readers' branches.  Each key is given each
 of a fixed list of hostile values, and seeded mixtures of them, in YAML
 and in .properties, one service per key.  Services are also named after
 each fixed node the extractors create.  An analysis must finish in
-bounded time with no extractor failure, a valid diagram and traces that
-point at the tree.  Java bodies built from the markers and openers the
-extractors read, with quotes, placeholders, CR, NUL and long runs, are
-analyzed the same way, masked and raw.
+bounded time with no extractor failure, a valid diagram that keeps
+dfd.schema.json, and traces that point at the tree.  Java bodies built
+from the markers and openers the extractors read, with quotes,
+placeholders, CR, NUL and long runs, are analyzed the same way, masked
+and raw.
 """
 import json
 import random
 import sys
 import time
+from importlib.resources import files
 
 import pytest
 
 from dfdscan.extractors.base import run_pipeline
 from dfdscan.model import NameError_, normalize_name
-from dfdscan.output import verify_traces
+from dfdscan.output import dfd_to_obj, verify_traces
 from dfdscan.parsers import PropertyMap
 from dfdscan.search import build_index
 
@@ -37,17 +40,30 @@ HOSTILE_VALUES = (
     'a" "',
     '" " "',
 )
+DFD_SCHEMA = json.loads((files("dfdscan") / "schemas" / "dfd.schema.json").read_text("utf-8"))
 SEEDS = (1, 2, 3)
 MIXES_PER_SEED = 2
 # generous: a case of a few dozen small services takes well under a tenth of it
 SECONDS_PER_CASE = 5.0
 
 
+# child keys under each prefix an extractor passes to find_prefix, one for
+# each branch that reads it: a Zuul route by service id, by URL and by path
+# alone, a gateway route's URI, an output and an input binding
+PREFIX_CHILDREN = {
+    "zuul.routes": (".r.service-id", ".r.url", ".r.path"),
+    "spring.cloud.gateway.routes": ("[0].uri",),
+    "spring.cloud.stream.bindings": (".output.destination", ".input.destination"),
+    "ribbon": (".listOfServers",),
+}
+
+
 @pytest.fixture(scope="module")
 def looked_up_keys(miniapp_path):
-    """Every key an analysis of miniapp passes to PropertyMap.get or find."""
-    keys = set()
-    get, find = PropertyMap.get, PropertyMap.find
+    """Every key an analysis of miniapp passes to PropertyMap.get or find,
+    and the child keys of each prefix it passes to find_prefix."""
+    keys, prefixes = set(), set()
+    get, find, find_prefix = PropertyMap.get, PropertyMap.find, PropertyMap.find_prefix
 
     def recording_get(self, *dotted):
         keys.update(dotted)
@@ -57,11 +73,18 @@ def looked_up_keys(miniapp_path):
         keys.add(dotted)
         return find(self, dotted)
 
+    def recording_find_prefix(self, prefix):
+        prefixes.add(prefix)
+        return find_prefix(self, prefix)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PropertyMap, "get", recording_get)
         mp.setattr(PropertyMap, "find", recording_find)
+        mp.setattr(PropertyMap, "find_prefix", recording_find_prefix)
         run_pipeline(build_index(miniapp_path))
-    return sorted(keys)
+    # a prefix without children here would go unfuzzed
+    assert prefixes == set(PREFIX_CHILDREN)
+    return sorted(keys | {p + child for p in prefixes for child in PREFIX_CHILDREN[p]})
 
 
 def mixes(seed):
@@ -93,12 +116,16 @@ def assert_clean(root, raw=False):
     assert report.integrity == []
     assert verify_traces(dfd, root)[1] == []
     assert time.perf_counter() - started < SECONDS_PER_CASE
+    # every name keeps the grammar the schema states
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(dfd_to_obj(dfd), DFD_SCHEMA)
     return dfd
 
 
 def test_miniapp_looks_up_the_keys_of_its_extractors(looked_up_keys):
     # the recorder sees the lookups; a key outside miniapp's files counts too
     assert {"spring.mail.host", "server.ssl.enabled", "spring.datasource.url"} <= set(looked_up_keys)
+    assert {"zuul.routes.r.url", "spring.cloud.gateway.routes[0].uri", "ribbon.listOfServers"} <= set(looked_up_keys)
 
 
 CASES = [("fixed", i, v) for i, v in enumerate(HOSTILE_VALUES)]

@@ -51,6 +51,16 @@ def test_normalize_name_empty_rejected():
         normalize_name("  '' ")
 
 
+@pytest.mark.parametrize("raw", ["${x:", "rab:bit,other", "svc(x)", 'a"b', "a\\b", "caf\u00e9", "\u0130"])
+def test_a_name_outside_the_grammar_is_refused_by_node_and_flow(raw):
+    with pytest.raises(NameError_):
+        normalize_name(raw)
+    with pytest.raises(NameError_):
+        Node(raw)
+    with pytest.raises(NameError_):
+        Flow("a", raw)
+
+
 # ----------------------------------------------------------------------
 # nodes and stereotype checking
 # ----------------------------------------------------------------------
@@ -403,6 +413,15 @@ def test_validate_clean_diagram():
     d.upsert_node(Node("a"), t())
     d.upsert_flow(Flow("a", "b"), t(line=2))
     assert d.validate() == []
+
+
+def test_validate_reports_a_node_key_outside_the_grammar():
+    d = Dfd()
+    d.upsert_node(Node("a"), t())
+    d.nodes["${x:"] = d.nodes["a__b"] = d.nodes["a"]
+    d.traces.record("${x:", t())
+    d.traces.record("a__b", t())
+    assert d.validate() == ["node key ${x: is not canonical", "node key a__b is not canonical"]
 
 
 def test_validate_catches_missing_trace():

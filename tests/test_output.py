@@ -2,11 +2,13 @@
 conformance, and trace re-verification against the source tree."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from dfdscan import model
 from dfdscan.analysis import analyze_directory
 from dfdscan.model import Dfd, Flow, Node, TraceEntry
 from dfdscan.output import (
@@ -165,12 +167,25 @@ def test_schema_rejects_bad_node():
 # ----------------------------------------------------------------------
 
 
+def test_the_schema_states_the_name_grammar_the_model_enforces():
+    # name, sender and receiver: the character class of model._GRAMMAR,
+    # anchored at both ends
+    items = load_schema("dfd.schema.json")["properties"]
+    fields = {
+        **items["nodes"]["items"]["properties"],
+        **items["information_flows"]["items"]["properties"],
+    }
+    patterns = {k: fields[k]["pattern"] for k in ("name", "sender", "receiver")}
+    assert patterns == dict.fromkeys(patterns, "^%s$" % model._GRAMMAR.pattern)
+
+
 def awkward_dfd():
-    """Names, keys and values that exercise every escape and value shape."""
+    """Keys and values that exercise every escape and value shape; a name
+    holds only [a-z0-9_], so it exercises normalization instead."""
     d = Dfd()
     d.upsert_node(
         Node(
-            'café-ß "quoted" back\\slash',
+            "Awkward--Name.1",
             tagged_values={
                 "Port": "007",
                 "Offset": "-3",
@@ -189,7 +204,7 @@ def awkward_dfd():
     )
     d.upsert_flow(Flow("plain", "store"), TraceEntry("p.yml", 4, (2, 9), "store"))
     d.upsert_flow(
-        Flow('café-ß "quoted" back\\slash', "plain", stereotypes=["restful_http"]),
+        Flow("Awkward--Name.1", "plain", stereotypes=["restful_http"]),
         TraceEntry("c.yml", 5, (0, 1), "c"),
     )
     d.annotate("plain -> store", tags={"username": ["zed", "5"]}, trace=TraceEntry("t.yml", 6, (0, 3), "zed"))
@@ -226,7 +241,7 @@ def test_json_writers_equal_json_dumps(any_dfd):
 def test_awkward_values_round_trip():
     d = awkward_dfd()
     node = json.loads(dfd_to_json(d))["nodes"][0]
-    assert node["name"] == 'café_ß_"quoted"_back\\slash'
+    assert node["name"] == "awkward_name_1"
     assert node["stereotypes"] == []
     assert node["tagged_values"] == {
         "Arabic": "١٢",
@@ -273,6 +288,23 @@ def test_dot_external_entity_box(miniapp_result):
     dot = dfd_to_dot(miniapp_result.dfd)
     assert '"mail_server"' in dot
     assert "shape=box" in dot
+
+
+# the start of a node line or a flow line of the DOT text, each id quoted once
+_DOT_IDS = re.compile(r'    "[a-z0-9_]+"( -> "[a-z0-9_]+")?[ ;]')
+
+
+def test_dot_quotes_no_quote_of_a_configured_name(tmp_path):
+    for name, props in (("s1", 'spring.application.name=a"b\n'), ("s2", "spring.application.name=b\n")):
+        (tmp_path / name / "src/main/resources").mkdir(parents=True)
+        (tmp_path / name / "pom.xml").write_text("<project><artifactId>%s</artifactId></project>" % name)
+        (tmp_path / name / "src/main/resources/application.properties").write_text(props)
+    (tmp_path / "s1/src/main/java").mkdir(parents=True)
+    (tmp_path / "s1/src/main/java/C.java").write_text('@FeignClient(name = "b")\ninterface C {}\n')
+    dot = dfd_to_dot(analyze_directory(tmp_path).dfd)
+    ids = [line for line in dot.splitlines() if line.startswith('    "')]
+    assert len(ids) == 3  # s1, b and the flow s1 -> b
+    assert [line for line in ids if not _DOT_IDS.match(line)] == []
 
 
 # ----------------------------------------------------------------------
