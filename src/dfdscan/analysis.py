@@ -2,21 +2,16 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
-from .extractors import Report, run_pipeline
-from .model import Dfd
+from .extractors import run_pipeline
 from .rules import load_rules
-from .search import AnalysisError, FileIndex, build_index
+from .search import AnalysisError, build_index
 
 
-@dataclass
-class AnalysisResult:
-    dfd: Dfd
-    report: Report
-    index: FileIndex
-    elapsed: float  # seconds, excluding any clone
+# a model.Dfd, an extractors.Report, a search.FileIndex and the seconds taken, excluding any clone
+AnalysisResult = namedtuple("AnalysisResult", "dfd report index elapsed")
 
 
 def analyze_directory(

@@ -10,7 +10,7 @@ as a pile of missed annotations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from . import catalog
@@ -19,11 +19,17 @@ from .model import normalize_name
 GROUPS = ("services", "external_entities", "information_flows", "annotations")
 
 
-@dataclass
 class Counts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0) -> None:
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Counts) and (self.tp, self.fp, self.fn) == (other.tp, other.fp, other.fn)
+
+    def __repr__(self) -> str:
+        return "Counts(tp=%d, fp=%d, fn=%d)" % (self.tp, self.fp, self.fn)
 
     @property
     def precision(self) -> float | None:
@@ -59,18 +65,16 @@ def micro(counts) -> Counts:
 Annotation = tuple  # ("s", stereotype) or ("t", key, value)
 
 
-@dataclass
-class Item:
-    annotations: set = field(default_factory=set)
+Item = namedtuple("Item", "annotations")  # a set of Annotations
 
 
-@dataclass
 class Document:
     """A diagram reduced to comparable identities."""
 
-    services: dict[str, Item] = field(default_factory=dict)
-    externals: dict[str, Item] = field(default_factory=dict)
-    flows: dict[tuple[str, str], Item] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.services: dict[str, Item] = {}
+        self.externals: dict[str, Item] = {}
+        self.flows: dict[tuple[str, str], Item] = {}
 
 
 def _annotation_set(obj: dict) -> set:
@@ -139,12 +143,11 @@ def load_document_file(path: str | Path) -> Document:
 # ============================================================================
 
 
-@dataclass
-class Comparison:
-    counts: dict[str, Counts]
-    security: Counts
-    false_positives: dict[str, list[str]]
-    false_negatives: dict[str, list[str]]
+class Comparison(namedtuple("Comparison", "counts security false_positives false_negatives")):
+    """Counts by group, the security Counts, and the labels of the false
+    positives and false negatives by group."""
+
+    __slots__ = ()
 
     @property
     def overall(self) -> Counts:
@@ -225,8 +228,7 @@ def match_items(extracted: Document, truth: Document) -> dict[str, Counts]:
 PR = tuple  # (precision, recall), either possibly None when undefined
 
 
-@dataclass
-class Metrics:
+class Metrics(namedtuple("Metrics", "per_app pooled macro")):
     """Precision/recall per application and pooled across applications.
 
     per_app mirrors the input order.  pooled uses micro-averaging: counts
@@ -237,9 +239,7 @@ class Metrics:
     entities and flows pooled) and, when the inputs carry it, "security".
     """
 
-    per_app: list[dict[str, PR]]
-    pooled: dict[str, PR]
-    macro: dict[str, PR]
+    __slots__ = ()
 
 
 def _pr(c: Counts) -> PR:

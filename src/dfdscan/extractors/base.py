@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from .. import search
@@ -54,24 +53,31 @@ def enclosing(path: str):
     yield ""
 
 
-@dataclass
 class ServiceRoot:
     """One buildable service directory discovered in the workspace."""
 
-    name: str  # the canonical name the diagram keys its node by, e.g. "notification_service"
-    root: str  # repository-relative directory, "" for the repo root
-    trace: TraceEntry
-    properties: PropertyMap = field(default_factory=PropertyMap)
-    compose_name: str | None = None
+    def __init__(
+        self,
+        name: str,
+        root: str,
+        trace: TraceEntry,
+        properties: PropertyMap | None = None,
+        compose_name: str | None = None,
+    ) -> None:
+        self.name = name  # the canonical name the diagram keys its node by, e.g. "notification_service"
+        self.root = root  # repository-relative directory, "" for the repo root
+        self.trace = trace
+        self.properties = PropertyMap() if properties is None else properties
+        self.compose_name = compose_name
 
 
-@dataclass
 class Report:
-    warnings: list[str] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    suppressed_self_flows: list[str] = field(default_factory=list)
-    integrity: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.warnings: list[str] = []
+        self.failures: list[tuple[str, str]] = []
+        self.suppressed_self_flows: list[str] = []
+        self.integrity: list[str] = []
+        self.timings: dict[str, float] = {}
 
 
 class Context:
@@ -251,12 +257,12 @@ PLACEHOLDER = re.compile(r"\$\{([^}:{]+)(?::([^}{]*))?\}")
 MAX_HOPS = 32
 
 
-@dataclass
 class _Walk:
     """One top-level resolution: the property names being resolved, and the hops left."""
 
-    resolving: set[str] = field(default_factory=set)
-    hops: int = MAX_HOPS
+    def __init__(self) -> None:
+        self.resolving: set[str] = set()
+        self.hops = MAX_HOPS
 
 
 def resolve_name(

@@ -11,7 +11,7 @@ what an item the constructors refuse costs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from . import catalog
@@ -80,8 +80,7 @@ _normalize_cached = lru_cache(maxsize=4096)(_normalize)
 # ============================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
+class TraceEntry(namedtuple("TraceEntry", "file line span snippet via", defaults=("", ()))):
     """Where in the codebase a model item was detected.
 
     line is 1-based; span is a 0-based half-open [start:end) character
@@ -89,20 +88,25 @@ class TraceEntry:
     matched text so the evidence can be re-checked against the file later;
     it is not serialized.  via holds the other links of the evidence chain
     (a ${...} entry, a constant's definition, a declaration), which the
-    trace store keeps as extras; it takes no part in equality.  Entries are
-    immutable because one entry is shared by every item and property entry
-    it is evidence for.
+    trace store keeps as extras; it takes no part in equality or the hash.
+    Entries are immutable because one entry is shared by every item and
+    property entry it is evidence for.
     """
 
-    file: str
-    line: int
-    span: tuple[int, int]
-    snippet: str = ""
-    via: tuple[TraceEntry, ...] = field(default=(), compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TraceEntry) and self[:4] == other[:4]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def linked(self, links) -> TraceEntry:
         """This entry with the links added to via."""
-        return replace(self, via=self.via + tuple(links)) if links else self
+        return self._replace(via=self.via + tuple(links)) if links else self
 
     def span_str(self) -> str:
         return "(%d:%d)" % self.span
@@ -111,15 +115,11 @@ class TraceEntry:
         return {"file": self.file, "line": self.line, "span": self.span_str()}
 
 
-@dataclass
 class TraceRecord:
-    primary: TraceEntry
-    sub_items: dict[str, TraceEntry] = field(default_factory=dict)
-    extras: list[TraceEntry] = field(default_factory=list)
-
-
-def _entry_key(entry: TraceEntry) -> tuple:
-    return (entry.file, entry.line, entry.span, entry.snippet)
+    def __init__(self, primary: TraceEntry) -> None:
+        self.primary = primary
+        self.sub_items: dict[str, TraceEntry] = {}
+        self.extras: list[TraceEntry] = []
 
 
 class TraceStore:
@@ -150,9 +150,7 @@ class TraceStore:
     def _wins(self, slot, entry: TraceEntry, current: TraceEntry | None) -> bool:
         """Whether entry takes the slot: it is empty, or entry comes first by
         file position within the epoch that filled it."""
-        if current is None or (
-            self._epochs[slot] == self.epoch and _entry_key(entry) < _entry_key(current)
-        ):
+        if current is None or (self._epochs[slot] == self.epoch and entry[:4] < current[:4]):
             self._epochs[slot] = self.epoch
             return True
         return False
@@ -435,10 +433,19 @@ class Dfd:
         return [self.flows[k] for k in sorted(self.flows)]
 
     def node(self, name: str) -> Node | None:
-        return self.nodes.get(normalize_name(name))
+        """The node of that name; None also for a name no diagram can hold."""
+        try:
+            key = normalize_name(name)
+        except NameError_:
+            return None
+        return self.nodes.get(key)
 
     def has_flow(self, sender: str, receiver: str) -> bool:
-        return (normalize_name(sender), normalize_name(receiver)) in self.flows
+        try:
+            key = (normalize_name(sender), normalize_name(receiver))
+        except NameError_:
+            return False
+        return key in self.flows
 
     # ------------------------------------------------------------------
     # integrity

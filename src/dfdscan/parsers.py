@@ -17,7 +17,7 @@ from __future__ import annotations
 import posixpath
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import yaml
 
@@ -42,12 +42,19 @@ class ParserError(Exception):
 # ============================================================================
 
 
-@dataclass(slots=True)
 class PropertyEntry:
-    key: str  # dotted, lowercased; sequence elements carry [i]
-    value: str
-    trace: TraceEntry  # location of the value
-    profile: str | None = None
+    __slots__ = ("key", "value", "trace", "profile")
+
+    def __init__(self, key: str, value: str, trace: TraceEntry, profile: str | None = None) -> None:
+        self.key = key  # dotted, lowercased; sequence elements carry [i]
+        self.value = value
+        self.trace = trace  # location of the value
+        self.profile = profile
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PropertyEntry):
+            return False
+        return (self.key, self.value, self.trace, self.profile) == (other.key, other.value, other.trace, other.profile)
 
 
 def canonical_key(key: str) -> str:
@@ -300,15 +307,8 @@ def relaxed_key(env_key: str) -> str:
 # ============================================================================
 
 
-@dataclass
-class ComposeService:
-    name: str
-    trace: TraceEntry
-    image: str | None = None
-    image_trace: TraceEntry | None = None
-    build_context: str | None = None
-    ports: list[tuple[int, TraceEntry]] = field(default_factory=list)
-    environment: list[tuple[str, str, TraceEntry]] = field(default_factory=list)
+# ports holds (port, trace) pairs, environment (key, value, trace) triples
+ComposeService = namedtuple("ComposeService", "name trace image image_trace build_context ports environment")
 
 
 def _scalar(node) -> str | None:
@@ -363,38 +363,41 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
         name = (_scalar(k) or "").strip()
         if not name or not isinstance(v, yaml.MappingNode):
             continue
-        svc = ComposeService(name=name, trace=_trace(k, file))
+        image = image_trace = build_context = None
+        ports, environment = [], []
         img = _mapping_get(v, "image")
         if isinstance(img, yaml.ScalarNode):
-            svc.image = str(img.value).strip()
-            svc.image_trace = _trace(img, file)
+            image = str(img.value).strip()
+            image_trace = _trace(img, file)
         build = _mapping_get(v, "build")
         if isinstance(build, yaml.MappingNode):
             build = _mapping_get(build, "context")
         if isinstance(build, yaml.ScalarNode):
-            svc.build_context = str(build.value).strip()
-        ports = _mapping_get(v, "ports")
-        if isinstance(ports, yaml.SequenceNode):
-            for p in ports.value:
+            build_context = str(build.value).strip()
+        port_nodes = _mapping_get(v, "ports")
+        if isinstance(port_nodes, yaml.SequenceNode):
+            for p in port_nodes.value:
                 if isinstance(p, yaml.MappingNode):
                     p = _mapping_get(p, "target")  # the long syntax
                 port = _container_port(str(p.value)) if isinstance(p, yaml.ScalarNode) else None
                 if port is not None:
-                    svc.ports.append((port, _trace(p, file)))
+                    ports.append((port, _trace(p, file)))
         env = _mapping_get(v, "environment")
         if isinstance(env, yaml.SequenceNode):
             for item in env.value:
                 text = _scalar(item)
                 if text and "=" in text:
                     ekey, _, eval_ = text.partition("=")
-                    svc.environment.append((ekey.strip(), eval_.strip(), _trace(item, file)))
+                    environment.append((ekey.strip(), eval_.strip(), _trace(item, file)))
         elif isinstance(env, yaml.MappingNode):
             for ek, ev in env.value:
                 ekey = (_scalar(ek) or "").strip()
                 evalue = _scalar(ev)
                 if ekey and evalue is not None:
-                    svc.environment.append((ekey, evalue.strip(), _trace(ev, file)))
-        services.append(svc)
+                    environment.append((ekey, evalue.strip(), _trace(ev, file)))
+        services.append(
+            ComposeService(name, _trace(k, file), image, image_trace, build_context, ports, environment)
+        )
     return services
 
 
@@ -403,17 +406,14 @@ def parse_compose(file: IndexedFile) -> list[ComposeService]:
 # ============================================================================
 
 
-@dataclass
-class DockerfileInfo:
-    path: str
-    base_image: str | None = None
-    base_trace: TraceEntry | None = None
-    exposed_ports: list[tuple[int, TraceEntry]] = field(default_factory=list)
+# exposed_ports holds (port, trace) pairs
+DockerfileInfo = namedtuple("DockerfileInfo", "path base_image base_trace exposed_ports")
 
 
 @memoized
 def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
-    info = DockerfileInfo(path=file.path)
+    base_image = base_trace = None
+    exposed_ports = []
     for i, raw in enumerate(file.text.split("\n")):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -425,8 +425,8 @@ def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
             if args:
                 image = args[0]
                 start = raw.find(image)
-                info.base_image = image
-                info.base_trace = file.trace(i, start, start + len(image))
+                base_image = image
+                base_trace = file.trace(i, start, start + len(image))
         elif word == "EXPOSE":
             for tok in tokens[1:]:
                 try:
@@ -434,8 +434,8 @@ def parse_dockerfile(file: IndexedFile) -> DockerfileInfo:
                 except ValueError:
                     continue
                 start = raw.find(tok)
-                info.exposed_ports.append((port, file.trace(i, start, start + len(tok))))
-    return info
+                exposed_ports.append((port, file.trace(i, start, start + len(tok))))
+    return DockerfileInfo(file.path, base_image, base_trace, exposed_ports)
 
 
 # ============================================================================
@@ -488,11 +488,7 @@ def parse_gradle_settings(file: IndexedFile) -> list[str]:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class ImageRule:
-    pattern: str
-    stereotype: str
-    node_type: str
+ImageRule = namedtuple("ImageRule", "pattern stereotype node_type")
 
 
 def load_image_catalog(lines) -> list[ImageRule]:

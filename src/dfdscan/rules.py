@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -18,19 +18,10 @@ from . import catalog
 from .parsers import ImageRule, load_image_catalog
 
 
-@dataclass
-class KeywordRule:
-    stereotype: str
-    keywords: list[str]
-    languages: tuple[str, ...] = ("java",)
-    regex: bool = False
-
-
-@dataclass
-class RuleSet:
-    keyword_rules: list[KeywordRule] = field(default_factory=list)
-    image_rules: list[ImageRule] = field(default_factory=list)
-    credential_keys: list[tuple[str, str]] = field(default_factory=list)
+# keywords is a list of strings, languages a tuple of them
+KeywordRule = namedtuple("KeywordRule", "stereotype keywords languages regex")
+# credential_keys holds (key suffix, tag) pairs
+RuleSet = namedtuple("RuleSet", "keyword_rules image_rules credential_keys")
 
 
 def _strings(value) -> bool:

@@ -34,7 +34,6 @@ import stat
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, attrgetter
 from pathlib import Path
@@ -159,7 +158,6 @@ def blank_comments(text: str, comments: array, start: int = 0, end: int | None =
 _NO_COMMENTS = array("I")
 
 
-@dataclass(slots=True)
 class IndexedFile:
     """One file of the snapshot, and the maker of its evidence (trace).
 
@@ -181,12 +179,15 @@ class IndexedFile:
     (see memoized).
     """
 
-    path: str
-    language: str
-    text: str = field(repr=False)
-    comments: array = field(repr=False)
-    memo: dict | None = field(default=None, repr=False, compare=False)
-    _line_starts: array | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("path", "language", "text", "comments", "memo", "_line_starts")
+
+    def __init__(self, path: str, language: str, text: str, comments: array) -> None:
+        self.path = path
+        self.language = language
+        self.text = text
+        self.comments = comments
+        self.memo: dict | None = None
+        self._line_starts: array | None = None
 
     @property
     def line_starts(self) -> array:
@@ -273,7 +274,6 @@ _VOCAB_SLICE = 64 * 1024
 _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 
 
-@dataclass
 class FileIndex:
     """The indexed files plus what literal searches learn about them.
 
@@ -287,21 +287,19 @@ class FileIndex:
     Java files are also listed by file name for cross-file resolution.
     """
 
-    root: Path
-    files: list[IndexedFile]
-    warnings: list[str] = field(default_factory=list)
-    reused: int = 0
-    by_path: dict[str, IndexedFile] = field(default_factory=dict)
-    literal_searches: int = field(default=0, init=False)
-    vocabulary_skips: int = field(default=0, init=False)
-    _lists: dict = field(default_factory=dict, init=False, repr=False)
-    _vocabularies: dict = field(default_factory=dict, init=False, repr=False)
-    _reused: dict = field(default_factory=dict, init=False, repr=False)
-    _java_named: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.by_path = {f.path: f for f in self.files}
-        for f in self.files:
+    def __init__(self, root: Path, files: list[IndexedFile], warnings: list[str], reused: int) -> None:
+        self.root = root
+        self.files = files
+        self.warnings = warnings
+        self.reused = reused
+        self.by_path = {f.path: f for f in files}
+        self.literal_searches = 0
+        self.vocabulary_skips = 0
+        self._lists: dict = {}
+        self._vocabularies: dict = {}
+        self._reused: dict = {}
+        self._java_named: dict = {}
+        for f in files:
             if f.language == "java":
                 self._java_named.setdefault(f.path.rpartition("/")[2], []).append(f)
 

@@ -10,10 +10,12 @@ bounded time with no extractor failure, a valid diagram that keeps
 dfd.schema.json, and traces that point at the tree.  Java bodies built
 from the markers and openers the extractors read, with quotes,
 placeholders, CR, NUL and long runs, are analyzed the same way, masked
-and raw.
+and raw.  Keyword rule and image catalog files holding the same values
+are either refused by name or analyze miniapp the same way.
 """
 import json
 import random
+import re
 import sys
 import time
 from importlib.resources import files
@@ -24,6 +26,7 @@ from dfdscan.extractors.base import run_pipeline
 from dfdscan.model import NameError_, normalize_name
 from dfdscan.output import dfd_to_obj, verify_traces
 from dfdscan.parsers import PropertyMap
+from dfdscan.rules import load_rules
 from dfdscan.search import build_index
 
 HOSTILE_VALUES = (
@@ -109,9 +112,9 @@ def write_service(root, name, files):
         (svc / "src/main/resources" / rel).write_text(text, encoding="utf-8", newline="")
 
 
-def assert_clean(root, raw=False):
+def assert_clean(root, raw=False, rules=None):
     started = time.perf_counter()
-    dfd, report = run_pipeline(build_index(root, raw=raw))
+    dfd, report = run_pipeline(build_index(root, raw=raw), rules)
     assert report.failures == []
     assert report.integrity == []
     assert verify_traces(dfd, root)[1] == []
@@ -285,3 +288,53 @@ def test_hostile_java_text_fails_no_extractor(tmp_path, seed, raw):
     index = build_index(tmp_path, raw=raw)
     assert not any("binary" in w for w in index.warnings)
     assert_clean(tmp_path, raw)
+
+
+# ----------------------------------------------------------------------
+# Rule files
+# ----------------------------------------------------------------------
+
+RULES = files("dfdscan") / "rules"
+DEFAULT_KEYWORD_RULES = json.loads((RULES / "keyword_rules.json").read_text("utf-8"))["rules"]
+DEFAULT_IMAGE_LINES = (RULES / "image_catalog.txt").read_text("utf-8").splitlines()
+STEREOTYPES = sorted({rule["stereotype"] for rule in DEFAULT_KEYWORD_RULES})
+# every language the index gives a file, so a keyword can hit configuration too
+LANGUAGES = ["java", "dockerfile", "compose", "build", "properties", "env", "yaml", "other"]
+RULE_VALUES = [*HOSTILE_VALUES, *(v for seed in SEEDS for v in mixes(seed))]
+
+
+@pytest.mark.parametrize("field", ["stereotype", "keywords", "languages"])
+@pytest.mark.parametrize("i", range(len(RULE_VALUES)))
+def test_a_hostile_keyword_rule_is_refused_by_number_or_fails_no_extractor(tmp_path, miniapp_path, field, i):
+    # after the defaults, a literal rule for each of their stereotypes, with the value in the field
+    rules = list(DEFAULT_KEYWORD_RULES)
+    for stereotype in STEREOTYPES:
+        rule = {"stereotype": stereotype, "keywords": ["@SpringBootApplication"], "languages": LANGUAGES, "regex": False}
+        rule[field] = RULE_VALUES[i] if field == "stereotype" else [RULE_VALUES[i]]
+        rules.append(rule)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+    try:
+        loaded = load_rules(keyword_path=path)
+    except ValueError as exc:
+        # the CLI exits 2 with this message: it names the first hostile rule
+        assert re.search(r"\bkeyword rule %d\b" % (len(DEFAULT_KEYWORD_RULES) + 1), str(exc)), exc
+        return
+    assert_clean(miniapp_path, rules=loaded)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["pattern", "stereotype", "node_type"])
+@pytest.mark.parametrize("i", range(len(RULE_VALUES)))
+def test_a_hostile_image_catalog_line_is_refused_by_name_or_fails_no_extractor(tmp_path, miniapp_path, field, i):
+    parts = ["mongo", "database", "database"]
+    parts[field] = RULE_VALUES[i]
+    line = " ".join(parts)
+    path = tmp_path / "images.txt"
+    path.write_text("\n".join([*DEFAULT_IMAGE_LINES, line, ""]), encoding="utf-8", newline="")
+    try:
+        loaded = load_rules(image_path=path)
+    except ValueError as exc:
+        # the CLI exits 2 with this message: it quotes the line it refused
+        assert any(repr(part) in str(exc) for part in line.splitlines()), exc
+        return
+    assert_clean(miniapp_path, rules=loaded)

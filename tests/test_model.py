@@ -1,6 +1,8 @@
 """Model semantics: name canonicalization, merge behavior, annotation
 applicability, and the commutativity that order independence relies on."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,10 @@ def test_a_name_outside_the_grammar_is_refused_by_node_and_flow(raw):
         Node(raw)
     with pytest.raises(NameError_):
         Flow("a", raw)
+    # a query for a name no diagram can hold finds nothing, as for an absent one
+    assert Dfd().node(raw) is None and Dfd().node("a") is None
+    assert Dfd().has_flow("a", raw) is False
+    assert Dfd().has_flow(raw, "a") is False
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +407,38 @@ def test_flow_stereotype_evidence_is_the_upserts_own_trace():
 def test_span_rendering():
     entry = TraceEntry(file="f", line=3, span=(10, 30), snippet="x")
     assert entry.span_str() == "(10:30)"
+
+
+def test_a_trace_entry_is_compared_and_hashed_without_its_links():
+    plain = t()
+    linked = TraceEntry(plain.file, plain.line, plain.span, plain.snippet, (t(line=9),))
+    assert plain == linked and not plain != linked
+    assert hash(plain) == hash(linked)
+    assert len({plain, linked}) == 1
+    assert plain != t(line=2) and not plain == t(line=2)
+
+
+@pytest.mark.parametrize("name", ["file", "via"])
+def test_a_trace_entry_is_immutable(name):
+    with pytest.raises(AttributeError):
+        setattr(t(), name, ())
+
+
+def test_a_trace_entry_survives_deepcopy_and_pickle_with_its_links():
+    entry = t().linked([t(line=9, snippet="link")])
+    for copied in (copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+        assert copied == entry
+        assert copied.via == entry.via == (t(line=9, snippet="link"),)
+
+
+def test_linked_adds_links_to_a_new_entry_only():
+    entry = t()
+    assert entry.linked(()) is entry
+    link = t(line=9)
+    extended = entry.linked([link])
+    assert extended is not entry and extended == entry
+    assert extended.via == (link,)
+    assert entry.via == ()
 
 
 # ----------------------------------------------------------------------

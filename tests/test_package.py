@@ -1,6 +1,19 @@
-"""The package's public names."""
+"""The package's public names, and what importing it costs."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import dfdscan
+
+PACKAGE = Path(dfdscan.__file__).resolve().parent
+# dataclasses pulls in inspect, ast, dis and tokenize; typing is as costly
+SLOW_IMPORTS = {"dataclasses", "typing"}
 
 
 def test_star_import_binds_every_exported_name():
@@ -9,3 +22,38 @@ def test_star_import_binds_every_exported_name():
     missing = [name for name in dfdscan.__all__ if name not in namespace]
     assert missing == []
     assert len(set(dfdscan.__all__)) == len(dfdscan.__all__)
+
+
+def test_no_process_of_the_package_loads_dataclasses_or_inspect():
+    probe = (
+        "import json, sys; before = set(sys.modules); "
+        "import dfdscan.cli, dfdscan.extractors, dfdscan.service, dfdscan.evaluation; "
+        "print(json.dumps([sorted(m for m in ('dataclasses', 'inspect') if m in before), "
+        "sorted(set(sys.modules) - before)]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    had, loaded = json.loads(done.stdout)
+    if had:
+        pytest.skip("this interpreter's site imports %s" % ", ".join(had))
+    assert {"dataclasses", "inspect"} & set(loaded) == set()
+
+
+def test_no_module_of_the_package_imports_dataclasses_or_typing():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s: %s" % (path.relative_to(PACKAGE), n) for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    assert found == []
