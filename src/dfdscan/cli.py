@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
-from .output import dfd_to_dot, dfd_to_json, dfd_to_obj, traceability_chunks
+from .output import dfd_chunks, dfd_to_obj, dot_chunks, traceability_chunks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,20 +90,19 @@ def run_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     app = _app_name(args)
-    written = []
-    started = time.perf_counter()
+    outputs = []  # (path, its text in chunks): each file is streamed, never held whole
     if "json" in formats:
-        dfd_path = out_dir / ("%s.json" % app)
-        dfd_path.write_text(dfd_to_json(dfd), encoding="utf-8")
-        trace_path = out_dir / ("%s_traceability.json" % app)
-        with trace_path.open("w", encoding="utf-8") as fh:
-            fh.writelines(traceability_chunks(dfd))
-        written += [dfd_path, trace_path]
+        outputs.append((out_dir / ("%s.json" % app), dfd_chunks(dfd)))
+        outputs.append((out_dir / ("%s_traceability.json" % app), traceability_chunks(dfd)))
     if "dot" in formats or "png" in formats:
         dot_path = out_dir / ("%s.dot" % app)
-        dot_path.write_text(dfd_to_dot(dfd, title=app), encoding="utf-8")
-        written.append(dot_path)
+        outputs.append((dot_path, dot_chunks(dfd, title=app)))
+    started = time.perf_counter()
+    for path, chunks in outputs:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     report.timings["serialize"] = time.perf_counter() - started
+    written = [path for path, _ in outputs]
     if "png" in formats:
         # imported here: a local analysis without PNG starts no process
         import shutil  # noqa: PLC0415

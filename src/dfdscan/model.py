@@ -129,29 +129,41 @@ class TraceStore:
     Stereotypes and tagged values attached to an item are sub-items keyed by
     stereotype name or tag key.
 
-    The pipeline runner bumps epoch at every phase boundary.  The primary
-    entry for an item (and for each sub-item key) is decided within the
-    earliest epoch that produced evidence, with ties broken by file
-    position so that the choice never depends on extractor order.  An
-    entry that loses a slot, or is pushed out of one, stays as an extra.
+    The pipeline runner bumps epoch at every phase boundary; epochs never
+    go back.  The primary entry for an item (and for each sub-item key) is
+    decided within the earliest epoch that produced evidence, with ties
+    broken by file position so that the choice never depends on extractor
+    order.  So the store keeps only the slots filled in the current epoch,
+    and forgets them when it ends.  An entry that loses a slot, or is
+    pushed out of one, stays as an extra.
     The via links of a recorded entry join the extras without competing
     for the primary or a sub-item.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, TraceRecord] = {}
-        # the epoch that filled each slot: an item id names its primary,
-        # an (item id, key) pair one of its sub-items
-        self._epochs: dict[str | tuple[str, str], int] = {}
+        # the slots filled in the current epoch: an item id names its
+        # primary, an (item id, key) pair one of its sub-items
+        self._filled: set[str | tuple[str, str]] = set()
         # (item id, entry) for every extra: an item can gather thousands
         self._extras: set[tuple[str, TraceEntry]] = set()
-        self.epoch = 0
+        self._epoch = 0
+
+    @property
+    def epoch(self) -> int:
+        return self._epoch
+
+    @epoch.setter
+    def epoch(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            self._filled.clear()
+            self._epoch = epoch
 
     def _wins(self, slot, entry: TraceEntry, current: TraceEntry | None) -> bool:
         """Whether entry takes the slot: it is empty, or entry comes first by
         file position within the epoch that filled it."""
-        if current is None or (self._epochs[slot] == self.epoch and entry[:4] < current[:4]):
-            self._epochs[slot] = self.epoch
+        if current is None or (slot in self._filled and entry[:4] < current[:4]):
+            self._filled.add(slot)
             return True
         return False
 
@@ -160,7 +172,7 @@ class TraceStore:
         rec = self._records.get(item_id)
         if rec is None:
             rec = self._records[item_id] = TraceRecord(primary=entry)
-            self._epochs[item_id] = self.epoch
+            self._filled.add(item_id)
         return rec
 
     def _keep(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
@@ -204,7 +216,7 @@ class TraceStore:
         rec = self._records.get(item_id)
         entry = rec.sub_items.pop(key, None) if rec is not None else None
         if entry is not None:
-            del self._epochs[(item_id, key)]
+            self._filled.discard((item_id, key))
             if entry != rec.primary and entry not in rec.sub_items.values():
                 self._keep(item_id, rec, entry)
 
@@ -218,6 +230,10 @@ class TraceStore:
 
     def items(self) -> list[tuple[str, TraceRecord]]:
         return sorted(self._records.items())
+
+    def __iter__(self):
+        """The item ids in the order of items(), without a pair for each."""
+        return iter(sorted(self._records))
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._records

@@ -74,6 +74,17 @@ def _block(open_: str, items: list[str], close: str, pad: str) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
 
 
+def _block_chunks(open_: str, items, close: str, pad: str):
+    """The text of _block, one item at a time, with close as the last chunk's
+    end: items may be a generator, so the whole text is never held."""
+    inner = "\n" + pad + "    "
+    opened = False
+    for item in items:
+        yield ("," if opened else open_) + inner + item
+        opened = True
+    yield "\n" + pad + close if opened else open_ + close
+
+
 def _tags_json(tagged_values: dict[str, list[str]]) -> str:
     tags = []
     for k in sorted(tagged_values):
@@ -99,15 +110,19 @@ def _element_json(k1: str, v1: str, k2: str, v2: str, item: Node | Flow) -> str:
     return _ELEMENT % (k1, _string(v1), k2, _string(v2), stereotypes, tags)
 
 
+def dfd_chunks(dfd: Dfd):
+    """The text of dfd_to_json, one node or flow at a time, for writelines."""
+    yield '{\n    "nodes": '
+    nodes = (_element_json("name", n.name, "type", n.node_type, n) for n in dfd.sorted_nodes())
+    yield from _block_chunks("[", nodes, "],", "    ")
+    yield '\n    "information_flows": '
+    flows = (_element_json("sender", f.sender, "receiver", f.receiver, f) for f in dfd.sorted_flows())
+    yield from _block_chunks("[", flows, "]\n}\n", "    ")
+
+
 def dfd_to_json(dfd: Dfd) -> str:
-    nodes = [_element_json("name", n.name, "type", n.node_type, n) for n in dfd.sorted_nodes()]
-    flows = [
-        _element_json("sender", f.sender, "receiver", f.receiver, f) for f in dfd.sorted_flows()
-    ]
-    return '{\n    "nodes": %s,\n    "information_flows": %s\n}\n' % (
-        _block("[", nodes, "]", "    "),
-        _block("[", flows, "]", "    "),
-    )
+    """The diagram document; see dfd_chunks to stream it."""
+    return "".join(dfd_chunks(dfd))
 
 
 def _record_obj(rec: TraceRecord) -> dict:
@@ -132,27 +147,24 @@ def _entry_fields(entry: TraceEntry, pad: str) -> str:
     )
 
 
-def traceability_chunks(dfd: Dfd):
-    """The text of traceability_to_json, one record at a time.
+def _record_json(item_id: str, rec: TraceRecord) -> str:
+    subs = rec.sub_items
+    sub_items = [
+        "%s: {\n%s\n            }" % (_string(k), _entry_fields(subs[k], " " * 16))
+        for k in sorted(subs)
+    ]
+    return '%s: {\n%s,\n        "sub_items": %s\n    }' % (
+        _string(item_id),
+        _entry_fields(rec.primary, " " * 8),
+        _block("{", sub_items, "}", " " * 8),
+    )
 
-    A writer can pass them to writelines, so the whole text is never held.
-    """
-    opened = False
-    for item_id, rec in dfd.traces.items():
-        subs = rec.sub_items
-        sub_items = [
-            "%s: {\n%s\n            }" % (_string(k), _entry_fields(subs[k], " " * 16))
-            for k in sorted(subs)
-        ]
-        primary = _entry_fields(rec.primary, " " * 8)
-        yield '%s%s: {\n%s,\n        "sub_items": %s\n    }' % (
-            ",\n    " if opened else "{\n    ",
-            _string(item_id),
-            primary,
-            _block("{", sub_items, "}", " " * 8),
-        )
-        opened = True
-    yield "\n}\n" if opened else "{}\n"
+
+def traceability_chunks(dfd: Dfd):
+    """The text of traceability_to_json, one record at a time, for writelines."""
+    traces = dfd.traces
+    records = (_record_json(item_id, traces.get(item_id)) for item_id in traces)
+    return _block_chunks("{", records, "}\n", "")
 
 
 def traceability_to_json(dfd: Dfd) -> str:
@@ -175,21 +187,23 @@ def _dot_label(node: Node) -> str:
     return "".join(parts)
 
 
-def dfd_to_dot(dfd: Dfd, title: str = "dfd") -> str:
-    out = ["digraph %s {" % json.dumps(title), "    rankdir=LR;"]
-    out.append('    node [fontname="Helvetica", fontsize=11];')
-    out.append('    edge [fontname="Helvetica", fontsize=9];')
+def dot_chunks(dfd: Dfd, title: str = "dfd"):
+    """The text of dfd_to_dot, one line at a time, for writelines."""
+    yield (
+        'digraph %s {\n    rankdir=LR;\n    node [fontname="Helvetica", fontsize=11];\n'
+        '    edge [fontname="Helvetica", fontsize=9];\n' % json.dumps(title)
+    )
     for node in dfd.sorted_nodes():
-        out.append(
-            '    "%s" [label="%s", shape=%s];'
-            % (node.name, _dot_label(node), _SHAPES[node.node_type])
-        )
+        yield '    "%s" [label="%s", shape=%s];\n' % (node.name, _dot_label(node), _SHAPES[node.node_type])
     for flow in dfd.sorted_flows():
         label = ", ".join(sorted(flow.stereotypes))
         attr = ' [label="%s"]' % label if label else ""
-        out.append('    "%s" -> "%s"%s;' % (flow.sender, flow.receiver, attr))
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield '    "%s" -> "%s"%s;\n' % (flow.sender, flow.receiver, attr)
+    yield "}\n"
+
+
+def dfd_to_dot(dfd: Dfd, title: str = "dfd") -> str:
+    return "".join(dot_chunks(dfd, title))
 
 
 # ============================================================================

@@ -64,6 +64,18 @@ def canonical_key(key: str) -> str:
     return key if canon == key else canon  # keys are mostly canonical: share them
 
 
+def _index(positions: dict, key: str, i: int) -> None:
+    """Add entry position i under key: an int while the key has one
+    position, a list from its second on, so growth stays linear."""
+    held = positions.get(key)
+    if held is None:
+        positions[key] = i
+    elif type(held) is int:
+        positions[key] = [held, i]
+    else:
+        held.append(i)
+
+
 class PropertyMap:
     """Merged configuration entries with suffix-tolerant lookup.
 
@@ -76,9 +88,10 @@ class PropertyMap:
     def __init__(self, entries=()) -> None:
         self.entries: list[PropertyEntry] = []
         self._keys: list[str] = []  # relaxed key of each entry
-        # entry positions, in entry order, by relaxed key and by its last segment
-        self._exact: dict[str, list[int]] = {}
-        self._last: dict[str, list[int]] = {}
+        # entry positions, in entry order, by relaxed key and by its last
+        # segment: almost every key is seen once, so see _index for the form
+        self._exact: dict[str, int | list[int]] = {}
+        self._last: dict[str, int | list[int]] = {}
         self.add(entries)
 
     def add(self, entries) -> None:
@@ -88,8 +101,8 @@ class PropertyMap:
             self.entries.append(e)
             key = canonical_key(e.key)
             self._keys.append(key)
-            exact.setdefault(key, []).append(i)
-            last.setdefault(key.rpartition(".")[2], []).append(i)
+            _index(exact, key, i)
+            _index(last, key.rpartition(".")[2], i)
 
     def find(self, dotted: str) -> list[PropertyEntry]:
         """Entries matching a dotted key exactly or by dotted suffix.
@@ -101,16 +114,20 @@ class PropertyMap:
         """
         want = canonical_key(dotted)
         found = self._exact.get(want)
-        if not found:
+        if found is None:
             bucket = self._last.get(want.rpartition(".")[2])
             if bucket is None:  # most queries: no key ends in their last segment
                 return []
+            if type(bucket) is int:
+                bucket = (bucket,)
             keys = self._keys
             tail = "." + want
             found = [i for i in bucket if keys[i].endswith(tail)]
             if not found:
                 # entries whose key is a dotted suffix of the query
                 found = [i for i in bucket if want.endswith("." + keys[i])]
+        elif type(found) is int:
+            return [self.entries[found]]
         entries = self.entries
         return [entries[i] for i in found]
 

@@ -354,8 +354,9 @@ def _read(entry: os.DirEntry, inside: str) -> bytes:
 
     A symlink is read only when its target lies inside the root.  The
     listing tells a regular file from a special one without a stat, and
-    the opened file's own stat gives its size.  OSError when the file
-    cannot be read.
+    the opened file's own stat gives its size.  A file that grew since
+    then is read on, but never past MAX_FILE_BYTES + 1 bytes.  OSError
+    when the file cannot be read.
     """
     p = entry.path
     if entry.is_symlink():
@@ -367,11 +368,19 @@ def _read(entry: os.DirEntry, inside: str) -> bytes:
     if not regular:
         # reading a FIFO or a device can block or never end
         raise _Skip("not a regular file")
-    with open(p, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
+    fd = os.open(p, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
         if size > MAX_FILE_BYTES:
             raise _Skip("%d bytes over limit" % size)
-        return fh.read()
+        data = os.read(fd, size + 1)
+        while size < len(data) <= MAX_FILE_BYTES and (more := os.read(fd, MAX_FILE_BYTES + 1 - len(data))):
+            data += more
+        if len(data) > MAX_FILE_BYTES:
+            raise _Skip("%d bytes over limit" % len(data))
+        return data
+    finally:
+        os.close(fd)
 
 
 def build_index(root: str | Path, raw: bool = False) -> FileIndex:

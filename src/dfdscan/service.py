@@ -69,7 +69,6 @@ import socket
 import socketserver
 import sys
 import time
-import traceback
 
 from .analysis import AnalysisError, analyze_directory, fetch_repository
 from .output import dfd_to_obj, traceability_to_obj
@@ -303,6 +302,9 @@ def _answer(handler, conn: socket.socket, addr) -> bool:
     try:
         answered = handler(conn, addr, None)
     except Exception:  # noqa: BLE001 - reported, and the worker exits
+        # imported here: it loads linecache and tokenize, which no answer needs
+        import traceback  # noqa: PLC0415
+
         traceback.print_exc()
         return False
     finally:

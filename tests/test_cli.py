@@ -5,16 +5,18 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from dfdscan import search
+from dfdscan import cli, search
 from dfdscan.analysis import AnalysisError, _fetch, analyze_directory, fetch_repository
 from dfdscan.cli import _app_name, build_parser, main
 from dfdscan.extractors.base import PHASES, default_extractors
-from dfdscan.output import dfd_to_json, traceability_to_json
+from dfdscan.model import Dfd, Node, TraceEntry
+from dfdscan.output import dfd_to_dot, dfd_to_json, traceability_to_json
 
 
 def run_cli(argv, capsys):
@@ -43,13 +45,46 @@ def test_analyze_writes_default_outputs(miniapp_path, tmp_path, capsys):
     assert "6 nodes, 4 flows" in stdout
 
 
-def test_written_files_equal_the_writers(miniapp_path, tmp_path, capsys):
+@pytest.mark.parametrize("tree", ["miniapp", "empty"])
+def test_written_files_equal_the_writers(tree, miniapp_path, tmp_path, capsys):
+    root = Path(miniapp_path) if tree == "miniapp" else tmp_path / "empty"
+    if tree == "empty":
+        root.mkdir()
     out = tmp_path / "out"
-    assert run_cli(["analyze", "--path", str(miniapp_path), "--out", str(out)], capsys)[0] == 0
-    dfd = analyze_directory(miniapp_path).dfd
-    # the traceability file is streamed record by record
-    assert (out / "miniapp_traceability.json").read_bytes() == traceability_to_json(dfd).encode("utf-8")
-    assert (out / "miniapp.json").read_bytes() == dfd_to_json(dfd).encode("utf-8")
+    assert run_cli(["analyze", "--path", str(root), "--out", str(out)], capsys)[0] == 0
+    dfd = analyze_directory(root).dfd
+    # every file is streamed element by element
+    assert (out / ("%s_traceability.json" % tree)).read_bytes() == traceability_to_json(dfd).encode("utf-8")
+    assert (out / ("%s.json" % tree)).read_bytes() == dfd_to_json(dfd).encode("utf-8")
+    assert (out / ("%s.dot" % tree)).read_bytes() == dfd_to_dot(dfd, title=tree).encode("utf-8")
+    assert bool(dfd.nodes) == (tree == "miniapp")
+
+
+def test_writing_the_outputs_never_holds_a_whole_text(monkeypatch, tmp_path, capsys):
+    d = Dfd()
+    for i in range(2000):
+        d.upsert_node(
+            Node("svc_%d" % i, stereotypes=["internal"], tagged_values={"Port": 8000 + i, "Image": "svc:%d" % i}),
+            TraceEntry("svc_%d/pom.xml" % i, 3, (4, 9), "svc_%d" % i),
+        )
+    text = dfd_to_json(d)
+    root = tmp_path / "big"
+    root.mkdir()
+    result = analyze_directory(root)._replace(dfd=d)
+    monkeypatch.setattr(cli, "analyze_directory", lambda *args, **kwargs: result)
+    args = build_parser().parse_args(["analyze", "--path", str(root), "--out", str(tmp_path / "out")])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.run_analyze(args) == 0
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert (tmp_path / "out" / "big.json").read_text(encoding="utf-8") == text
+    # written whole, app.json held its elements, its text and the encoded
+    # bytes at once: about three times its length
+    assert rise < len(text) / 4, "%d bytes held writing %d" % (rise, len(text))
 
 
 def test_importing_the_cli_loads_no_subprocess():

@@ -18,6 +18,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from importlib.resources import files
 
 import pytest
@@ -25,9 +26,9 @@ import pytest
 from dfdscan.extractors.base import run_pipeline
 from dfdscan.model import NameError_, normalize_name
 from dfdscan.output import dfd_to_obj, verify_traces
-from dfdscan.parsers import PropertyMap
+from dfdscan.parsers import PropertyMap, parse_properties_file
 from dfdscan.rules import load_rules
-from dfdscan.search import build_index
+from dfdscan.search import _index_file, build_index
 
 HOSTILE_VALUES = (
     "",
@@ -161,6 +162,26 @@ def test_a_service_named_after_a_fixed_node_fails_no_extractor(tmp_path, name):
         write_service(tmp_path, service, {"application.yml": FIXED_NODES[name]})
     dfd = assert_clean(tmp_path)
     assert dfd.has_flow("other", name) or dfd.has_flow(name, "other")
+
+
+def test_keys_sharing_their_last_segment_index_in_linear_time_and_memory():
+    # 100,000 keys in one last-segment bucket, about 1.1 MB; one entry
+    # list copied per key would take minutes
+    keys = ["k%d.x" % i for i in range(100_000)]
+    text = "".join(k + "=1\n" for k in keys)
+    path = "app/src/main/resources/application.properties"
+    started = time.perf_counter()
+    pm = PropertyMap(parse_properties_file(_index_file(path, text)))
+    seconds = time.perf_counter() - started
+    assert seconds < 2.0, "%.2f s" % seconds  # about 0.3 s on 2 vCPUs
+    assert [e.key for e in pm.find("x")] == keys
+    tracemalloc.start()
+    try:
+        PropertyMap(parse_properties_file(_index_file(path, text)))  # a new entry: parsed again
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 120, "%.1f MiB" % peak  # about 39 MiB
 
 
 def normalized(raw):

@@ -342,6 +342,26 @@ def test_evidence_rule(writer, first, second, winner):
         assert (rec.primary, rec.extras) == (SETUP, extras), item_id
 
 
+def test_a_dropped_sub_item_is_decided_anew_in_the_epoch_that_refills_it():
+    d = Dfd()
+    store = d.traces
+    store.record("svc", SETUP)
+    store.epoch = 1
+    store.record_sub("svc", "k", LOW)
+    store.epoch = 2
+    store.drop_sub("svc", "k")
+    store.epoch = 3
+    mid = t(file="a.yml", line=10)  # sorts between LOW and HIGH
+    store.record_sub("svc", "k", HIGH)
+    store.record_sub("svc", "k", mid)  # a lower position in the refilling epoch wins
+    assert store.get("svc").sub_items == {"k": mid}
+    store.epoch = 4
+    store.record_sub("svc", "k", LOW)  # and in the next one nothing takes over
+    rec = store.get("svc")
+    assert rec.sub_items == {"k": mid}
+    assert rec.extras == [LOW, HIGH]
+
+
 def test_links_join_the_extras_without_competing():
     d = Dfd()
     evidence, link = t(file="b.yml"), t(file="a.yml")  # the link sorts first

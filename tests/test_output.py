@@ -12,9 +12,11 @@ from dfdscan import model
 from dfdscan.analysis import analyze_directory
 from dfdscan.model import Dfd, Flow, Node, TraceEntry
 from dfdscan.output import (
+    dfd_chunks,
     dfd_to_dot,
     dfd_to_json,
     dfd_to_obj,
+    dot_chunks,
     traceability_chunks,
     traceability_to_json,
     traceability_to_obj,
@@ -236,6 +238,18 @@ def test_json_writers_equal_json_dumps(any_dfd):
     assert len(chunks) == len(any_dfd.traces) + 1  # one per record, then the close
     if not any_dfd.traces:
         assert chunks == ["{}\n"]
+
+
+def test_dfd_and_dot_chunks_join_to_the_writers(any_dfd):
+    chunks = list(dfd_chunks(any_dfd))
+    assert "".join(chunks) == dfd_to_json(any_dfd)
+    # the two openings, one chunk per node and flow, the two closes
+    assert len(chunks) == 4 + len(any_dfd.nodes) + len(any_dfd.flows)
+    dot = list(dot_chunks(any_dfd, title="app"))
+    assert "".join(dot) == dfd_to_dot(any_dfd, title="app")
+    assert len(dot) == 2 + len(any_dfd.nodes) + len(any_dfd.flows)
+    if not any_dfd.nodes:
+        assert "".join(chunks) == '{\n    "nodes": [],\n    "information_flows": []\n}\n'
 
 
 def test_awkward_values_round_trip():

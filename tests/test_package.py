@@ -24,12 +24,13 @@ def test_star_import_binds_every_exported_name():
     assert len(set(dfdscan.__all__)) == len(dfdscan.__all__)
 
 
-def test_no_process_of_the_package_loads_dataclasses_or_inspect():
+def newly_loaded(modules):
+    """Which of modules a fresh interpreter loads when it imports the
+    package's entry points; skips when its site had loaded one already."""
     probe = (
         "import json, sys; before = set(sys.modules); "
         "import dfdscan.cli, dfdscan.extractors, dfdscan.service, dfdscan.evaluation; "
-        "print(json.dumps([sorted(m for m in ('dataclasses', 'inspect') if m in before), "
-        "sorted(set(sys.modules) - before)]))"
+        "print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -39,10 +40,20 @@ def test_no_process_of_the_package_loads_dataclasses_or_inspect():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    had, loaded = json.loads(done.stdout)
+    before, loaded = json.loads(done.stdout)
+    had = sorted(set(modules) & set(before))
     if had:
         pytest.skip("this interpreter's site imports %s" % ", ".join(had))
-    assert {"dataclasses", "inspect"} & set(loaded) == set()
+    return set(modules) & set(loaded)
+
+
+def test_no_process_of_the_package_loads_dataclasses_or_inspect():
+    assert newly_loaded({"dataclasses", "inspect"}) == set()
+
+
+def test_no_process_of_the_package_loads_traceback_or_tokenize():
+    # traceback loads linecache and tokenize; only a crashed answer needs it
+    assert newly_loaded({"traceback", "linecache", "tokenize"}) == set()
 
 
 def test_no_module_of_the_package_imports_dataclasses_or_typing():

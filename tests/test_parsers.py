@@ -526,6 +526,34 @@ def test_property_map_get_takes_the_first_configured_key():
     assert pm.get("missing.key", "other.key") is None
 
 
+@pytest.mark.parametrize("profile", [None, "docker"], ids=["unprofiled", "profiled-first"])
+def test_property_map_keys_seen_once_twice_and_thrice(profile):
+    """The first occurrence of each key is profiled or not; the first
+    unprofiled entry of the key still wins."""
+
+    def entries(key, values):
+        return [
+            PropertyEntry(key, v, TraceEntry("f", 1, (0, 1), "v"), profile if i == 0 else None)
+            for i, v in enumerate(values)
+        ]
+
+    twice = entries("a.twice", ["2a", "2b"])
+    pm = PropertyMap([*entries("a.once", ["1"]), twice[0], *entries("b.twice", ["x"])])
+    pm.add([twice[1], *entries("a.thrice", ["3a", "3b", "3c"])])
+    assert [e.value for e in pm.find("a.once")] == ["1"]
+    assert [e.value for e in pm.find("once")] == ["1"]
+    assert [e.value for e in pm.find("z.a.once")] == ["1"]
+    assert [e.value for e in pm.find("a.twice")] == ["2a", "2b"]
+    assert [e.value for e in pm.find("twice")] == ["2a", "x", "2b"]
+    assert [e.value for e in pm.find("a.thrice")] == ["3a", "3b", "3c"]
+    assert pm.get("a.once").value == "1"
+    assert pm.get("a.twice").value == ("2b" if profile else "2a")
+    assert pm.get("a.thrice").value == ("3b" if profile else "3a")
+    assert [e.value for e in pm.find_prefix("a")] == ["1", "2a", "2b", "3a", "3b", "3c"]
+    for e in pm.entries:
+        assert pm.find(e.key) == oracle_find(pm.entries, e.key)
+
+
 def oracle_find(entries, dotted):
     """PropertyMap.find recomputing every relaxed key per call."""
 

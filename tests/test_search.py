@@ -441,6 +441,28 @@ def test_build_index_skip_warnings_name_the_reason(tmp_path, monkeypatch):
     ]
 
 
+def test_a_file_that_grew_since_its_stat_is_read_only_up_to_the_cap(tmp_path, monkeypatch):
+    root = make_tree(tmp_path, {"big.java": "x" * 10_000, "small.java": "y"})
+    big = os.stat(root / "big.java").st_ino
+    fstat, read, got = os.fstat, os.read, []
+
+    def stale_fstat(fd):  # as if big.java had 10 bytes when it was opened
+        st = fstat(fd)
+        return os.stat_result(st[:6] + (10,) + st[7:10]) if st.st_ino == big else st
+
+    def counted_read(fd, n):
+        got.append(read(fd, n))
+        return got[-1]
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    monkeypatch.setattr(os, "read", counted_read)
+    monkeypatch.setattr(search, "MAX_FILE_BYTES", 50)
+    idx = build_index(root)
+    assert [f.path for f in idx.files] == ["small.java"]
+    assert idx.warnings == ["skipped big.java: 51 bytes over limit"]
+    assert sum(map(len, got)) == 51 + 1  # big.java up to the cap, and small.java
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_build_index_skips_special_files(tmp_path):
     # opening a FIFO for reading blocks until a writer appears, so the

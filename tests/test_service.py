@@ -557,6 +557,19 @@ def test_a_worker_takes_no_connection_after_a_500(monkeypatch, miniapp_path):
                 assert answer.readline().split()[1] == status
 
 
+def test_a_handler_that_raises_ends_the_worker_and_prints_its_traceback(capsys):
+    def crash(conn, addr, server):
+        raise RuntimeError("handler crashed")
+
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        assert service._answer(crash, theirs, ("local", 0)) is False
+        assert ours.recv(1) == b""  # the connection is closed unanswered
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: handler crashed\n")
+
+
 def test_a_tree_over_its_budget_is_a_bad_request(monkeypatch, miniapp_path):
     monkeypatch.setattr(search, "MAX_TREE_FILES", 17)
     payload = json.dumps({"path": str(miniapp_path)}).encode("utf-8")
