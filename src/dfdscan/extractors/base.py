@@ -9,10 +9,11 @@ Extractors write the diagram only through Context.node, Context.connect
 and Context.annotate, which decide alone what happens to an item the
 model refuses: a malformed name is skipped, so is an annotation of an
 unknown item, a self-flow is skipped and recorded in
-report.suppressed_self_flows, and a stereotype the item's kind refuses
-becomes a warning.  One refused item never costs an extractor the rest
-of its evidence, and one failing extractor never aborts the run; the
-failure lands in the report.
+report.suppressed_self_flows, a stereotype the item's kind refuses
+becomes a warning, and so does an external entity named like a found
+service, which keeps its type.  One refused item never costs an
+extractor the rest of its evidence, and one failing extractor never
+aborts the run; the failure lands in the report.
 """
 from __future__ import annotations
 
@@ -97,6 +98,7 @@ class Context:
         # cross-phase hints
         self.datastores: list[tuple[str, str, str, TraceEntry]] = []  # owner, db, kind, trace
         self.lb_flow_hints: list[str] = []  # ids of load-balanced flows
+        self._clashes: set[str] = set()  # found services an external entity was named after
 
     def map_roots(self) -> None:
         """Index services by root; run once the parse phase has found them."""
@@ -147,11 +149,18 @@ class Context:
 
     def node(self, name: str, node_type: str, stereotypes, trace) -> Node | None:
         """Upsert a node; None when the model refuses it, as it refuses a name
-        outside the grammar [a-z0-9_]+ once normalized ("${x:", "rab:bit,other")."""
+        outside the grammar [a-z0-9_]+ once normalized ("${x:", "rab:bit,other").
+
+        An external entity named like a found service never retypes it: the
+        service node is returned as it is, and the clash is one warning.
+        """
         try:
             node = Node(name, node_type, stereotypes)
         except ModelError:
             return None
+        if node_type == "external_entity" and node.name in self.services:
+            self._clashes.add(node.name)
+            return self.dfd.nodes.get(node.name)
         return self.dfd.upsert_node(node, trace)
 
     def connect(self, sender: str, receiver: str, stereotypes, trace) -> Flow | None:
@@ -241,6 +250,9 @@ def run_pipeline(
         if phase == "parse":
             ctx.map_roots()
     ctx.report.warnings.extend(ctx.dfd.conflicts)
+    ctx.report.warnings.extend(
+        "node %s: a found service refuses type external_entity" % name for name in sorted(ctx._clashes)
+    )
     ctx.report.integrity = ctx.dfd.validate()
     return ctx.dfd, ctx.report
 

@@ -389,6 +389,8 @@ class ConfigRepoFlows(Extractor):
             if not value:
                 continue
             repo = ctx.node("github-repository", "external_entity", ["github_repository"], trace)
+            if repo is None:
+                continue
             ctx.annotate(repo.name, tags={"URL": value}, trace=trace)
             ctx.connect(repo.name, svc.name, [], trace)
 

@@ -3,10 +3,11 @@
 The Dfd class is a single-writer builder.  Extractors feed it through
 the pipeline context, whose node / connect / annotate call its
 upsert_node / upsert_flow / annotate, all of which are commutative merges:
-stereotype sets union, tagged values union, traces accumulate.  That is
-what makes extractor order within a pipeline phase irrelevant.  Names are
-canonical, no flow connects a node to itself, and the context decides
-what an item the constructors refuse costs.
+stereotype sets union, tagged values union, and one rule picks the entry
+of every trace slot.  That is what makes extractor order within a
+pipeline phase irrelevant.  Names are canonical, no flow connects a node
+to itself, and the context decides what an item the constructors refuse
+costs.
 """
 from __future__ import annotations
 
@@ -116,10 +117,24 @@ class TraceEntry(namedtuple("TraceEntry", "file line span snippet via", defaults
 
 
 class TraceRecord:
+    """An item's primary entry, an entry per sub-item key, and its extras."""
+
+    __slots__ = ("primary", "sub_items", "_extras")
+
     def __init__(self, primary: TraceEntry) -> None:
         self.primary = primary
         self.sub_items: dict[str, TraceEntry] = {}
-        self.extras: list[TraceEntry] = []
+        self._extras: dict[TraceEntry, None] | None = None  # made with the first extra
+
+    @property
+    def extras(self) -> list[TraceEntry]:
+        return list(self._extras or ())
+
+    def keep(self, entry: TraceEntry) -> None:
+        """Add entry to the extras unless it fills a slot or they hold it."""
+        if entry != self.primary and entry not in self.sub_items.values():
+            self._extras = self._extras or {}
+            self._extras.setdefault(entry)
 
 
 class TraceStore:
@@ -129,24 +144,19 @@ class TraceStore:
     Stereotypes and tagged values attached to an item are sub-items keyed by
     stereotype name or tag key.
 
-    The pipeline runner bumps epoch at every phase boundary; epochs never
-    go back.  The primary entry for an item (and for each sub-item key) is
-    decided within the earliest epoch that produced evidence, with ties
-    broken by file position so that the choice never depends on extractor
-    order.  So the store keeps only the slots filled in the current epoch,
-    and forgets them when it ends.  An entry that loses a slot, or is
-    pushed out of one, stays as an extra.
-    The via links of a recorded entry join the extras without competing
-    for the primary or a sub-item.
+    One rule decides every slot, an item's primary or one of its sub-item
+    keys: it takes the entry of the earliest epoch that offered one, ties
+    broken by file position, so the choice never depends on extractor
+    order.  The pipeline runner bumps epoch at every phase boundary and
+    epochs never go back, so the store keeps only the slots filled in the
+    current epoch.  Every other entry recorded for an item, and every via
+    link of one, is kept once as an extra, in order, while it fills no slot.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, TraceRecord] = {}
-        # the slots filled in the current epoch: an item id names its
-        # primary, an (item id, key) pair one of its sub-items
+        # the slots filled this epoch: an item id for a primary, (item id, key) for a sub-item
         self._filled: set[str | tuple[str, str]] = set()
-        # (item id, entry) for every extra: an item can gather thousands
-        self._extras: set[tuple[str, TraceEntry]] = set()
         self._epoch = 0
 
     @property
@@ -159,71 +169,48 @@ class TraceStore:
             self._filled.clear()
             self._epoch = epoch
 
-    def _wins(self, slot, entry: TraceEntry, current: TraceEntry | None) -> bool:
-        """Whether entry takes the slot: it is empty, or entry comes first by
-        file position within the epoch that filled it."""
-        if current is None or (slot in self._filled and entry[:4] < current[:4]):
-            self._filled.add(slot)
-            return True
-        return False
-
-    def _open(self, item_id: str, entry: TraceEntry) -> TraceRecord:
-        """The item's record, created with entry as its primary if missing."""
-        rec = self._records.get(item_id)
-        if rec is None:
-            rec = self._records[item_id] = TraceRecord(primary=entry)
-            self._filled.add(item_id)
-        return rec
-
-    def _keep(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
-        """Add entry to the extras unless they hold it."""
-        if (item_id, entry) not in self._extras:
-            self._extras.add((item_id, entry))
-            rec.extras.append(entry)
-
-    def _promote(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
-        """Take entry out of the extras: it has won a slot."""
-        if (item_id, entry) in self._extras:
-            self._extras.remove((item_id, entry))
-            rec.extras.remove(entry)
-
     def record(self, item_id: str, entry: TraceEntry) -> None:
-        rec = self._open(item_id, entry)
-        if entry != rec.primary:
-            if self._wins(item_id, entry, rec.primary):
-                self._promote(item_id, rec, entry)
-                self._keep(item_id, rec, rec.primary)
-                rec.primary = entry
-            elif entry not in rec.sub_items.values():
-                self._keep(item_id, rec, entry)
-        self._link(item_id, rec, entry)
+        self._fill(item_id, None, entry)
 
     def record_sub(self, item_id: str, key: str, entry: TraceEntry) -> None:
-        rec = self._open(item_id, entry)
-        current = rec.sub_items.get(key)
-        if entry != current:
-            loser = entry
-            if self._wins((item_id, key), entry, current):
-                self._promote(item_id, rec, entry)
-                rec.sub_items[key], loser = entry, current
-            if loser is not None and loser != rec.primary and loser not in rec.sub_items.values():
-                self._keep(item_id, rec, loser)
-        self._link(item_id, rec, entry)
+        self._fill(item_id, key, entry)
 
-    def drop_sub(self, item_id: str, key: str) -> None:
-        """Remove a sub-item the item no longer carries; its entry stays as
-        an extra unless it fills another slot."""
+    def _fill(self, item_id: str, key: str | None, entry: TraceEntry) -> None:
+        """Offer entry to a slot, the primary when key is None, and to a new record's primary."""
         rec = self._records.get(item_id)
-        entry = rec.sub_items.pop(key, None) if rec is not None else None
-        if entry is not None:
-            self._filled.discard((item_id, key))
-            if entry != rec.primary and entry not in rec.sub_items.values():
-                self._keep(item_id, rec, entry)
-
-    def _link(self, item_id: str, rec: TraceRecord, entry: TraceEntry) -> None:
+        if rec is None:
+            rec = self._records[item_id] = TraceRecord(entry)
+            self._filled.add(item_id)
+        slot = item_id if key is None else (item_id, key)
+        current = rec.primary if key is None else rec.sub_items.get(key)
+        if current is None or (slot in self._filled and entry[:4] < current[:4]):
+            self._filled.add(slot)
+            if key is None:
+                rec.primary = entry
+            else:
+                rec.sub_items[key] = entry
+            if rec._extras:
+                rec._extras.pop(entry, None)
+            if current is not None:
+                rec.keep(current)
+        else:
+            rec.keep(entry)  # no-op when entry fills a slot already
         for link in entry.via:
-            if link != rec.primary and link not in rec.sub_items.values():
-                self._keep(item_id, rec, link)
+            rec.keep(link)
+
+    def drop(self, item_id: str, key: str | None = None) -> None:
+        """Empty a slot for the next entry offered, the primary (to refill at
+        once) when key is None; the dropped entry stays as an extra."""
+        rec = self._records.get(item_id)
+        if rec is None:
+            return
+        if key is None:
+            entry, rec.primary = rec.primary, None
+        else:
+            entry = rec.sub_items.pop(key, None)
+        if entry is not None:
+            self._filled.discard(item_id if key is None else (item_id, key))
+            rec.keep(entry)
 
     def get(self, item_id: str) -> TraceRecord | None:
         return self._records.get(item_id)
@@ -344,21 +331,23 @@ _UPGRADES = {
 
 
 class Dfd:
-    """Mutable dataflow diagram assembled by the extraction pipeline."""
+    """Mutable dataflow diagram assembled by the extraction pipeline.  Each
+    upsert or annotation offers its trace to the TraceStore slots of what it
+    merged; a flow's trace reaches an endpoint by ensure_node alone."""
 
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
         self.flows: dict[tuple[str, str], Flow] = {}
         self.traces = TraceStore()
         self.conflicts: list[str] = []
+        self._endpoints: dict[str, int] = {}  # node -> epoch ensure_node made it in
 
     # ------------------------------------------------------------------
     # mutation operations (commutative merges)
     # ------------------------------------------------------------------
 
     def _record(self, item_id: str, stereotypes, tags: dict, trace: TraceEntry | None) -> None:
-        """Record trace for the item and for each stereotype and tag key the
-        upsert merged."""
+        """Offer trace to the item and to each stereotype and tag key the upsert merged."""
         if trace is None:
             return
         self.traces.record(item_id, trace)
@@ -397,15 +386,23 @@ class Dfd:
                 base.stereotypes -= dropped
                 stereotypes = stereotypes - dropped
                 for s in dropped:
-                    self.traces.drop_sub(base.name, s)
+                    self.traces.drop(base.name, s)
             base.stereotypes |= _check_stereotypes(stereotypes, base.kind)
             _merge_tags(base.tagged_values, node.tagged_values)
+        if trace is not None and self._endpoints.pop(base.name, None) == self.traces.epoch:
+            self.traces.drop(base.name)  # the flows' evidence gives way to the node's own
         self._record(base.name, stereotypes, node.tagged_values, trace)
         return base
 
-    def ensure_node(self, name: str, trace: TraceEntry | None = None) -> Node:
-        """Materialize a plain service node for a flow endpoint."""
-        return self.nodes.get(normalize_name(name)) or self.upsert_node(Node(name), trace)
+    def ensure_node(self, name: str, trace: TraceEntry | None) -> None:
+        """Make a missing flow endpoint, a canonical name, a plain service
+        node.  It takes the evidence of the flows reaching it in that epoch,
+        by position, until an upsert of it in that epoch brings its own."""
+        if name not in self.nodes:
+            self.upsert_node(Node(name), trace)
+            self._endpoints[name] = self.traces.epoch
+        elif trace is not None and self._endpoints.get(name) == self.traces.epoch:
+            self.traces.record(name, trace)
 
     def upsert_flow(self, flow: Flow, trace: TraceEntry | None = None) -> Flow:
         self.ensure_node(flow.sender, trace)

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from collections import OrderedDict
 
@@ -11,6 +13,7 @@ from dfdscan.analysis import analyze_directory
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 MINIAPP = os.path.join(FIXTURES, "miniapp")
+GEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "dfdbench", "gen.py")
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +32,19 @@ def miniapp_path():
 def miniapp_result():
     """One shared analysis of the miniapp fixture for read-only tests."""
     return analyze_directory(MINIAPP)
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's tree generator, dfdbench/gen.py, loaded read-only by path."""
+    spec = importlib.util.spec_from_file_location("dfdbench_gen_tests", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

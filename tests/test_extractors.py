@@ -1947,45 +1947,94 @@ def test_exitpoint_on_mail_server(miniapp_result):
 # ----------------------------------------------------------------------
 
 
+# Two services reach a node no service backs: a Feign client names x, a Zuul
+# route serves x, and the mail host of b is the mail server a Feign client
+# names.  Which extractor of the flow phase runs first must not decide the
+# evidence of x or of mail_server.
+SHARED_ENDPOINTS = {
+    **service_files(
+        "a",
+        java='import feign.FeignClient;\n@FeignClient(name = "x")\n@FeignClient(name = "mail-server")\ninterface C {}\n',
+    ),
+    **service_files("b", "zuul:\n  routes:\n    r:\n      serviceId: x\nspring.mail.host: smtp.example.com\n"),
+}
+
+
 def test_extractor_permutations_produce_identical_output(tmp_path):
-    make_tree(
-        tmp_path,
-        {
-            "docker-compose.yml": compose_of(
-                {
-                    "gateway": {"build": "./gateway"},
-                    "svc": {"build": "./svc"},
-                    "rabbitmq": {"image": "rabbitmq:3"},
-                }
-            ),
-            "gateway/pom.xml": "<project><artifactId>gateway</artifactId></project>",
-            "gateway/src/main/resources/application.yml": (
-                APP_YML % "gateway" + "zuul:\n  routes:\n    svc:\n      serviceId: svc\n"
-            ),
-            "gateway/src/main/java/G.java": "@EnableZuulProxy\nclass G {}\n",
-            "svc/pom.xml": "<project><artifactId>svc</artifactId></project>",
-            "svc/src/main/resources/application.yml": (
-                APP_YML % "svc"
-                + "spring:\n  rabbitmq:\n    host: rabbitmq\n  mail:\n    host: smtp.x.com\n"
-            ),
-            "svc/src/main/java/S.java": (
-                "@EnableCircuitBreaker\n"
-                'rabbitTemplate.convertAndSend("q", m);\n'
-                "LoggerFactory.getLogger(S.class);\n"
-            ),
-        },
-    )
-    index = build_index(tmp_path)
-    baseline_dfd, baseline_report = run_pipeline(index)
-    assert baseline_report.failures == []
-    expected = dfd_to_json(baseline_dfd) + traceability_to_json(baseline_dfd)
-    rng = random.Random(4242)
-    for _ in range(20):
-        shuffled = default_extractors()
-        rng.shuffle(shuffled)
-        dfd, report = run_pipeline(index, extractors=shuffled)
-        assert report.failures == []
-        assert dfd_to_json(dfd) + traceability_to_json(dfd) == expected
+    mixed = {
+        "docker-compose.yml": compose_of(
+            {
+                "gateway": {"build": "./gateway"},
+                "svc": {"build": "./svc"},
+                "rabbitmq": {"image": "rabbitmq:3"},
+            }
+        ),
+        "gateway/pom.xml": "<project><artifactId>gateway</artifactId></project>",
+        "gateway/src/main/resources/application.yml": (
+            APP_YML % "gateway" + "zuul:\n  routes:\n    svc:\n      serviceId: svc\n"
+        ),
+        "gateway/src/main/java/G.java": "@EnableZuulProxy\nclass G {}\n",
+        "svc/pom.xml": "<project><artifactId>svc</artifactId></project>",
+        "svc/src/main/resources/application.yml": (
+            APP_YML % "svc"
+            + "spring:\n  rabbitmq:\n    host: rabbitmq\n  mail:\n    host: smtp.x.com\n"
+        ),
+        "svc/src/main/java/S.java": (
+            "@EnableCircuitBreaker\n"
+            'rabbitTemplate.convertAndSend("q", m);\n'
+            "LoggerFactory.getLogger(S.class);\n"
+        ),
+    }
+    for name, files in (("mixed", mixed), ("shared_endpoints", SHARED_ENDPOINTS)):
+        index = build_index(make_tree(tmp_path / name, files))
+        baseline_dfd, baseline_report = run_pipeline(index)
+        assert baseline_report.failures == []
+        expected = dfd_to_json(baseline_dfd) + traceability_to_json(baseline_dfd)
+        rng = random.Random(4242)
+        for _ in range(20):
+            shuffled = default_extractors()
+            rng.shuffle(shuffled)
+            dfd, report = run_pipeline(index, extractors=shuffled)
+            assert report.failures == []
+            assert dfd_to_json(dfd) + traceability_to_json(dfd) == expected, name
+
+
+def test_a_shared_endpoint_takes_its_evidence_by_file_position_or_from_its_own_node(tmp_path):
+    dfd, report = analyze(tmp_path, SHARED_ENDPOINTS)
+    assert report.failures == []
+    assert set(dfd.flows) == {
+        ("a", "x"), ("b", "x"), ("a", "mail_server"), ("b", "mail_server"), ("user", "b"), ("b", "user")
+    }
+    x = dfd.traces.get("x")
+    assert (x.primary.file, x.primary.line) == ("a/src/main/java/Main.java", 2)
+    assert dfd.traces.get("mail_server").primary.file == "b/src/main/resources/application.yml"
+    assert verify_traces(dfd, tmp_path)[1] == []
+
+
+def order_outputs(index, extractors=None):
+    dfd, report = run_pipeline(index, extractors=extractors)
+    assert report.failures == []
+    return dfd_to_json(dfd), traceability_to_json(dfd), report.warnings
+
+
+def test_extractor_order_never_changes_the_output_of_real_trees(gen, miniapp_path, tmp_path):
+    # the four seed-1 service_small trees give a shared endpoint when their
+    # comments are read: every Feign client in one names ghost-service
+    roots = [(miniapp_path, False)]
+    for i in range(4):
+        plan = gen.plan_small(1, i)
+        gen.write(plan, str(tmp_path / plan.name))
+        roots += [(tmp_path / plan.name, False), (tmp_path / plan.name, True)]
+    for name, files in (("fixed_node_names", FIXED_NODE_NAMES), ("shared_endpoints", SHARED_ENDPOINTS)):
+        roots.append((make_tree(tmp_path / name, files), False))
+    rng = random.Random(35)
+    for root, raw in roots:
+        index = build_index(root, raw=raw)
+        expected = order_outputs(index)
+        for _ in range(3):
+            shuffled = default_extractors()
+            rng.shuffle(shuffled)
+            assert order_outputs(index, shuffled) == expected, (root, raw)
 
 
 def test_repeated_runs_identical(miniapp_path):
@@ -2370,11 +2419,27 @@ def test_a_service_named_after_a_fixed_node_costs_no_other_service_its_evidence(
     assert dfd.has_flow("other", "mail-server")
     assert dfd.has_flow("github-repository", "other")
     assert "ssl_enabled" in dfd.node("other").stereotypes
-    assert [w for w in report.warnings if "ssl_enabled" in w] == [
-        "stereotype 'ssl_enabled' does not apply to external_entity"
+    # a found service never becomes the fixed external entity of its name:
+    # it keeps its type and stereotypes, and the entity's flows land on it
+    assert {name: node.node_type for name, node in dfd.nodes.items()} == dict.fromkeys(
+        ("mail_server", "github_repository", "user", "other"), "service"
+    )
+    assert {"ssl_enabled", "internal"} <= dfd.node("github-repository").stereotypes
+    assert "gateway" in dfd.node("user").stereotypes
+    assert report.warnings == [
+        "node %s: a found service refuses type external_entity" % name
+        for name in ("github_repository", "mail_server", "user")
     ]
     assert report.integrity == []
     assert verify_traces(dfd, tmp_path)[1] == []
+
+
+def test_a_fixed_entity_named_like_a_service_with_no_node_is_skipped(tmp_path):
+    # without service_nodes no found service has a node, so Context.node
+    # returns None for the fixed entities, and each extractor skips them
+    extractors = [e for e in default_extractors() if e.name != "service_nodes"]
+    _, report = run_pipeline(build_index(make_tree(tmp_path, FIXED_NODE_NAMES)), extractors=extractors)
+    assert report.failures == []
 
 
 def test_the_extractors_write_the_diagram_only_through_the_context():

@@ -349,7 +349,7 @@ def test_a_dropped_sub_item_is_decided_anew_in_the_epoch_that_refills_it():
     store.epoch = 1
     store.record_sub("svc", "k", LOW)
     store.epoch = 2
-    store.drop_sub("svc", "k")
+    store.drop("svc", "k")
     store.epoch = 3
     mid = t(file="a.yml", line=10)  # sorts between LOW and HIGH
     store.record_sub("svc", "k", HIGH)
@@ -369,12 +369,75 @@ def test_links_join_the_extras_without_competing():
     d.upsert_node(Node("svc", stereotypes=["gateway"]), evidence.linked([link]))
     rec = d.traces.get("svc")
     assert (rec.primary, rec.sub_items, rec.extras) == (evidence, {"gateway": evidence}, [link])
-    # recorded as evidence of its own, the link competes and leaves the extras
+    # recorded as evidence of its own, the link competes and leaves the extras;
+    # the entry it pushes out still holds gateway, so it is no extra either
     d.upsert_node(Node("svc"), link)
-    assert (rec.primary, rec.extras) == (link, [evidence])
+    assert (rec.primary, rec.sub_items, rec.extras) == (link, {"gateway": evidence}, [])
     d.annotate("svc", stereotype="local_logging", trace=t(file="c.yml").linked([t(file="d.yml")]))
     assert rec.sub_items["local_logging"] == t(file="c.yml")
-    assert rec.extras == [evidence, t(file="d.yml")]
+    assert rec.extras == [t(file="d.yml")]
+
+
+class SlotOracle:
+    """The trace store's rule by brute force: a slot holds the lowest-position
+    entry of the first epoch that offered one since the slot was last
+    dropped, and the extras are every entry and link recorded for the item
+    that fills no slot."""
+
+    def __init__(self):
+        self.epoch = 0
+        self.offers = {}  # (item, key or None) -> [(epoch, entry)] since the last drop
+        self.seen = {}  # item -> every entry recorded for it, and their links
+
+    def offer(self, item, key, entry):
+        if item not in self.seen:  # the record made now takes entry as its primary
+            self.seen[item] = set()
+            self.offers[(item, None)] = [(self.epoch, entry)]
+        self.offers.setdefault((item, key), []).append((self.epoch, entry))
+        self.seen[item].update((entry, *entry.via))
+
+    def slots(self, item):
+        """{key: entry} of the item, the primary under None."""
+        out = {}
+        for (owner, key), offers in self.offers.items():
+            if owner == item and offers:
+                first = offers[0][0]
+                out[key] = min((e for epoch, e in offers if epoch == first), key=lambda e: e[:4])
+        return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_trace_store_follows_its_slot_rule_by_brute_force(seed):
+    rng = random.Random(seed)
+    pool = [t(file=f, line=n) for f in ("a.yml", "b.yml") for n in (1, 2, 3)]
+    store, oracle = Dfd().traces, SlotOracle()
+    for _ in range(400):
+        item, key = rng.choice("xy"), rng.choice("km")
+        entry = rng.choice(pool).linked(rng.sample(pool, rng.choice((0, 0, 1, 2))))
+        op = rng.random()
+        if op < 0.1:
+            store.epoch = oracle.epoch = oracle.epoch + 1
+        elif op < 0.2:
+            store.drop(item, key)
+            oracle.offers.pop((item, key), None)
+        elif op < 0.25 and item in oracle.seen:  # a dropped primary is refilled at once
+            store.drop(item)
+            oracle.offers.pop((item, None))
+            store.record(item, entry)
+            oracle.offer(item, None, entry)
+        elif op < 0.6:
+            store.record(item, entry)
+            oracle.offer(item, None, entry)
+        else:
+            store.record_sub(item, key, entry)
+            oracle.offer(item, key, entry)
+        for name in oracle.seen:
+            rec, slots = store.get(name), oracle.slots(name)
+            assert {None: rec.primary, **rec.sub_items} == slots
+            extras = rec.extras
+            assert len(set(extras)) == len(extras)  # each kept once
+            assert not set(extras) & set(slots.values())  # no entry is both
+            assert set(extras) == oracle.seen[name] - set(slots.values())
 
 
 @pytest.mark.parametrize("annotate_first", [True, False], ids=["annotate-first", "upsert-first"])

@@ -2,28 +2,21 @@
 
 A worker keeps, across requests, the index entries of unchanged files and
 what it derived from them: literal hits and parses.  Here the
-four service_small trees of the benchmark's generator (dfdbench/gen.py,
-loaded read-only by path) are analyzed in one process over a seeded run
-of edits.  After each edit the warm analysis is compared with a cold one,
+four service_small trees of the benchmark's generator (the gen fixture)
+are analyzed in one process over a seeded run of edits.  After each edit the warm analysis is compared with a cold one,
 taken with an empty memo of recently indexed roots: the diagram, the
 traceability, every trace record with its snippets and links, the
 warnings in order, and the integrity check of the traces.
 """
 
-import importlib.util
 import os
 import random
-import sys
 from collections import OrderedDict
-from pathlib import Path
-
-import pytest
 
 from dfdscan import search
 from dfdscan.analysis import analyze_directory
 from dfdscan.output import dfd_to_json, traceability_to_json, verify_traces
 
-GEN_PATH = Path(__file__).resolve().parent.parent / "dfdbench" / "gen.py"
 STEPS = 40
 # Rule keywords that gen.py never writes, so no other file of a tree holds them
 RARE = ("@EnableHystrix", "@RibbonClient", "@EnableAdminServer", "httpBasic()", "@Slf4j")
@@ -37,18 +30,6 @@ public class Rare%d {
     void configure(HttpSecurity http) { http.httpBasic(); }
 }
 """
-
-
-@pytest.fixture(scope="module")
-def gen():
-    spec = importlib.util.spec_from_file_location("dfdbench_gen_warm_cold", GEN_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def entry(t):
