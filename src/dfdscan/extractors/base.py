@@ -249,7 +249,7 @@ def run_pipeline(
             ctx.report.timings[ex.name] = time.perf_counter() - started
         if phase == "parse":
             ctx.map_roots()
-    ctx.report.warnings.extend(ctx.dfd.conflicts)
+    ctx.report.warnings.extend(sorted(ctx.dfd.conflicts))
     ctx.report.warnings.extend(
         "node %s: a found service refuses type external_entity" % name for name in sorted(ctx._clashes)
     )

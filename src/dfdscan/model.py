@@ -3,21 +3,34 @@
 The Dfd class is a single-writer builder.  Extractors feed it through
 the pipeline context, whose node / connect / annotate call its
 upsert_node / upsert_flow / annotate, all of which are commutative merges:
-stereotype sets union, tagged values union, and one rule picks the entry
-of every trace slot.  That is what makes extractor order within a
-pipeline phase irrelevant.  Names are canonical, no flow connects a node
-to itself, and the context decides what an item the constructors refuse
-costs.
+an item's stereotypes become the union of what each merge brought, tagged
+values union, and one rule picks the entry of every trace slot.  That is
+what makes extractor order within a pipeline phase irrelevant.  Names are
+canonical, no flow connects a node to itself, and the context decides what
+an item the constructors refuse costs.
+
+Items are lean because a diagram holds thousands of them.  A stereotype
+set is a frozenset, and every item of one Dfd with the same set holds the
+same object: a write rebinds the item to the diagram's shared union or
+difference and never mutates a set.  An item without tags, and a trace
+record without sub-items, holds the one read-only empty mapping, which the
+first write replaces with a dict of its own.
 """
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import catalog
 
 NODE_TYPES = ("service", "database", "external_entity")
+
+# the empty tags of every item and sub-items of every trace record until
+# the first write; it refuses writes, so no item can fill another's
+_EMPTY = MappingProxyType({})
 
 
 class ModelError(ValueError):
@@ -123,7 +136,7 @@ class TraceRecord:
 
     def __init__(self, primary: TraceEntry) -> None:
         self.primary = primary
-        self.sub_items: dict[str, TraceEntry] = {}
+        self.sub_items: Mapping[str, TraceEntry] = _EMPTY  # a dict from the first sub-item on
         self._extras: dict[TraceEntry, None] | None = None  # made with the first extra
 
     @property
@@ -187,8 +200,10 @@ class TraceStore:
             self._filled.add(slot)
             if key is None:
                 rec.primary = entry
-            else:
+            elif rec.sub_items:
                 rec.sub_items[key] = entry
+            else:
+                rec.sub_items = {key: entry}
             if rec._extras:
                 rec._extras.pop(entry, None)
             if current is not None:
@@ -206,8 +221,11 @@ class TraceStore:
             return
         if key is None:
             entry, rec.primary = rec.primary, None
+        elif key in rec.sub_items:  # so rec.sub_items is a dict
+            entry = rec.sub_items.pop(key)
+            rec.sub_items = rec.sub_items or _EMPTY
         else:
-            entry = rec.sub_items.pop(key, None)
+            return
         if entry is not None:
             self._filled.discard(item_id if key is None else (item_id, key))
             rec.keep(entry)
@@ -234,33 +252,38 @@ class TraceStore:
 # ============================================================================
 
 
-def _check_stereotypes(stereotypes, kind: str) -> set[str]:
-    """The stereotypes as a set, each known and applicable to the kind."""
-    out = set()
-    for s in stereotypes:
+def _check_stereotypes(stereotypes, kind: str) -> frozenset[str]:
+    """The stereotypes as a frozenset, each known and applicable to the kind."""
+    out = frozenset(stereotypes)
+    for s in out:
         if not catalog.is_known(s):
             raise StereotypeError("unknown stereotype %r" % s)
         if kind not in catalog.kinds_for(s):
             raise StereotypeError("stereotype %r does not apply to %s" % (s, kind))
-        out.add(s)
     return out
 
 
-def _merge_tags(slots: dict[str, list[str]], tags: dict | None) -> None:
-    """Union tagged values into slots.
+def _merge_tags(slots: Mapping[str, list[str]], tags: dict | None) -> Mapping[str, list[str]]:
+    """Union tagged values into slots and return the mapping that holds them:
+    slots, or a new dict when slots is the shared empty mapping.
 
     A tag's value is one value or a list, tuple or set of them; values are
     kept as strings, once each, in the order they first arrived.
     """
-    for key, value in (tags or {}).items():
-        slot = slots.setdefault(str(key), [])
-        for v in map(str, value if isinstance(value, (list, tuple, set)) else (value,)):
-            if v not in slot:
-                slot.append(v)
+    if tags:
+        slots = slots or {}
+        for key, value in tags.items():
+            slot = slots.setdefault(str(key), [])
+            for v in map(str, value if isinstance(value, (list, tuple, set)) else (value,)):
+                if v not in slot:
+                    slot.append(v)
+    return slots
 
 
 class Node:
     """A service, database, or external entity."""
+
+    __slots__ = ("name", "node_type", "stereotypes", "tagged_values")
 
     def __init__(
         self,
@@ -273,11 +296,10 @@ class Node:
             raise ModelError("bad node type %r" % node_type)
         self.name = normalize_name(name)
         self.node_type = node_type
-        self.stereotypes = _check_stereotypes(stereotypes, self.kind)
         if node_type == "database":
-            self.stereotypes.add("database")
-        self.tagged_values: dict[str, list[str]] = {}
-        _merge_tags(self.tagged_values, tagged_values)
+            stereotypes = (*stereotypes, "database")
+        self.stereotypes = _check_stereotypes(stereotypes, self.kind)
+        self.tagged_values = _merge_tags(_EMPTY, tagged_values)
 
     @property
     def kind(self) -> str:
@@ -294,6 +316,8 @@ class Flow:
     SelfFlowError.  Tagged values come from Dfd.annotate.
     """
 
+    __slots__ = ("sender", "receiver", "stereotypes", "tagged_values")
+
     kind = "flow"
 
     def __init__(self, sender: str, receiver: str, stereotypes=()) -> None:
@@ -302,7 +326,7 @@ class Flow:
         if self.sender == self.receiver:
             raise SelfFlowError("flow %s -> %s connects a node to itself" % (sender, receiver))
         self.stereotypes = _check_stereotypes(stereotypes, self.kind)
-        self.tagged_values: dict[str, list[str]] = {}
+        self.tagged_values: Mapping[str, list[str]] = _EMPTY
 
     @property
     def key(self) -> tuple[str, str]:
@@ -333,7 +357,9 @@ _UPGRADES = {
 class Dfd:
     """Mutable dataflow diagram assembled by the extraction pipeline.  Each
     upsert or annotation offers its trace to the TraceStore slots of what it
-    merged; a flow's trace reaches an endpoint by ensure_node alone."""
+    merged; a flow's trace reaches an endpoint by ensure_node alone.  Its
+    items share one frozenset per distinct stereotype set, from a table the
+    diagram owns, so no set outlives the diagrams that hold it."""
 
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
@@ -341,6 +367,11 @@ class Dfd:
         self.traces = TraceStore()
         self.conflicts: list[str] = []
         self._endpoints: dict[str, int] = {}  # node -> epoch ensure_node made it in
+        self._sets: dict[frozenset[str], frozenset[str]] = {}  # each stereotype set, once
+
+    def _set(self, item: Node | Flow, stereotypes: frozenset[str]) -> None:
+        """Rebind the item's stereotypes to the diagram's one set equal to these."""
+        item.stereotypes = self._sets.setdefault(stereotypes, stereotypes)
 
     # ------------------------------------------------------------------
     # mutation operations (commutative merges)
@@ -361,7 +392,9 @@ class Dfd:
     def upsert_node(self, node: Node, trace: TraceEntry | None = None) -> Node:
         base = self.nodes.setdefault(node.name, node)
         stereotypes = node.stereotypes
-        if base is not node:
+        if base is node:
+            self._set(node, stereotypes)
+        else:
             if base.node_type != node.node_type:
                 upgraded = _UPGRADES.get((base.node_type, node.node_type))
                 if upgraded is None:
@@ -371,7 +404,7 @@ class Dfd:
                 else:
                     base.node_type = upgraded
                     if upgraded == "database":
-                        base.stereotypes.add("database")
+                        self._set(base, base.stereotypes | {"database"})
                 # one rule for either merge: the known stereotypes of another
                 # kind than the resulting one are dropped, whichever side
                 # brought them; unknown ones are still rejected below
@@ -383,12 +416,12 @@ class Dfd:
                     self._conflict("node %s: type %s drops %s" % (
                         base.name, base.node_type, ", ".join(sorted(dropped))
                     ))
-                base.stereotypes -= dropped
+                self._set(base, base.stereotypes - dropped)
                 stereotypes = stereotypes - dropped
                 for s in dropped:
                     self.traces.drop(base.name, s)
-            base.stereotypes |= _check_stereotypes(stereotypes, base.kind)
-            _merge_tags(base.tagged_values, node.tagged_values)
+            self._set(base, base.stereotypes | _check_stereotypes(stereotypes, base.kind))
+            base.tagged_values = _merge_tags(base.tagged_values, node.tagged_values)
         if trace is not None and self._endpoints.pop(base.name, None) == self.traces.epoch:
             self.traces.drop(base.name)  # the flows' evidence gives way to the node's own
         self._record(base.name, stereotypes, node.tagged_values, trace)
@@ -408,7 +441,7 @@ class Dfd:
         self.ensure_node(flow.sender, trace)
         self.ensure_node(flow.receiver, trace)
         base = self.flows.setdefault(flow.key, flow)
-        base.stereotypes |= flow.stereotypes
+        self._set(base, base.stereotypes | flow.stereotypes)
         self._record(base.item_id, flow.stereotypes, flow.tagged_values, trace)
         return base
 
@@ -429,8 +462,9 @@ class Dfd:
         if target is None:
             raise ModelError("cannot annotate unknown item %r" % item_id)
         stereotypes = () if stereotype is None else (stereotype,)
-        target.stereotypes |= _check_stereotypes(stereotypes, target.kind)
-        _merge_tags(target.tagged_values, tags)
+        if stereotype is not None:
+            self._set(target, target.stereotypes | _check_stereotypes(stereotypes, target.kind))
+        target.tagged_values = _merge_tags(target.tagged_values, tags)
         if trace is not None:
             for key in (*stereotypes, *map(str, tags or ())):
                 self.traces.record_sub(item_id, key, trace)

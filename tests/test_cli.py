@@ -103,6 +103,30 @@ def test_importing_the_cli_loads_no_subprocess():
     assert done.stdout == "False False\n"
 
 
+def test_the_outputs_do_not_depend_on_the_hash_seed(miniapp_path, tmp_path):
+    # stereotype sets are frozensets, whose order follows PYTHONHASHSEED;
+    # the serializers sort them, so two seeds write the same bytes
+    root = shutil.copytree(miniapp_path, tmp_path / "app")
+    src = str(Path(search.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / ("out%s" % seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "dfdscan.cli", "analyze", "--path", str(root), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["app.dot", "app.json", "app_traceability.json"]
+    assert outputs[0] == outputs[1]
+    # the diagram holds sets that a seed can order differently
+    nodes = json.loads(outputs[0]["app.json"])["nodes"]
+    assert max(len(n["stereotypes"]) for n in nodes) >= 3
+
+
 def test_analyze_json_only(miniapp_path, tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run_cli(

@@ -1985,7 +1985,20 @@ def test_extractor_permutations_produce_identical_output(tmp_path):
             "LoggerFactory.getLogger(S.class);\n"
         ),
     }
-    for name, files in (("mixed", mixed), ("shared_endpoints", SHARED_ENDPOINTS)):
+    # two node-type conflicts, met by rest_client_flows and mail_flows in the flow phase
+    conflicts = {
+        **service_files(
+            "billing",
+            "spring.datasource.url: jdbc:mysql://db.example.com:3306/x\n",
+            'class C { String s = restTemplate.getForObject("http://db.example.com/x", String.class); }\n',
+        ),
+        **service_files(
+            "shop",
+            "spring.datasource.url: jdbc:mysql://mail-server:3306/x\nspring.mail.host: smtp.example.com\n",
+        ),
+    }
+    trees = (("mixed", mixed), ("shared_endpoints", SHARED_ENDPOINTS), ("conflicts", conflicts))
+    for name, files in trees:
         index = build_index(make_tree(tmp_path / name, files))
         baseline_dfd, baseline_report = run_pipeline(index)
         assert baseline_report.failures == []
@@ -1997,6 +2010,8 @@ def test_extractor_permutations_produce_identical_output(tmp_path):
             dfd, report = run_pipeline(index, extractors=shuffled)
             assert report.failures == []
             assert dfd_to_json(dfd) + traceability_to_json(dfd) == expected, name
+            assert report.warnings == baseline_report.warnings, name
+    assert len([w for w in baseline_report.warnings if "conflicts with" in w]) == 2
 
 
 def test_a_shared_endpoint_takes_its_evidence_by_file_position_or_from_its_own_node(tmp_path):

@@ -4,11 +4,12 @@ applicability, and the commutativity that order independence relies on."""
 import copy
 import pickle
 import random
+from collections import OrderedDict
 
 import pytest
 
-from dfdscan import output
-from dfdscan.extractors.base import Context
+from dfdscan import output, search
+from dfdscan.extractors.base import Context, run_pipeline
 from dfdscan.model import (
     Dfd,
     Flow,
@@ -20,6 +21,7 @@ from dfdscan.model import (
     TraceEntry,
     normalize_name,
 )
+from dfdscan.search import build_index
 
 
 def t(file="a/b.yml", line=1, span=(0, 3), snippet="abc"):
@@ -194,7 +196,7 @@ def test_a_conflict_still_rejects_an_unknown_stereotype():
     d = Dfd()
     d.upsert_node(Node("x", node_type="database"), t())
     incoming = Node("x", "external_entity")
-    incoming.stereotypes.add("no_such_stereotype")
+    incoming.stereotypes = incoming.stereotypes | {"no_such_stereotype"}
     with pytest.raises(StereotypeError):
         d.upsert_node(incoming, t(line=2))
 
@@ -589,3 +591,70 @@ def test_operation_order_does_not_change_result():
         for op in order:
             op(d)
         assert shape(d) == expected
+
+
+# ----------------------------------------------------------------------
+# lean items: shared stereotype sets, one empty mapping, no instance dict
+# ----------------------------------------------------------------------
+
+
+def _items(dfd):
+    return [*dfd.nodes.values(), *dfd.flows.values()]
+
+
+@pytest.fixture(scope="module")
+def lean_diagrams(gen, miniapp_path, tmp_path_factory):
+    """The diagrams of miniapp and of a seed-1 many_services tree, indexed
+    with a memo of their own so no other test finds these trees in it."""
+    plan = gen.plan_many_services(1)
+    root = tmp_path_factory.mktemp("lean") / plan.name
+    gen.write(plan, str(root))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memo", OrderedDict())
+        return [run_pipeline(build_index(r))[0] for r in (miniapp_path, root)]
+
+
+def test_diagram_items_have_no_instance_dict(lean_diagrams):
+    for dfd in lean_diagrams:
+        for item in _items(dfd):
+            assert not hasattr(item, "__dict__"), item
+
+
+def test_items_share_one_set_per_distinct_stereotype_set(lean_diagrams):
+    for dfd in lean_diagrams:
+        sets = [item.stereotypes for item in _items(dfd)]
+        assert all(type(s) is frozenset for s in sets)
+        assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
+
+
+def test_empty_tags_and_sub_items_are_one_shared_read_only_mapping(lean_diagrams):
+    for dfd in lean_diagrams:
+        empty = [item.tagged_values for item in _items(dfd) if not item.tagged_values]
+        empty += [rec.sub_items for _, rec in dfd.traces.items() if not rec.sub_items]
+        assert empty and len({id(m) for m in empty}) == 1
+        with pytest.raises(TypeError):
+            empty[0]["Port"] = ["80"]
+        assert len(empty[0]) == 0
+        # a filled one is a dict of its own item
+        filled = [item.tagged_values for item in _items(dfd) if item.tagged_values]
+        assert filled and len({id(m) for m in filled}) == len(filled)
+
+
+def test_a_dropped_last_sub_item_leaves_the_shared_empty_mapping():
+    d = Dfd()
+    d.upsert_node(Node("x", stereotypes=["gateway"]), t())
+    d.upsert_node(Node("y"), t(line=2))
+    d.upsert_node(Node("x", "external_entity"), t(line=3))  # drops gateway
+    assert d.node("x").stereotypes == frozenset()
+    assert d.traces.get("x").sub_items is d.traces.get("y").sub_items
+    assert d.node("x").tagged_values is d.traces.get("y").sub_items
+
+
+def test_two_diagrams_do_not_share_their_set_table(miniapp_path):
+    index = build_index(miniapp_path)
+    first = run_pipeline(index)[0]
+    table = dict(first._sets)
+    second = run_pipeline(index)[0]
+    assert second._sets is not first._sets
+    assert first._sets == table
+    assert not {id(s) for s in first._sets.values()} & {id(s) for s in second._sets.values()}
